@@ -20,6 +20,7 @@ from . import counterexample as cx
 from . import diagnostics, experiments, kernels, rkhs
 from .errors import GmequivError
 from .fourier import ClassSpec, FourierFunction, function_from_spec
+from .samples import DEFAULT_GRID_DENSITY
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -183,7 +184,7 @@ def _cmd_kriging(args) -> int:
     n = args.n
     knots = np.arange(1, n + 1) / n
     y = np.asarray(fn.antiderivative(knots))
-    density = args.grid_density if args.grid_density is not None else 20
+    density = args.grid_density if args.grid_density is not None else DEFAULT_GRID_DENSITY
     grid = np.arange(density * n + 1) / (density * n)
     fast = rkhs.kriging_interpolate(kernel, y, grid)
     meta = {
@@ -315,7 +316,7 @@ def build_parser() -> _Parser:
     p.add_argument("--exp", choices=("e1", "e1prime", "e2", "kriging-path", "increments"),
                    default="e2")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid-density", type=int, help="path grid has density*n+1 points (default 20)")
+    p.add_argument("--grid-density", type=int, help=f"path grid has density*n+1 points (default {DEFAULT_GRID_DENSITY})")
     add_common(p)
     p.set_defaults(run=_cmd_simulate)
 

@@ -35,9 +35,7 @@ from . import rkhs, sampling
 from .errors import GridMismatch
 from .fourier import FourierFunction
 from .kernels import GaussMarkovKernel
-from .samples import DiscreteSample, PathSample
-
-DEFAULT_GRID_DENSITY = 20
+from .samples import DEFAULT_GRID_DENSITY, DiscreteSample, PathSample
 
 
 def _knot_grid(n: int, grid_size: int | None) -> np.ndarray:

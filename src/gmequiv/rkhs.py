@@ -17,12 +17,14 @@ x = q(w), dx = q'(w) dw, so nothing ever needs q explicitly inverted except
 the x-domain view of g, which inverts the monotone clock by bisection.
 
 The finite-design operations live here too: the least-squares distance
-D_n from g to the span of the design representers (computed cell by cell
-against the q'-weighted cell means, each cell integral nonnegative, so no
-cancellation), and Kriging interpolation, which the Markov structure
-reduces to a two-knot rule: in the (q, y/v) plane the conditional
-expectation is linear interpolation anchored at the origin. A dense
-covariance solve is kept alongside as an oracle for both.
+D_n from g to the span of the design representers, and Kriging
+interpolation. Since g(q(w)) q'(w) = (F_f/v)'(w), the q'-weighted mass of g
+over a design cell is the increment of F_f/v across it, in closed form;
+only the nonnegative residual integral needs quadrature, one call over
+[0, 1] with the knots as panel edges. The Markov structure reduces Kriging
+to a two-knot rule: in the (q, y/v) plane the conditional expectation is
+linear interpolation anchored at the origin. A dense covariance solve is
+kept alongside as an oracle for both.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import sampling
 from .errors import GridMismatch, KernelDegenerate, SingularCovariance
 from .fourier import FourierFunction
 from .kernels import GaussMarkovKernel, covariance, gram
-from .quadrature import adaptive_integral, refine_gauss
-from .samples import PathSample
+from .quadrature import adaptive_integral
+from .samples import DEFAULT_GRID_DENSITY, PathSample
 
 _BISECT_ITERS = 60
 _BISECT_TOL = 1e-12
@@ -165,11 +166,6 @@ def rkhs_norm(element: RkhsElement, rel_tol: float = 1e-9) -> float:
     return float(np.sqrt(max(value, 0.0)))
 
 
-def representer_gram(kernel: GaussMarkovKernel, ts) -> np.ndarray:
-    """Gram matrix of the representers K(., t_j); equals the covariance."""
-    return gram(kernel, ts)
-
-
 # ---------------------------------------------------------------------------
 # projection distance onto the design span
 
@@ -179,31 +175,31 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
 
     The representers at t_j = j/n span exactly the step functions on the
     clock cells (q(t_{j-1}), q(t_j)], so the projection has the q'-weighted
-    cell means of g as coefficients and
+    cell means of g as coefficients. Those are closed form: the mass of g
+    over cell j is the increment of F_f/v across it, so
 
-        D_n = sum_j integral_{cell j} (g(q(w)) - alpha_j)^2 q'(w) dw,
+        alpha_j = Delta_j(F_f / v) / Delta_j q,
+        D_n = integral_0^1 (g(q(w)) - alpha_{j(w)})^2 q'(w) dw,
 
-    accumulated cell by cell (each term nonnegative; no cancellation).
+    with j(w) the cell holding w. D_n is one quadrature call with the
+    knots as panel edges; the integrand is nonnegative and the
+    Gauss-Legendre weights are positive, so there is no cancellation.
     """
     if not kernel.flags.finite_horizon:
         raise KernelDegenerate(
             f"kernel {kernel.name!r} has an infinite clock horizon; "
             "the design span is not closed in L2 of the clock domain"
         )
-    element = g_from_f(kernel, f)
-    g_w = element.g_of_time
-    qp = kernel.q_prime
+    g_w = g_from_f(kernel, f).g_of_time
     knots = np.arange(n + 1) / n
-    dq = np.diff(np.asarray(kernel.q(knots)))
-    total = 0.0
-    for j in range(n):
-        a, b = float(knots[j]), float(knots[j + 1])
-        mass = refine_gauss(lambda w: np.asarray(g_w(w)) * np.asarray(qp(w)), a, b)
-        alpha = mass / dq[j]
-        total += refine_gauss(
-            lambda w: (np.asarray(g_w(w)) - alpha) ** 2 * np.asarray(qp(w)), a, b
-        )
-    return float(total)
+    ratio = np.asarray(f.antiderivative(knots)) / np.asarray(kernel.v(knots))
+    alpha = np.diff(ratio) / np.diff(np.asarray(kernel.q(knots)))
+
+    def residual(w):
+        cell = np.searchsorted(knots, w, side="right") - 1
+        return (np.asarray(g_w(w)) - alpha[cell]) ** 2 * np.asarray(kernel.q_prime(w))
+
+    return adaptive_integral(residual, 0.0, 1.0, breakpoints=knots)
 
 
 def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction,
@@ -264,12 +260,12 @@ def kriging_interpolate_dense(kernel: GaussMarkovKernel, y, t):
     knots = _design_knots(n)
     C = gram(kernel, knots)
     try:
-        factor = cho_factor(C, lower=True)
+        lower = np.linalg.cholesky(C)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(
             f"design covariance for kernel {kernel.name!r} is singular"
         ) from exc
-    alpha = cho_solve(factor, y)
+    alpha = np.linalg.solve(lower.T, np.linalg.solve(lower, y))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     kvec = covariance(kernel, ts[:, None], knots[None, :])
     out = np.asarray(kvec) @ alpha
@@ -284,7 +280,7 @@ def kriging_residual_process(kernel: GaussMarkovKernel, n: int, seed: int,
     an independent Kriging interpolation of fresh knot data reassembles a
     process with the original law.
     """
-    m = grid_size if grid_size is not None else 20 * n + 1
+    m = grid_size if grid_size is not None else DEFAULT_GRID_DENSITY * n + 1
     if (m - 1) % n != 0:
         raise GridMismatch(
             f"grid of size {m} does not contain every design knot j/{n}"

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 VARIANTS = ("original", "cell_averaged")
+# a path grid has DEFAULT_GRID_DENSITY * n + 1 points unless a size is given
+DEFAULT_GRID_DENSITY = 20
 
 
 @dataclass(frozen=True, eq=False)

@@ -179,3 +179,13 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "kernel slepian" in result.stdout
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test-only dependency: importing the package must not load it."""
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gmequiv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import pytest
 
 from gmequiv.errors import GridMismatch, KernelDegenerate, SingularCovariance
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
-from gmequiv.kernels import gram, preset
+from gmequiv.kernels import preset
 from gmequiv.rkhs import (
     element_from_g,
     g_from_f,
@@ -17,7 +17,6 @@ from gmequiv.rkhs import (
     projection_distance,
     projection_distance_dense,
     q_inverse,
-    representer_gram,
     rkhs_norm,
 )
 
@@ -64,6 +63,7 @@ class TestPreimage:
         np.testing.assert_allclose(element.g(xs), element.g_of_time(ws),
                                    rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.filterwarnings("error")
     def test_reproduce_F_matches_antiderivative(self):
         ts = np.array([0.2, 0.5, 0.77, 1.0])
         for name in FINITE_PRESETS:
@@ -110,11 +110,6 @@ class TestNorm:
     def test_element_from_g_needs_finite_horizon(self):
         with pytest.raises(KernelDegenerate):
             element_from_g(preset("bridge"), lambda x: x)
-
-    def test_representer_gram_is_covariance(self):
-        ts = np.linspace(0.1, 1.0, 6)
-        k = preset("slepian")
-        np.testing.assert_array_equal(representer_gram(k, ts), gram(k, ts))
 
 
 class TestProjectionDistance:
