@@ -89,6 +89,6 @@ from .rkhs import (
     rkhs_norm,
 )
 from .samples import DiscreteSample, PathSample
-from .sampling import sample_paths, simulation_route
+from .sampling import sample_paths
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ not certify it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -244,20 +244,8 @@ def _assemble(name: str, u: Callable, v: Callable, validate: bool) -> GaussMarko
         ),
     )
     report = validate_assumption(kernel, grid_size=_DEFAULT_GRID)
-    kernel = GaussMarkovKernel(
-        name=name,
-        u=u,
-        v=v,
-        q=q,
-        q_prime=kernel.q_prime,
-        v_prime=kernel.v_prime,
-        horizon=horizon,
-        flags=KernelFlags(
-            v1_nonzero=v1_nonzero,
-            finite_horizon=math.isfinite(horizon),
-            q_prime_bounded_below=report.q_prime_min > 1e-8,
-        ),
-    )
+    kernel = replace(kernel, flags=replace(
+        kernel.flags, q_prime_bounded_below=report.q_prime_min > 1e-8))
     if validate and not report.passed:
         failed = ", ".join(c.name for c in report.checks if c.required and not c.passed)
         raise AssumptionViolation(

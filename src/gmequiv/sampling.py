@@ -1,16 +1,16 @@
 """Exact Gaussian path simulation for triangular kernels.
 
-The default route uses the time change: with q = u/v increasing from 0, the
-process is v(t) W_{q(t)} for a standard Brownian motion W, so increments of
-W over consecutive q-cells are independent normals with variance q(t_i) -
-q(t_{i-1}) and a cumulative sum plus scaling is an exact draw. No
-factorization, no truncation.
+Every kernel rides the time change. With q = u/v increasing from q(0) = 0,
+the process is v(t) W_{q(t)} for a standard Brownian motion W, so the lower
+Cholesky factor of the grid covariance is known in closed form,
+diag(v) (lower-triangular ones) diag(sqrt(dq)): increments of W over
+consecutive q-cells are independent normals with variance dq, and a
+cumulative sum plus scaling is an exact draw in O(grid) work per path. No
+factorization, no jitter, no truncation.
 
-Kernels with a pinned endpoint (v(1) = 0, infinite horizon) cannot ride the
-time change to t = 1; they fall back to a dense Cholesky factorization of
-the grid covariance, with deterministic zeros at grid points whose variance
-vanishes (those coordinates are almost surely zero and independent of the
-rest, since Cov(X_s, X_t) = u(s) v(t) = 0 there).
+Grid points whose variance u*v vanishes are deterministic zeros: t = 0 on
+every kernel, and t = 1 on pinned kernels such as the bridge, where v(1) = 0
+makes the horizon q(1) infinite but leaves no randomness at that point.
 """
 
 from __future__ import annotations
@@ -19,35 +19,16 @@ import numpy as np
 
 from . import rng
 from .errors import SingularCovariance
-from .kernels import GaussMarkovKernel, gram
+from .kernels import GaussMarkovKernel
 
 
-def simulation_route(kernel: GaussMarkovKernel, grid: np.ndarray) -> str:
-    """'time-change' when the clock is finite and increasing on the grid,
-    else 'dense'."""
-    with np.errstate(all="ignore"):
-        qs = np.asarray(kernel.q(np.asarray(grid, dtype=float)))
-    if np.all(np.isfinite(qs)) and np.all(np.diff(qs) > 0.0):
-        return "time-change"
-    return "dense"
-
-
-def _dense_factor(kernel: GaussMarkovKernel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cov = gram(kernel, grid)
-    diag = np.diag(cov)
-    alive = diag > 1e-14 * max(float(diag.max()), 1.0)
-    block = cov[np.ix_(alive, alive)]
-    scale = float(np.max(np.diag(block))) if block.size else 1.0
-    jitter = 0.0
-    for _ in range(4):
-        try:
-            chol = np.linalg.cholesky(block + jitter * np.eye(block.shape[0]))
-            return alive, chol
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
-    raise SingularCovariance(
-        f"grid covariance for kernel {kernel.name!r} is not positive definite"
-    )
+def _require(kernel: GaussMarkovKernel, points: np.ndarray, bad: np.ndarray,
+              reason: str) -> None:
+    if bad.any():
+        raise SingularCovariance(
+            f"grid covariance for kernel {kernel.name!r} is singular: {reason} "
+            f"(first bad grid point t = {float(points[np.argmax(bad)])!r})"
+        )
 
 
 def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
@@ -55,8 +36,12 @@ def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     """Draw npaths exact samples of the process on the given grid.
 
     Returns an (npaths, len(grid)) array. The grid must be increasing and
-    start at 0; the first column is exactly 0. Deterministic in (seed,
-    label, kernel, grid size).
+    start at 0. The points of positive variance u*v get v W_q through the
+    time change in O(grid) work per path; every other point, the first
+    column included, is exactly 0. Raises SingularCovariance, naming the
+    kernel and the first bad grid point, unless those points form one
+    contiguous run on which q is finite and strictly increasing from
+    q(0) = 0. Deterministic in (seed, label, kernel, grid size).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
@@ -65,18 +50,25 @@ def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
         raise ValueError("grid must be strictly increasing")
     gen = rng.stream(seed, label, kernel.name, grid.size, npaths)
     out = np.zeros((npaths, grid.size))
-    if grid.size == 1:
+    with np.errstate(all="ignore"):
+        vs = np.asarray(kernel.v(grid))
+        var = np.asarray(kernel.u(grid)) * vs
+    _require(kernel, grid, ~np.isfinite(var), "the variance u*v is not finite")
+    alive = var > 1e-14 * max(float(var.max()), 1.0)
+    alive[0] = False
+    run = np.flatnonzero(alive)
+    if run.size == 0:
         return out
-    route = simulation_route(kernel, grid)
-    if route == "time-change":
-        qs = np.asarray(kernel.q(grid))
-        dq = np.diff(qs)
-        draws = gen.standard_normal((npaths, grid.size - 1)) * np.sqrt(dq)
-        w = np.cumsum(draws, axis=1)
-        out[:, 1:] = w * np.asarray(kernel.v(grid[1:]))
-        return out
-    alive, chol = _dense_factor(kernel, grid)
-    draws = gen.standard_normal((npaths, int(alive.sum())))
-    out[:, alive] = draws @ chol.T
-    out[:, 0] = 0.0
+    lo, hi = int(run[0]), int(run[-1]) + 1
+    _require(kernel, grid[lo:hi], ~alive[lo:hi],
+             "the positive-variance points are not one contiguous run")
+    with np.errstate(all="ignore"):
+        dq = np.diff(np.asarray(kernel.q(grid[lo:hi])), prepend=0.0)
+    _require(kernel, grid[lo:hi], ~(np.isfinite(dq) & (dq > 0.0)),
+             "q is not finite and strictly increasing from q(0) = 0")
+    draws = gen.standard_normal((npaths, hi - lo))
+    draws *= np.sqrt(dq)
+    np.cumsum(draws, axis=1, out=draws)
+    draws *= vs[lo:hi]
+    out[:, lo:hi] = draws
     return out

@@ -1,12 +1,14 @@
 """Tests for the two experiments and the exact maps between them."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from gmequiv.errors import GridMismatch
+from gmequiv import rng
+from gmequiv.errors import GridMismatch, SingularCovariance
 from gmequiv.experiments import (
     kriging_path_experiment,
     path_from_discrete,
@@ -16,20 +18,48 @@ from gmequiv.experiments import (
     simulate_increments,
 )
 from gmequiv.fourier import FourierFunction
-from gmequiv.kernels import preset
+from gmequiv.kernels import gram, make_kernel, preset
 from gmequiv.samples import DiscreteSample, PathSample
-from gmequiv.sampling import sample_paths, simulation_route
+from gmequiv.sampling import sample_paths
 
 COS = FourierFunction.harmonic(1)
 ZERO = FourierFunction.zero()
 
 
 class TestSampling:
-    def test_route_selection(self):
-        grid = np.linspace(0, 1, 11)
-        assert simulation_route(preset("bm"), grid) == "time-change"
-        assert simulation_route(preset("ou", 1.0), grid) == "time-change"
-        assert simulation_route(preset("bridge"), grid) == "dense"
+    ORACLE_KERNELS = (
+        preset("bm"), preset("ou", 1.0), preset("bridge"), preset("slepian"),
+        make_kernel("lab", "t", "2 - t"),
+    )
+
+    @pytest.mark.parametrize("m", [9, 257])
+    @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: k.name)
+    def test_time_change_matches_dense_cholesky(self, kernel, m):
+        grid = np.linspace(0.0, 1.0, m)
+        npaths, seed, label = 40, 3, "oracle"
+        var = np.diag(gram(kernel, grid))
+        alive = var > 1e-14 * max(float(var.max()), 1.0)
+        chol = np.linalg.cholesky(gram(kernel, grid[alive]))
+        z = rng.stream(seed, label, kernel.name, grid.size, npaths).standard_normal(
+            (npaths, int(alive.sum())))
+        draws = sample_paths(kernel, grid, npaths, seed, label=label)
+        np.testing.assert_allclose(draws[:, alive], z @ chol.T, rtol=0.0, atol=1e-12)
+        assert np.all(draws[:, ~alive] == 0.0)
+        assert alive[-1] == kernel.flags.v1_nonzero
+
+    def test_bridge_without_interior_points_is_zero(self):
+        draws = sample_paths(preset("bridge"), np.array([0.0, 1.0]), 5, seed=0)
+        np.testing.assert_array_equal(draws, np.zeros((5, 2)))
+
+    def test_non_monotone_clock_raises(self):
+        hump = make_kernel("hump", "t*(1-t)", "1", validate=False)
+        with pytest.raises(SingularCovariance, match=r"'hump'.*t = 0\.625"):
+            sample_paths(hump, np.linspace(0, 1, 9), 4, seed=0)
+
+    def test_non_finite_variance_raises(self):
+        broken = dataclasses.replace(preset("bm"), u=lambda t: np.log(np.asarray(t) - 0.3))
+        with pytest.raises(SingularCovariance, match=r"'bm'.*t = 0\.0"):
+            sample_paths(broken, np.linspace(0, 1, 9), 4, seed=0)
 
     def test_paths_start_at_zero(self):
         for name in ("bm", "bridge"):
