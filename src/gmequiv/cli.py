@@ -20,7 +20,7 @@ from . import counterexample as cx
 from . import diagnostics, experiments, kernels, rkhs
 from .errors import GmequivError
 from .fourier import ClassSpec, FourierFunction, function_from_spec
-from .samples import DEFAULT_GRID_DENSITY
+from .samples import DEFAULT_GRID_DENSITY, design_knots, knot_stride, path_grid
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -93,7 +93,6 @@ def _fn_from_args(args) -> FourierFunction:
 
 def _emit(rows: list[dict], meta: dict, args) -> None:
     fmt = getattr(args, "format", None) or "csv"
-    out_path = getattr(args, "out", None)
     if fmt == "json":
         text = json.dumps({"meta": meta, "rows": rows}, sort_keys=True, indent=2) + "\n"
     else:
@@ -104,6 +103,12 @@ def _emit(rows: list[dict], meta: dict, args) -> None:
             for row in rows:
                 lines.append(",".join(str(row[key]) for key in header))
         text = "\n".join(lines) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    """Write text to the --out file and report it on stdout, or to stdout."""
+    out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -119,9 +124,7 @@ def _emit(rows: list[dict], meta: dict, args) -> None:
 def _cmd_simulate(args) -> int:
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
-    grid_size = None
-    if args.grid_density is not None:
-        grid_size = args.grid_density * args.n + 1
+    grid_size = args.grid_density * args.n + 1
     meta = {
         "command": "simulate", "experiment": args.exp, "kernel": kernel.name,
         "fn": fn.name, "n": args.n, "seed": args.seed,
@@ -182,17 +185,15 @@ def _cmd_kriging(args) -> int:
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
     n = args.n
-    knots = np.arange(1, n + 1) / n
-    y = np.asarray(fn.antiderivative(knots))
-    density = args.grid_density if args.grid_density is not None else DEFAULT_GRID_DENSITY
-    grid = np.arange(density * n + 1) / (density * n)
+    grid = path_grid(n, args.grid_density * n + 1)
+    stride = knot_stride(n, grid.size)
+    y = np.asarray(fn.antiderivative(design_knots(n)))
     fast = rkhs.kriging_interpolate(kernel, y, grid)
     meta = {
         "command": "kriging", "kernel": kernel.name, "fn": fn.name,
         "n": n, "grid_size": grid.size,
     }
-    knot_idx = (np.arange(1, n + 1) * density).astype(int)
-    meta["max_knot_deviation"] = repr(float(np.max(np.abs(fast[knot_idx] - y))))
+    meta["max_knot_deviation"] = repr(float(np.max(np.abs(fast[stride::stride] - y))))
     if n <= 64:
         dense = rkhs.kriging_interpolate_dense(kernel, y, grid)
         meta["max_oracle_deviation"] = repr(float(np.max(np.abs(fast - dense))))
@@ -268,17 +269,9 @@ def _cmd_counterexample(args) -> int:
         for n in _parse_n_arg(args.n)
     ]
     if (getattr(args, "format", None) or "text") == "json":
-        payload = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"wrote {args.out}")
-        else:
-            print(payload)
+        _write(json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n", args)
     else:
-        for report in reports:
-            for line in report.lines():
-                print(line)
+        _write("".join(f"{line}\n" for report in reports for line in report.lines()), args)
     if not all(r.passed for r in reports):
         return EXIT_GATE
     return EXIT_OK
@@ -316,7 +309,8 @@ def build_parser() -> _Parser:
     p.add_argument("--exp", choices=("e1", "e1prime", "e2", "kriging-path", "increments"),
                    default="e2")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid-density", type=int, help=f"path grid has density*n+1 points (default {DEFAULT_GRID_DENSITY})")
+    p.add_argument("--grid-density", type=int, default=DEFAULT_GRID_DENSITY,
+                   help=f"path grid has density*n+1 points (default {DEFAULT_GRID_DENSITY})")
     add_common(p)
     p.set_defaults(run=_cmd_simulate)
 
@@ -335,7 +329,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("kriging", help="interpolation curve and oracle comparison")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid-density", type=int)
+    p.add_argument("--grid-density", type=int, default=DEFAULT_GRID_DENSITY)
     add_common(p)
     p.set_defaults(run=_cmd_kriging)
 

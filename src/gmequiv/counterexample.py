@@ -34,7 +34,7 @@ from . import experiments, sampling
 from .errors import GridMissingEndpoints
 from .fourier import FourierFunction
 from .kernels import GaussMarkovKernel, covariance, preset
-from .samples import PathSample
+from .samples import PathSample, design_knots, path_grid
 
 RECOVERY_TOL = 1e-10
 GRID_TOL = 1e-12
@@ -174,7 +174,7 @@ def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
     problem = DecisionProblem(null=zero, alternative=spike)
     premises = []
 
-    grid = np.arange(n + 1) / n
+    grid = path_grid(n, n + 1)
     worst_knot = float(np.max(np.abs(np.asarray(spike(grid)))))
     premises.append(Premise(
         "spike_vanishes_on_grid", worst_knot <= 1e-12,
@@ -193,7 +193,7 @@ def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
         f"integral of spike = {gap:.6e}, integral of null = 0",
     ))
 
-    knots = np.arange(1, n + 1) / n
+    knots = design_knots(n)
     mean_gap = float(np.max(np.abs(np.asarray(spike(knots)))))
     premises.append(Premise(
         "discrete_laws_coincide", mean_gap <= 1e-12,

@@ -51,16 +51,17 @@ import numpy as np
 
 from . import rkhs
 from .errors import DegenerateCell, GmequivError, KernelDegenerate, SingularCovariance
-from .fourier import ClassSpec, FourierFunction, sample_ellipsoid
+from .fourier import ClassSpec, FourierFunction, sample_ellipsoid, scale_into_hoelder_ball
 from .kernels import GaussMarkovKernel, gram
+from .samples import design_knots, path_grid
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
 
 
 def _cells(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    knots = np.arange(1, n + 1) / n
+    knots = design_knots(n)
     with np.errstate(all="ignore"):
-        q_all = np.asarray(kernel.q(np.arange(n + 1) / n))
+        q_all = np.asarray(kernel.q(path_grid(n, n + 1)))
     dq = np.diff(q_all)
     if np.any(np.isnan(dq)) or np.any(dq <= 0.0):
         raise DegenerateCell(
@@ -86,16 +87,16 @@ def kl_chain(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
 
 
 def _increment_covariance(kernel: GaussMarkovKernel, n: int) -> np.ndarray:
-    knots = np.arange(1, n + 1) / n
-    G = gram(kernel, knots)
-    D = np.eye(n) - np.diag(np.ones(n - 1), -1)
-    return D @ G @ D.T
+    """Cov(xi) = D G D^T with D the first-difference matrix, formed by
+    differencing the rows and then the columns of the knot Gram matrix G."""
+    G = gram(kernel, design_knots(n))
+    return np.diff(np.diff(G, axis=0, prepend=0.0), axis=1, prepend=0.0)
 
 
 def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """Oracle: exact KL of the two n-variate Gaussians, (1/2) dm^T C^-1 dm
     with C = n Cov(xi)."""
-    knots = np.arange(1, n + 1) / n
+    knots = design_knots(n)
     dm = np.asarray(f(knots)) - f.cell_averages(n)
     C = n * _increment_covariance(kernel, n)
     try:
@@ -156,7 +157,7 @@ def _split_at(f: FourierFunction, cutoff: int) -> tuple[FourierFunction, Fourier
 
 def band_split_decomposition(f: FourierFunction, n: int) -> BandDecomposition:
     """Split f at cutoff n and measure the three grid sums plus Parseval."""
-    knots = np.arange(1, n + 1) / n
+    knots = design_knots(n)
     low, tail = _split_at(f, n)
     A = np.asarray(low(knots)) - low.cell_averages(n)
     B = np.asarray(tail(knots))
@@ -255,13 +256,7 @@ def class_extremal_family(spec: ClassSpec, seed: int = 0, random_members: int = 
         if spec.kind == "sobolev":
             norm = np.sqrt(fn.sobolev_norm_sq(spec.beta))
             return fn.scaled(spec.L / norm, name=fn.name)
-        from .fourier import hoelder_check  # local: avoids a cycle at import
-
-        report = hoelder_check(fn, spec, grid_size=2001)
-        scale = 0.95 * spec.L / max(report.estimated_constant, 1e-300)
-        if np.isfinite(spec.M) and report.sup_norm > 0:
-            scale = min(scale, 0.95 * spec.M / report.sup_norm)
-        return fn.scaled(scale, name=fn.name)
+        return scale_into_hoelder_ball(fn, spec)
 
     def members(n: int) -> list[FourierFunction]:
         ks = sorted({1, max(1, n // 2), n, 2 * n})

@@ -32,25 +32,14 @@ import math
 import numpy as np
 
 from . import rkhs, sampling
-from .errors import GridMismatch
 from .fourier import FourierFunction
 from .kernels import GaussMarkovKernel
-from .samples import DEFAULT_GRID_DENSITY, DiscreteSample, PathSample
-
-
-def _knot_grid(n: int, grid_size: int | None) -> np.ndarray:
-    m = grid_size if grid_size is not None else DEFAULT_GRID_DENSITY * n + 1
-    if m < n + 1 or (m - 1) % n != 0:
-        raise GridMismatch(
-            f"grid of size {m} does not contain every design knot j/{n}; "
-            f"need (size - 1) divisible by {n}"
-        )
-    return np.arange(m) / (m - 1)
+from .samples import DiscreteSample, PathSample, design_knots, knot_stride, path_grid
 
 
 def simulate_increments(kernel: GaussMarkovKernel, n: int, seed: int) -> np.ndarray:
     """Exact draw of the n process increments over consecutive knots."""
-    grid = np.arange(n + 1) / n
+    grid = path_grid(n, n + 1)
     path = sampling.sample_paths(kernel, grid, 1, seed, label="increments")[0]
     return np.diff(path)
 
@@ -60,7 +49,7 @@ def simulate_e1(kernel: GaussMarkovKernel, f: FourierFunction, n: int, seed: int
     """Draw the discrete experiment; variants share noise for a given seed."""
     xi = simulate_increments(kernel, n, seed)
     if variant == "original":
-        signal = np.asarray(f(np.arange(1, n + 1) / n))
+        signal = np.asarray(f(design_knots(n)))
     elif variant == "cell_averaged":
         signal = f.cell_averages(n)
     else:
@@ -82,7 +71,7 @@ def simulate_e2(kernel: GaussMarkovKernel, f: FourierFunction, n: int, seed: int
     The noise stream depends only on (seed, kernel, grid), never on f, so
     runs with different f but one seed differ exactly by the signal.
     """
-    grid = _knot_grid(n, grid_size)
+    grid = path_grid(n, grid_size)
     noise = sampling.sample_paths(kernel, grid, 1, seed, label="path")[0]
     values = np.asarray(f.antiderivative(grid)) + noise / math.sqrt(n)
     values[0] = 0.0
@@ -98,13 +87,7 @@ def simulate_e2(kernel: GaussMarkovKernel, f: FourierFunction, n: int, seed: int
 
 def reconstruct_discrete_from_path(path: PathSample, n: int) -> DiscreteSample:
     """Y'_i = n (path(t_i) - path(t_{i-1})); the grid must contain the knots."""
-    m = path.grid.size
-    if (m - 1) % n != 0:
-        raise GridMismatch(
-            f"path grid of size {m} does not contain every design knot j/{n}"
-        )
-    step = (m - 1) // n
-    at_knots = path.values[::step]
+    at_knots = path.values[::knot_stride(n, path.grid.size)]
     return DiscreteSample(
         n=n,
         values=n * np.diff(at_knots),
@@ -119,9 +102,8 @@ def kriging_path_experiment(kernel: GaussMarkovKernel, f: FourierFunction, n: in
                             seed: int, grid_size: int | None = None) -> PathSample:
     """Draw the Kriging form of the continuous experiment:
     interpolate the exact knot means, add a full process at noise scale."""
-    grid = _knot_grid(n, grid_size)
-    knots = np.arange(1, n + 1) / n
-    mean = rkhs.kriging_interpolate(kernel, np.asarray(f.antiderivative(knots)), grid)
+    grid = path_grid(n, grid_size)
+    mean = rkhs.kriging_interpolate(kernel, np.asarray(f.antiderivative(design_knots(n))), grid)
     noise = sampling.sample_paths(kernel, grid, 1, seed, label="path")[0]
     values = mean + noise / math.sqrt(n)
     values[0] = 0.0
@@ -144,7 +126,7 @@ def path_from_discrete(kernel: GaussMarkovKernel, sample: DiscreteSample, seed: 
     residual realization.
     """
     n = sample.n
-    grid = _knot_grid(n, grid_size)
+    grid = path_grid(n, grid_size)
     sums = np.cumsum(sample.values)
     mean = rkhs.kriging_interpolate(kernel, sums, grid)
     residual = rkhs.kriging_residual_process(kernel, n, seed, grid_size=grid.size)

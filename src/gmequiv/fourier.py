@@ -167,12 +167,6 @@ class FourierFunction:
         F = self.antiderivative(np.arange(n + 1) / n)
         return n * np.diff(F)
 
-    def cell_average(self, i: int, n: int) -> float:
-        if not 1 <= i <= n:
-            raise ValueError(f"cell index must be in 1..{n}, got {i}")
-        a, b = (i - 1) / n, i / n
-        return float(n * (self.antiderivative(b) - self.antiderivative(a)))
-
     def integral(self) -> float:
         """Integral over [0,1]; equals theta_0."""
         return float(self.theta[self.K].real)
@@ -282,8 +276,14 @@ def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
         current = fn.sobolev_norm_sq(spec.beta)
         target = 0.95 * spec.L**2
         return fn.scaled(math.sqrt(target / current), name=fn.name)
-    report = hoelder_check(fn, spec, grid_size=2001)
-    scale = 0.95 * spec.L / report.estimated_constant
+    return scale_into_hoelder_ball(fn, spec)
+
+
+def scale_into_hoelder_ball(fn: FourierFunction, spec: ClassSpec) -> FourierFunction:
+    """Rescale fn to 95% of the Hoelder constant L, as estimated by
+    hoelder_check, capped at 95% of the sup-norm bound M when M is finite."""
+    report = hoelder_check(fn, spec)
+    scale = 0.95 * spec.L / max(report.estimated_constant, 1e-300)
     if math.isfinite(spec.M) and report.sup_norm > 0:
         scale = min(scale, 0.95 * spec.M / report.sup_norm)
     return fn.scaled(scale, name=fn.name)

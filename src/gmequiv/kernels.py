@@ -27,7 +27,7 @@ not certify it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,6 @@ _DEFAULT_GRID = 1001
 class KernelFlags:
     v1_nonzero: bool
     finite_horizon: bool
-    q_prime_bounded_below: bool
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def _preset_bm() -> GaussMarkovKernel:
         q_prime=_const(1.0),
         v_prime=_const(0.0),
         horizon=1.0,
-        flags=KernelFlags(True, True, True),
+        flags=KernelFlags(True, True),
     )
 
 
@@ -123,7 +122,7 @@ def _preset_ou(L: float) -> GaussMarkovKernel:
         q_prime=lambda t: 2.0 * L * np.exp(2.0 * L * np.asarray(t, float)),
         v_prime=lambda t: -L * np.exp(-L * np.asarray(t, float)),
         horizon=math.exp(2.0 * L) - 1.0,
-        flags=KernelFlags(True, True, True),
+        flags=KernelFlags(True, True),
     )
 
 
@@ -150,7 +149,7 @@ def _preset_bridge() -> GaussMarkovKernel:
         q_prime=_bridge_q_prime,
         v_prime=_const(-1.0),
         horizon=math.inf,
-        flags=KernelFlags(False, False, True),
+        flags=KernelFlags(False, False),
     )
 
 
@@ -163,7 +162,7 @@ def _preset_slepian() -> GaussMarkovKernel:
         q_prime=lambda t: 2.0 / (2.0 - np.asarray(t, float)) ** 2,
         v_prime=_const(-1.0),
         horizon=1.0,
-        flags=KernelFlags(True, True, True),
+        flags=KernelFlags(True, True),
     )
 
 
@@ -237,21 +236,16 @@ def _assemble(name: str, u: Callable, v: Callable, validate: bool) -> GaussMarko
         q_prime=_fd_derivative(q),
         v_prime=_fd_derivative(v),
         horizon=horizon,
-        flags=KernelFlags(
-            v1_nonzero=v1_nonzero,
-            finite_horizon=math.isfinite(horizon),
-            q_prime_bounded_below=True,  # refined below from the grid check
-        ),
+        flags=KernelFlags(v1_nonzero=v1_nonzero, finite_horizon=math.isfinite(horizon)),
     )
-    report = validate_assumption(kernel, grid_size=_DEFAULT_GRID)
-    kernel = replace(kernel, flags=replace(
-        kernel.flags, q_prime_bounded_below=report.q_prime_min > 1e-8))
-    if validate and not report.passed:
-        failed = ", ".join(c.name for c in report.checks if c.required and not c.passed)
-        raise AssumptionViolation(
-            f"kernel {name!r} fails the shape assumption on a "
-            f"{report.grid_size}-point grid: {failed}"
-        )
+    if validate:
+        report = validate_assumption(kernel, grid_size=_DEFAULT_GRID)
+        if not report.passed:
+            failed = ", ".join(c.name for c in report.checks if c.required and not c.passed)
+            raise AssumptionViolation(
+                f"kernel {name!r} fails the shape assumption on a "
+                f"{report.grid_size}-point grid: {failed}"
+            )
     return kernel
 
 

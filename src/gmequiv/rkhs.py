@@ -35,11 +35,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import sampling
-from .errors import GridMismatch, KernelDegenerate, SingularCovariance
+from .errors import KernelDegenerate, SingularCovariance
 from .fourier import FourierFunction
 from .kernels import GaussMarkovKernel, covariance, gram
 from .quadrature import adaptive_integral
-from .samples import DEFAULT_GRID_DENSITY, PathSample
+from .samples import PathSample, design_knots, knot_stride, path_grid
 
 _BISECT_ITERS = 60
 _BISECT_TOL = 1e-12
@@ -191,7 +191,7 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
             "the design span is not closed in L2 of the clock domain"
         )
     g_w = g_from_f(kernel, f).g_of_time
-    knots = np.arange(n + 1) / n
+    knots = path_grid(n, n + 1)
     ratio = np.asarray(f.antiderivative(knots)) / np.asarray(kernel.v(knots))
     alpha = np.diff(ratio) / np.diff(np.asarray(kernel.q(knots)))
 
@@ -209,7 +209,7 @@ def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction,
     element = g_from_f(kernel, f)
     mid = (np.arange(grid_size) + 0.5) / grid_size
     weights = np.asarray(kernel.q_prime(mid)) / grid_size
-    knots = np.arange(1, n + 1) / n
+    knots = design_knots(n)
     design = np.asarray(kernel.v(knots))[None, :] * (mid[:, None] <= knots[None, :])
     sqw = np.sqrt(weights)
     target = np.asarray(element.g_of_time(mid)) * sqw
@@ -220,10 +220,6 @@ def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction,
 
 # ---------------------------------------------------------------------------
 # Kriging
-
-
-def _design_knots(n: int) -> np.ndarray:
-    return np.arange(1, n + 1) / n
 
 
 def kriging_interpolate(kernel: GaussMarkovKernel, y, t):
@@ -237,7 +233,7 @@ def kriging_interpolate(kernel: GaussMarkovKernel, y, t):
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    knots = _design_knots(n)
+    knots = design_knots(n)
     vk = np.asarray(kernel.v(knots))
     if not kernel.flags.v1_nonzero or np.any(np.abs(vk) < 1e-12):
         raise SingularCovariance(
@@ -257,7 +253,7 @@ def kriging_interpolate_dense(kernel: GaussMarkovKernel, y, t):
     """Oracle: k(t)^T C^{-1} y with the dense design covariance C."""
     y = np.asarray(y, dtype=float)
     n = y.size
-    knots = _design_knots(n)
+    knots = design_knots(n)
     C = gram(kernel, knots)
     try:
         lower = np.linalg.cholesky(C)
@@ -280,15 +276,10 @@ def kriging_residual_process(kernel: GaussMarkovKernel, n: int, seed: int,
     an independent Kriging interpolation of fresh knot data reassembles a
     process with the original law.
     """
-    m = grid_size if grid_size is not None else DEFAULT_GRID_DENSITY * n + 1
-    if (m - 1) % n != 0:
-        raise GridMismatch(
-            f"grid of size {m} does not contain every design knot j/{n}"
-        )
-    grid = np.arange(m) / (m - 1)
+    grid = path_grid(n, grid_size)
+    stride = knot_stride(n, grid.size)
     path = sampling.sample_paths(kernel, grid, 1, seed, label="residual")[0]
-    idx = (np.arange(1, n + 1) * ((m - 1) // n)).astype(int)
-    residual = path - kriging_interpolate(kernel, path[idx], grid)
+    residual = path - kriging_interpolate(kernel, path[stride::stride], grid)
     residual[0] = 0.0
     return PathSample(
         grid=grid,

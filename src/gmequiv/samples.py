@@ -1,4 +1,4 @@
-"""Sample containers shared by the experiment and RKHS layers."""
+"""Sample containers and the design grid shared by the experiment and RKHS layers."""
 
 from __future__ import annotations
 
@@ -6,9 +6,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridMismatch
+
 VARIANTS = ("original", "cell_averaged")
-# a path grid has DEFAULT_GRID_DENSITY * n + 1 points unless a size is given
 DEFAULT_GRID_DENSITY = 20
+
+
+def design_knots(n: int) -> np.ndarray:
+    """The design knots j/n for j = 1..n."""
+    return np.arange(1, n + 1) / n
+
+
+def knot_stride(n: int, m: int) -> int:
+    """Index step between consecutive design knots on the m-point grid
+    i/(m - 1); knot j/n sits at index j * stride.
+
+    Raises ValueError for n < 1, and GridMismatch unless the grid
+    contains every knot, that is unless m >= n + 1 and n divides m - 1.
+    """
+    if n < 1:
+        raise ValueError(f"the design needs n >= 1 knots, got n = {n}")
+    if m < n + 1 or (m - 1) % n != 0:
+        raise GridMismatch(
+            f"grid of size {m} does not contain every design knot j/{n}; "
+            f"need size - 1 a positive multiple of {n}"
+        )
+    return (m - 1) // n
+
+
+def path_grid(n: int, size: int | None = None) -> np.ndarray:
+    """Equispaced grid of [0, 1] containing every design knot, with
+    DEFAULT_GRID_DENSITY * n + 1 points unless a size is given.
+
+    size = n + 1 gives the origin and the knots alone.
+    """
+    m = size if size is not None else DEFAULT_GRID_DENSITY * n + 1
+    knot_stride(n, m)
+    return np.arange(m) / (m - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +68,7 @@ class DiscreteSample:
 
     @property
     def knots(self) -> np.ndarray:
-        return np.arange(1, self.n + 1) / self.n
+        return design_knots(self.n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,12 @@ class TestExitCodes:
         assert code == 1
         assert "singular" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "kriging"])
+    def test_empty_design_is_a_runtime_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", "0")
+        assert (code, out) == (1, "")
+        assert "n >= 1" in err
+
     def test_malformed_kernel_json_is_a_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "kl", "--kernel", '{"oops":', "--n", "2")
         assert code == 1
@@ -146,6 +152,13 @@ class TestCounterexampleCommand:
         reports = json.loads(out)
         assert len(reports) == 1
         assert reports[0]["verdict"] == "premises verified"
+
+    def test_text_report_honours_out(self, capsys, tmp_path):
+        argv = ("counterexample", "--n", "4", "--paths", "2000")
+        code, stdout_bytes, _ = run_cli(capsys, *argv)
+        target = tmp_path / "report.txt"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (code, f"wrote {target}\n", "")
+        assert target.read_text(encoding="utf-8") == stdout_bytes
 
 
 class TestDeterminism:

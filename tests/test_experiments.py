@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from gmequiv import rng
+from gmequiv.cli import main
 from gmequiv.errors import GridMismatch, SingularCovariance
 from gmequiv.experiments import (
     kriging_path_experiment,
@@ -19,6 +20,7 @@ from gmequiv.experiments import (
 )
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, make_kernel, preset
+from gmequiv.rkhs import kriging_residual_process
 from gmequiv.samples import DiscreteSample, PathSample
 from gmequiv.sampling import sample_paths
 
@@ -243,3 +245,44 @@ class TestDeterminism:
         a = simulate_e1(k, COS, 8, seed=1)
         b = simulate_e1(k, COS, 8, seed=2)
         assert not np.array_equal(a.values, b.values)
+
+
+def _zero_path(m: int) -> PathSample:
+    return PathSample(grid=np.linspace(0.0, 1.0, m), values=np.zeros(m),
+                      kernel_id="bm", function_id="zero", seed=0, scale=1.0)
+
+
+# every entry point that takes a path grid, called with n = 4 and a grid
+# size (or, for the CLI, a --grid-density) that misses a design knot
+GRID_ENTRY_POINTS = {
+    "simulate_e2": lambda m: simulate_e2(preset("bm"), COS, 4, seed=0, grid_size=m),
+    "kriging_path_experiment":
+        lambda m: kriging_path_experiment(preset("bm"), COS, 4, seed=0, grid_size=m),
+    "path_from_discrete": lambda m: path_from_discrete(
+        preset("bm"), simulate_e1(preset("bm"), COS, 4, seed=0), seed=1, grid_size=m),
+    "kriging_residual_process":
+        lambda m: kriging_residual_process(preset("bm"), 4, seed=0, grid_size=m),
+    "reconstruct_discrete_from_path": lambda m: reconstruct_discrete_from_path(_zero_path(m), 4),
+    "cli kriging --grid-density": lambda d: main(
+        ["kriging", "--n", "4", "--preset", "bm", "--grid-density", str(d)]),
+}
+SIZED_ENTRY_POINTS = ("simulate_e2", "kriging_path_experiment", "path_from_discrete",
+                      "kriging_residual_process")
+GRID_RULE_CASES = (
+    [(entry, m) for entry in SIZED_ENTRY_POINTS for m in (1, 4, 6)]
+    + [("reconstruct_discrete_from_path", 1), ("reconstruct_discrete_from_path", 6)]
+    + [("cli kriging --grid-density", 0), ("cli kriging --grid-density", -1)]
+)
+
+
+@pytest.mark.parametrize("entry, size", GRID_RULE_CASES)
+def test_grid_rule_holds_at_every_entry_point(entry, size, capsys):
+    message = "does not contain every design knot j/4"
+    if entry.startswith("cli"):
+        code = GRID_ENTRY_POINTS[entry](size)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: grid of size") and message in err
+    else:
+        with pytest.raises(GridMismatch, match=message):
+            GRID_ENTRY_POINTS[entry](size)

@@ -104,17 +104,6 @@ class TestCalculus:
             assert math.isclose(float(np.sum(avg)) / n, fn.integral(),
                                 rel_tol=0, abs_tol=1e-14)
 
-    def test_cell_average_single_matches_vector(self):
-        fn = _random_function(6)
-        vec = fn.cell_averages(8)
-        for i in (1, 5, 8):
-            assert math.isclose(fn.cell_average(i, 8), vec[i - 1],
-                                rel_tol=0, abs_tol=1e-15)
-
-    def test_cell_average_index_bounds(self):
-        with pytest.raises(ValueError):
-            FourierFunction.harmonic(1).cell_average(0, 4)
-
     def test_parseval_against_periodic_trapezoid(self):
         """Integral of f^2 equals the coefficient energy. The periodic
         trapezoid rule is exact for trigonometric polynomials well below
