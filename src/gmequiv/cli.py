@@ -357,7 +357,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_counterexample)
 
     p = sub.add_parser("validate", help="check the kernel shape assumption on a grid")
-    p.add_argument("--grid", type=int, default=1001)
+    p.add_argument("--grid", type=int, default=kernels.VALIDATION_GRID)
     add_common(p, fn_flag=False, out_flags=False)
     p.set_defaults(run=_cmd_validate)
 

@@ -18,9 +18,9 @@ factorization with the feedback term
 
     d_i  ->  d_i - (v(t_i) - v(t_{i-1})) / v(t_{i-1}) * sum_{l<i} d_l.
 
-kl_dense and kl_sequential agree to machine precision for every kernel;
-kl_chain coincides with them exactly when v is constant (Brownian motion)
-and is otherwise a different number. The package keeps all three so the gap
+kl_dense and kl_sequential agree to machine precision for every kernel
+with v != 0 at the knots; kl_chain coincides with them exactly when v is
+constant (Brownian motion) and is otherwise a different number. The package keeps all three so the gap
 is measurable instead of hidden.
 
 The band decomposition splits f at cutoff K = n into a low band and a tail
@@ -42,42 +42,45 @@ scheme; the offset against the knots j/n is intentional and kept).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rkhs
-from .errors import DegenerateCell, GmequivError, KernelDegenerate, SingularCovariance
+from .errors import GmequivError, KernelDegenerate, SingularCovariance
 from .fourier import ClassSpec, FourierFunction, sample_ellipsoid, scale_into_hoelder_ball
-from .kernels import GaussMarkovKernel, gram
-from .samples import design_knots, path_grid
+from .kernels import PINNED_TOL, GaussMarkovKernel, design_clock, gram
+from .samples import design_knots
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
 
 
-def _cells(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    knots = design_knots(n)
-    with np.errstate(all="ignore"):
-        q_all = np.asarray(kernel.q(path_grid(n, n + 1)))
-    dq = np.diff(q_all)
-    if np.any(np.isnan(dq)) or np.any(dq <= 0.0):
-        raise DegenerateCell(
-            f"kernel {kernel.name!r} has a cell with nonpositive clock increment at n={n}"
+def _gaps(f: FourierFunction, n: int) -> np.ndarray:
+    """d_i = f(t_i) - n int_{cell i} f at the design knots."""
+    return np.asarray(f(design_knots(n))) - f.cell_averages(n)
+
+
+def _weighted_cell_sum(kernel: GaussMarkovKernel, x: np.ndarray,
+                       v: np.ndarray, q: np.ndarray) -> float:
+    """(1/n) sum_i x_i^2 / (v_i^2 dq_i); a term with x_i = 0 is exactly 0,
+    a nonzero x_i on a zero or non-finite weight (a pinned cell) raises."""
+    with np.errstate(invalid="ignore"):
+        weight = v[1:] * v[1:] * np.diff(q)
+    live = x != 0.0
+    if np.any(live & ~(np.isfinite(weight) & (weight != 0.0))):
+        raise SingularCovariance(
+            f"design of kernel {kernel.name!r} is singular at n={x.size}: a cell "
+            "with a nonzero gap has a zero or non-finite weight v^2 dq"
         )
-    return knots, np.asarray(kernel.v(knots)), dq
+    terms = np.divide(x * x, weight, out=np.zeros_like(weight), where=live)
+    return float(np.sum(terms) / x.size)
 
 
 def discretization_statistic(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """(1/n) sum_i (f(t_i) - n int_cell f)^2 / (v(t_i)^2 dq_i)."""
-    knots, vk, dq = _cells(kernel, n)
-    d = np.asarray(f(knots)) - f.cell_averages(n)
-    with np.errstate(invalid="ignore"):
-        terms = d * d / (vk * vk * dq)
-    terms = np.where(d == 0.0, 0.0, terms)
-    return float(np.sum(terms) / n)
+    v, q = design_clock(kernel, n)
+    return _weighted_cell_sum(kernel, _gaps(f, n), v, q)
 
 
 def kl_chain(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
@@ -96,8 +99,13 @@ def _increment_covariance(kernel: GaussMarkovKernel, n: int) -> np.ndarray:
 def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """Oracle: exact KL of the two n-variate Gaussians, (1/2) dm^T C^-1 dm
     with C = n Cov(xi)."""
-    knots = design_knots(n)
-    dm = np.asarray(f(knots)) - f.cell_averages(n)
+    v, _ = design_clock(kernel, n)
+    if np.any(np.abs(v[1:]) <= PINNED_TOL):
+        raise SingularCovariance(
+            f"kernel {kernel.name!r} has v = 0 at a design knot, so the "
+            f"increment covariance is singular at n={n}"
+        )
+    dm = _gaps(f, n)
     C = n * _increment_covariance(kernel, n)
     try:
         solved = np.linalg.solve(C, dm)
@@ -110,14 +118,12 @@ def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
 
 def kl_sequential(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """Exact KL via the conditional factorization with feedback; equals
-    kl_dense to machine precision for every kernel."""
-    knots, vk, dq = _cells(kernel, n)
-    v_all = np.concatenate([[float(np.asarray(kernel.v(0.0)))], vk])
-    d = np.asarray(f(knots)) - f.cell_averages(n)
+    kl_dense to machine precision for every kernel with v != 0 at the knots."""
+    v, q = design_clock(kernel, n)
+    d = _gaps(f, n)
     running = np.concatenate([[0.0], np.cumsum(d)[:-1]])
-    dv = np.diff(v_all)
-    adjusted = d - dv / v_all[:-1] * running
-    return float(np.sum(adjusted**2 / (vk**2 * dq)) / (2.0 * n))
+    adjusted = d - np.diff(v) / v[:-1] * running
+    return 0.5 * _weighted_cell_sum(kernel, adjusted, v, q)
 
 
 def projection_statistic(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
@@ -157,12 +163,11 @@ def _split_at(f: FourierFunction, cutoff: int) -> tuple[FourierFunction, Fourier
 
 def band_split_decomposition(f: FourierFunction, n: int) -> BandDecomposition:
     """Split f at cutoff n and measure the three grid sums plus Parseval."""
-    knots = design_knots(n)
     low, tail = _split_at(f, n)
-    A = np.asarray(low(knots)) - low.cell_averages(n)
-    B = np.asarray(tail(knots))
+    A = _gaps(low, n)
+    B = np.asarray(tail(design_knots(n)))
     C = tail.cell_averages(n)
-    d = np.asarray(f(knots)) - f.cell_averages(n)
+    d = _gaps(f, n)
     # direct DFT of the low-band gaps, O(n^2) on purpose (no FFT)
     j = np.arange(1, n + 1)
     phases = np.exp(-2j * np.pi * np.outer(j, j) / n)
@@ -199,11 +204,9 @@ def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n:
             f"kernel {kernel.name!r} is pinned at the endpoint (v(1) = 0); "
             "the decoupling transform divides by v at every knot"
         )
-    knots, vk, dq = _cells(kernel, n)
-    sums = np.cumsum(np.asarray(f(knots)))
-    ratios = sums / vk
-    mu_grid = np.diff(np.concatenate([[0.0], ratios]))
-    sigma2_grid = n * dq
+    v, q = design_clock(kernel, n)
+    mu_grid = np.diff(np.cumsum(np.asarray(f(design_knots(n)))) / v[1:], prepend=0.0)
+    sigma2_grid = n * np.diff(q)
     s = np.arange(1, n + 1) / (n + 1)
     vs = np.asarray(kernel.v(s))
     mu_cont = (np.asarray(f(s)) * vs - np.asarray(kernel.v_prime(s)) * np.asarray(f.antiderivative(s))) / (vs * vs)
@@ -323,57 +326,32 @@ class RateReport:
         return out
 
 
-def _sweep_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("GMEQUIV_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily,
                n_grid: Sequence[int] | None = None, target: float | None = None,
-               margin: float = 0.3, mode: str = "two-sided",
-               max_workers: int | None = None) -> RateReport:
+               margin: float = 0.3, mode: str = "two-sided") -> RateReport:
     """Per-n family maxima of a statistic and a log-log slope fit.
 
     The supremum over a class is standing in as a maximum over finitely
     many members, so every reported value is a lower bound for the class
     supremum. The slope is fit on the upper half of the n grid (the
     asymptotic regime); non-finite or nonpositive maxima are excluded from
-    the fit and reported. Parallelism over (n, member) cells is capped by
-    GMEQUIV_THREADS; results are assembled in a fixed order, so the output
-    is identical for any thread count.
+    the fit and reported.
     """
     if statistic not in STATISTICS:
         raise KeyError(f"unknown statistic {statistic!r}; choose from {sorted(STATISTICS)}")
     stat_fn = STATISTICS[statistic]
     ns = tuple(int(n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
-    workers = max_workers if max_workers is not None else _sweep_workers()
 
-    cells = []
-    for n in ns:
-        for idx, fn in enumerate(family.members(n)):
-            cells.append((n, idx, fn))
-
-    def evaluate(cell):
-        n, _, fn = cell
-        try:
-            return float(stat_fn(kernel, fn, n))
-        except GmequivError:
-            return float("nan")
-
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, cells))
-    else:
-        results = [evaluate(cell) for cell in cells]
-
-    by_n: dict[int, list[float]] = {n: [] for n in ns}
-    for (n, _, _), value in zip(cells, results):
-        by_n[n].append(value)
     maxima = []
     for n in ns:
-        vals = [v for v in by_n[n] if np.isfinite(v)]
+        vals = []
+        for fn in family.members(n):
+            try:
+                value = float(stat_fn(kernel, fn, n))
+            except GmequivError:
+                continue
+            if np.isfinite(value):
+                vals.append(value)
         maxima.append(max(vals) if vals else float("nan"))
 
     usable = [(n, v) for n, v in zip(ns, maxima) if np.isfinite(v) and v > 0.0]

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import rng
 from .errors import HermitianViolation
+from .samples import path_grid
 
 _IMAG_TOL = 1e-12
 _ELLIPSOID_DECAY_MARGIN = 0.1  # the epsilon in the sampling decay exponent
@@ -164,7 +165,7 @@ class FourierFunction:
 
     def cell_averages(self, n: int) -> np.ndarray:
         """Vector of n * integral over ((i-1)/n, i/n) for i = 1..n."""
-        F = self.antiderivative(np.arange(n + 1) / n)
+        F = self.antiderivative(path_grid(n, n + 1))
         return n * np.diff(F)
 
     def integral(self) -> float:

@@ -32,11 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionViolation, DivisionByZero
+from .errors import AssumptionViolation, DegenerateCell, DivisionByZero
 from .expr import parse_kernel_expression
+from .samples import path_grid
 
 _FD_STEP = 1e-6
-_DEFAULT_GRID = 1001
+PINNED_TOL = 1e-12  # |v(1)| at or below this pins the endpoint
+VALIDATION_GRID = 1001  # points of the shape-assumption check
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,24 @@ def gram(kernel: GaussMarkovKernel, ts) -> np.ndarray:
     lo = np.minimum.outer(ts, ts)
     hi = np.maximum.outer(ts, ts)
     return np.asarray(kernel.u(lo)) * np.asarray(kernel.v(hi))
+
+
+def design_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """v and q at the origin and the design knots, path_grid(n, n + 1).
+
+    Raises DegenerateCell unless every clock increment is positive; an
+    infinite last increment (a pinned endpoint) passes.
+    """
+    ts = path_grid(n, n + 1)
+    v = np.asarray(kernel.v(ts))
+    with np.errstate(all="ignore"):
+        q = np.asarray(kernel.q(ts))
+    dq = np.diff(q)
+    if np.any(np.isnan(dq)) or np.any(dq <= 0.0):
+        raise DegenerateCell(
+            f"kernel {kernel.name!r} has a cell with nonpositive clock increment at n={n}"
+        )
+    return v, q
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +242,7 @@ def _quotient(u: Callable, v: Callable) -> Callable:
 def _assemble(name: str, u: Callable, v: Callable, validate: bool) -> GaussMarkovKernel:
     q = _quotient(u, v)
     v1 = float(v(1.0))
-    v1_nonzero = abs(v1) > 1e-12
+    v1_nonzero = abs(v1) > PINNED_TOL
     if v1_nonzero:
         horizon = float(q(1.0))
     else:
@@ -239,7 +259,7 @@ def _assemble(name: str, u: Callable, v: Callable, validate: bool) -> GaussMarko
         flags=KernelFlags(v1_nonzero=v1_nonzero, finite_horizon=math.isfinite(horizon)),
     )
     if validate:
-        report = validate_assumption(kernel, grid_size=_DEFAULT_GRID)
+        report = validate_assumption(kernel)
         if not report.passed:
             failed = ", ".join(c.name for c in report.checks if c.required and not c.passed)
             raise AssumptionViolation(
@@ -253,8 +273,8 @@ def make_kernel(name: str, u_source: str, v_source: str,
                 validate: bool = True) -> GaussMarkovKernel:
     """Build a kernel from expression text for u and v.
 
-    The shape assumption is checked on a 1001-point grid; a grid check can
-    only refute, so exotic violations between grid points go undetected.
+    The shape assumption is checked on VALIDATION_GRID points; a grid check
+    can only refute, so exotic violations between grid points go undetected.
     Pass validate=False to build a kernel that fails the check anyway (the
     `validate` CLI command does this to report on broken kernels instead of
     refusing to look at them).
@@ -348,7 +368,7 @@ def _hoelder_index_estimate(values: np.ndarray, grid: np.ndarray) -> float | Non
     return slope
 
 
-def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = _DEFAULT_GRID) -> ValidationReport:
+def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_GRID) -> ValidationReport:
     """Check the factor-pair shape assumption on an equispaced grid.
 
     Required checks: u*v >= 0 on [0,1], u*v > 0 on the interior, q strictly
@@ -384,9 +404,10 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = _DEFAULT_GRI
         "q_zero_at_origin", bool(abs(q0) <= 1e-10), True, f"q(0) = {q0:.3e}",
     ))
     v1 = float(np.asarray(kernel.v(1.0)))
+    v1_nonzero = abs(v1) > PINNED_TOL
     checks.append(CheckResult(
-        "v1_nonzero", bool(abs(v1) > 1e-12), False,
-        f"v(1) = {v1:.6g}" + ("" if abs(v1) > 1e-12 else " (pinned endpoint; time-change horizon is infinite)"),
+        "v1_nonzero", v1_nonzero, False,
+        f"v(1) = {v1:.6g}" + ("" if v1_nonzero else " (pinned endpoint; time-change horizon is infinite)"),
     ))
     qp_finite = qp[np.isfinite(qp)]
     qp_min = float(qp_finite.min()) if qp_finite.size else float("nan")

@@ -37,7 +37,7 @@ import numpy as np
 from . import sampling
 from .errors import KernelDegenerate, SingularCovariance
 from .fourier import FourierFunction
-from .kernels import GaussMarkovKernel, covariance, gram
+from .kernels import PINNED_TOL, GaussMarkovKernel, covariance, design_clock, gram
 from .quadrature import adaptive_integral
 from .samples import PathSample, design_knots, knot_stride, path_grid
 
@@ -191,9 +191,9 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
             "the design span is not closed in L2 of the clock domain"
         )
     g_w = g_from_f(kernel, f).g_of_time
+    v, q = design_clock(kernel, n)
     knots = path_grid(n, n + 1)
-    ratio = np.asarray(f.antiderivative(knots)) / np.asarray(kernel.v(knots))
-    alpha = np.diff(ratio) / np.diff(np.asarray(kernel.q(knots)))
+    alpha = np.diff(np.asarray(f.antiderivative(knots)) / v) / np.diff(q)
 
     def residual(w):
         cell = np.searchsorted(knots, w, side="right") - 1
@@ -229,23 +229,20 @@ def kriging_interpolate(kernel: GaussMarkovKernel, y, t):
     piecewise linear through the observations, anchored at the origin;
     multiply back by v(t). Requires v != 0 at every design knot, so kernels
     pinned at the endpoint (v(1) = 0, e.g. the bridge) are rejected: their
-    design covariance is singular.
+    design covariance is singular. A degenerate clock cell raises too.
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    knots = design_knots(n)
-    vk = np.asarray(kernel.v(knots))
-    if not kernel.flags.v1_nonzero or np.any(np.abs(vk) < 1e-12):
+    v, q = design_clock(kernel, y.size)
+    if np.any(np.abs(v[1:]) <= PINNED_TOL):
         raise SingularCovariance(
             f"kernel {kernel.name!r} has v(1) = 0, so the design covariance at "
             "the knots is singular; Kriging through the pinned endpoint needs "
             "v(1) != 0"
         )
-    qk = np.concatenate([[0.0], np.asarray(kernel.q(knots))])
-    zk = np.concatenate([[0.0], y / vk])
+    zk = np.concatenate([[0.0], y / v[1:]])
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     qt = np.asarray(kernel.q(ts))
-    out = np.interp(qt, qk, zk) * np.asarray(kernel.v(ts))
+    out = np.interp(qt, q, zk) * np.asarray(kernel.v(ts))
     return float(out[0]) if np.asarray(t).ndim == 0 else out
 
 

@@ -4,8 +4,7 @@ Every stochastic routine in the package draws from a counter-based Philox
 generator whose 128-bit key is derived by hashing the user seed together
 with a stream label and the parameters that define the draw. Identical
 (seed, label, parameters) always produce bit-identical output, on any
-platform and regardless of how many worker threads are running, because
-each draw owns its own stream.
+platform and in any call order, because each draw owns its own stream.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Sample containers and the design grid shared by the experiment and RKHS layers."""
+"""Sample containers and the design grid that every layer shares."""
 
 from __future__ import annotations
 

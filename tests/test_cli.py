@@ -27,9 +27,10 @@ class TestExitCodes:
         assert "--stat" in err
 
     def test_singular_design_is_a_runtime_error(self, capsys):
-        code, _, err = run_cli(capsys, "kl", "--preset", "bridge", "--n", "4")
-        assert code == 1
-        assert "singular" in err
+        for n in ("4", "6"):
+            code, out, err = run_cli(capsys, "kl", "--preset", "bridge", "--n", n)
+            assert (code, out) == (1, ""), n
+            assert "singular" in err, n
 
     @pytest.mark.parametrize("command", ["simulate", "kriging"])
     def test_empty_design_is_a_runtime_error(self, capsys, command):
@@ -195,10 +196,12 @@ def test_module_entry_point():
 
 
 def test_import_loads_no_scipy():
-    """scipy is a test-only dependency: importing the package must not load it."""
+    """scipy is a test-only dependency and the package runs in one thread:
+    importing it must load neither scipy nor concurrent.futures."""
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, gmequiv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "import sys, gmequiv; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy' or m.startswith('concurrent')))"],
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"

@@ -23,10 +23,10 @@ from gmequiv.diagnostics import (
     single_frequency_family,
     transformation_discrepancy,
 )
-from gmequiv.errors import KernelDegenerate, SingularCovariance
+from gmequiv.errors import DegenerateCell, KernelDegenerate, SingularCovariance
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
-from gmequiv.kernels import preset
-from gmequiv.rkhs import projection_distance
+from gmequiv.kernels import make_kernel, preset
+from gmequiv.rkhs import kriging_interpolate, projection_distance
 
 COS = FourierFunction.harmonic(1)
 KERNELS = ("bm", "ou", "slepian")
@@ -62,14 +62,23 @@ class TestDiscretizationStatistic:
 
     def test_constant_signal_is_exactly_zero(self):
         """Constant f has identical point values and cell averages, so the
-        statistic is 0.0 exactly (not merely small) for every preset.
-        Dyadic amplitudes and power-of-two n keep every knot and every
-        cell boundary exactly representable."""
+        per-cell statistics are 0.0 exactly (not merely small) for every
+        preset, the bridge's pinned cell included. Dyadic amplitudes and
+        power-of-two n keep every knot and every cell boundary exactly
+        representable."""
         for amplitude in (1.0, 0.5, -2.25):
             f = FourierFunction.harmonic(0, amplitude)
             for name in ("bm", "ou", "bridge", "slepian"):
                 k = _kernel(name)
-                assert discretization_statistic(k, f, 16) == 0.0, (name, amplitude)
+                for stat in (discretization_statistic, kl_chain, kl_sequential):
+                    assert stat(k, f, 16) == 0.0, (stat.__name__, name, amplitude)
+
+    def test_nonzero_gap_on_the_pinned_cell_is_singular(self):
+        """The bridge's last cell has v = 0 and an infinite clock
+        increment; a nonzero gap there has no finite weight."""
+        for stat in (discretization_statistic, kl_chain, kl_sequential):
+            with pytest.raises(SingularCovariance):
+                stat(preset("bridge"), COS, 16)
 
     def test_single_frequency_decay_rate(self):
         """Under bm with f = cos(2 pi x), the statistic behaves like
@@ -116,8 +125,24 @@ class TestKlRoutes:
                    - kl_dense(preset("slepian"), COS, 4)) > 1e-3
 
     def test_dense_rejects_singular_design(self):
-        with pytest.raises(SingularCovariance):
-            kl_dense(preset("bridge"), COS, 4)
+        """The bridge's v(1) = 0 makes the design covariance singular at
+        every n; rounding must not let a solve through."""
+        for n in range(2, 17):
+            with pytest.raises(SingularCovariance):
+                kl_dense(preset("bridge"), COS, n)
+
+    def test_nonmonotone_clock_is_a_degenerate_cell(self):
+        """q = t(1 - t) turns back at t = 1/2, so the design cells past it
+        have negative clock increments: every route through the clock at
+        the knots refuses the kernel instead of returning a number."""
+        k = make_kernel("hump", "t*(1-t)", "1", validate=False)
+        n = 4
+        with pytest.raises(DegenerateCell):
+            kl_dense(k, COS, n)
+        with pytest.raises(DegenerateCell):
+            kriging_interpolate(k, np.ones(n), np.linspace(0.0, 1.0, 9))
+        with pytest.raises(DegenerateCell):
+            projection_distance(k, COS, n)
 
     def test_nonnegative(self):
         for name in KERNELS:
@@ -254,15 +279,6 @@ class TestRateSweep:
         report = rate_sweep("discretization", preset("bm"), family, n_grid=(16, 32))
         assert report.excluded == (16, 32)
         assert report.degenerate
-
-    def test_thread_count_does_not_change_results(self):
-        family = single_frequency_family()
-        a = rate_sweep("kl", preset("ou", 1.0), family, n_grid=(8, 16, 32),
-                       max_workers=1)
-        b = rate_sweep("kl", preset("ou", 1.0), family, n_grid=(8, 16, 32),
-                       max_workers=4)
-        assert a.values == b.values
-        assert a.slope == b.slope
 
     def test_extremal_family_tracks_class_rate(self):
         """For a Sobolev ball with beta = 0.75 the worst member aliases at

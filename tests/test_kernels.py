@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from gmequiv.errors import AssumptionViolation, DivisionByZero
+from gmequiv.errors import AssumptionViolation, DegenerateCell, DivisionByZero
 from gmequiv.kernels import (
     condition_on_zero,
     covariance,
+    design_clock,
     gram,
     kernel_from_spec,
     make_kernel,
@@ -171,6 +172,26 @@ class TestCustomKernels:
         assert not report.passed
         failed = {c.name for c in report.checks if c.required and not c.passed}
         assert "q_strictly_increasing" in failed
+
+
+class TestDesignClock:
+    def test_values_at_the_origin_and_knots(self):
+        v, q = design_clock(preset("slepian"), 4)
+        ts = np.arange(5) / 4
+        np.testing.assert_array_equal(v, 2.0 - ts)
+        np.testing.assert_array_equal(q, ts / (2.0 - ts))
+
+    def test_pinned_endpoint_passes(self):
+        """The bridge's last clock increment is infinite, not degenerate."""
+        v, q = design_clock(preset("bridge"), 8)
+        assert v[-1] == 0.0 and q[-1] == math.inf
+        assert np.all(np.diff(q) > 0.0)
+
+    def test_nonpositive_increment_raises(self):
+        k = make_kernel("hump", "t*(1 - t)", "1", validate=False)
+        for n in (1, 2, 3, 4, 7):
+            with pytest.raises(DegenerateCell):
+                design_clock(k, n)
 
 
 class TestConditionOnZero:
