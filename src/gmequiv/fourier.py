@@ -5,6 +5,11 @@ with e_k(x) = exp(-2 pi i k x). Real-valuedness is enforced structurally:
 coefficients must satisfy theta_{-k} = conj(theta_k), and every evaluation
 checks that the reconstructed imaginary part stays below 1e-12.
 
+Grid points t = j/m for consecutive j, such as the design knots, the path
+grids and the transform's j/(n+1), are evaluated by one length-m FFT of
+the coefficients folded k mod m, in O(K + m log m). Other points take the
+dense O(points * K) sum. The two routes agree to the last bits.
+
 The antiderivative from 0 is closed-form,
 
     F(t) = theta_0 t + sum_{k != 0} theta_k (e_k(t) - 1) / (-2 pi i k),
@@ -127,21 +132,30 @@ class FourierFunction:
     # -- evaluation --------------------------------------------------------
 
     def _reduce(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_k weights_k exp(-2 pi i k t), chunked over t, checked real."""
-        out = np.empty(t.shape, dtype=float)
+        """sum_k weights_k exp(-2 pi i k t), checked real.
+
+        At grid points t = j/m, j = j0 .. j0 + L - 1 with L >= m - 1, the
+        phase exp(-2 pi i k j/m) depends on k only mod m, so the sum is one
+        length-m FFT of the weights folded mod m. Other points take the
+        dense sum, chunked over t.
+        """
         ks = self.ks
+        grid = _grid_indices(t)
+        if grid is None:
+            vals = _dense_sum(t, ks, weights)
+        else:
+            js, m = grid
+            bins = ks % m
+            folded = (np.bincount(bins, weights.real, m)
+                      + 1j * np.bincount(bins, weights.imag, m))
+            vals = np.fft.fft(folded)[js % m]
         scale = max(float(np.sum(np.abs(weights))), 1.0)
-        for lo in range(0, t.size, _CHUNK):
-            block = t[lo : lo + _CHUNK]
-            phases = np.exp(-2j * np.pi * np.outer(block, ks))
-            vals = phases @ weights
-            worst = float(np.max(np.abs(vals.imag), initial=0.0))
-            if worst > _IMAG_TOL * scale:
-                raise HermitianViolation(
-                    f"evaluation produced imaginary residue {worst:.3e}"
-                )
-            out[lo : lo + _CHUNK] = vals.real
-        return out
+        worst = float(np.max(np.abs(vals.imag), initial=0.0))
+        if worst > _IMAG_TOL * scale:
+            raise HermitianViolation(
+                f"evaluation produced imaginary residue {worst:.3e}"
+            )
+        return vals.real
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -210,6 +224,37 @@ class FourierFunction:
 
     def to_json(self) -> str:
         return json.dumps(self.to_spec(), sort_keys=True)
+
+
+def _grid_indices(t: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(j, m) when t is exactly (j0 + arange(t.size)) / m with
+    t.size >= m - 1, the form path_grid and design_knots build; else None."""
+    size = t.size
+    if size < 2:
+        return None
+    span = float(t[-1] - t[0])
+    if not 0.0 < span < math.inf:
+        return None
+    ratio = (size - 1) / span
+    if not ratio < size + 2:
+        return None
+    m = round(ratio)
+    start = float(t[0]) * m
+    if not 1 <= m <= size + 1 or not abs(start) <= 2.0**52:
+        return None
+    js = round(start) + np.arange(size)
+    if not np.array_equal(t, js / m):
+        return None
+    return js, m
+
+
+def _dense_sum(t: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k exp(-2 pi i k t) at arbitrary t, chunked over t."""
+    out = np.empty(t.shape, dtype=complex)
+    for lo in range(0, t.size, _CHUNK):
+        phases = np.exp(-2j * np.pi * np.outer(t[lo : lo + _CHUNK], ks))
+        out[lo : lo + _CHUNK] = phases @ weights
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,14 @@ import numpy as np
 from . import sampling
 from .errors import KernelDegenerate, SingularCovariance
 from .fourier import FourierFunction
-from .kernels import PINNED_TOL, GaussMarkovKernel, covariance, design_clock, gram
+from .kernels import (
+    PINNED_TOL,
+    VALIDATION_GRID,
+    GaussMarkovKernel,
+    covariance,
+    design_clock,
+    gram,
+)
 from .quadrature import adaptive_integral
 from .samples import PathSample, design_knots, knot_stride, path_grid
 
@@ -155,8 +162,13 @@ def element_from_g(kernel: GaussMarkovKernel, g: Callable,
 
 
 def rkhs_norm(element: RkhsElement, rel_tol: float = 1e-9) -> float:
-    """||F||_H = sqrt(integral_0^T g^2), via the clock substitution."""
+    """||F||_H = sqrt(integral_0^T g^2), via the clock substitution.
+
+    Raises DegenerateCell when the clock is not increasing on the
+    VALIDATION_GRID, where q' < 0 would make the integrand meaningless.
+    """
     kernel = element.kernel
+    design_clock(kernel, VALIDATION_GRID - 1)
 
     def integrand(w):
         return np.asarray(element.g_of_time(w)) ** 2 * np.asarray(kernel.q_prime(w))
@@ -168,6 +180,19 @@ def rkhs_norm(element: RkhsElement, rel_tol: float = 1e-9) -> float:
 
 # ---------------------------------------------------------------------------
 # projection distance onto the design span
+
+
+def _design_span_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """design_clock(kernel, n), after refusing an infinite clock horizon.
+
+    The preconditions of D_n, shared by the fast route and its oracle.
+    """
+    if not kernel.flags.finite_horizon:
+        raise KernelDegenerate(
+            f"kernel {kernel.name!r} has an infinite clock horizon; "
+            "the design span is not closed in L2 of the clock domain"
+        )
+    return design_clock(kernel, n)
 
 
 def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
@@ -185,13 +210,8 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
     knots as panel edges; the integrand is nonnegative and the
     Gauss-Legendre weights are positive, so there is no cancellation.
     """
-    if not kernel.flags.finite_horizon:
-        raise KernelDegenerate(
-            f"kernel {kernel.name!r} has an infinite clock horizon; "
-            "the design span is not closed in L2 of the clock domain"
-        )
+    v, q = _design_span_clock(kernel, n)
     g_w = g_from_f(kernel, f).g_of_time
-    v, q = design_clock(kernel, n)
     knots = path_grid(n, n + 1)
     alpha = np.diff(np.asarray(f.antiderivative(knots)) / v) / np.diff(q)
 
@@ -205,7 +225,9 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
 def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction,
                               n: int, grid_size: int = 10_000) -> float:
     """Brute-force oracle for D_n: weighted least squares for the
-    coefficients of the n representers on a dense clock grid."""
+    coefficients of the n representers on a dense clock grid. Refuses
+    the kernels projection_distance refuses, with the same errors."""
+    _design_span_clock(kernel, n)
     element = g_from_f(kernel, f)
     mid = (np.arange(grid_size) + 0.5) / grid_size
     weights = np.asarray(kernel.q_prime(mid)) / grid_size

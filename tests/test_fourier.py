@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gmequiv import fourier
 from gmequiv.errors import HermitianViolation
 from gmequiv.fourier import (
     ClassSpec,
@@ -14,6 +15,7 @@ from gmequiv.fourier import (
     hoelder_check,
     sample_ellipsoid,
 )
+from gmequiv.samples import path_grid
 
 
 def _random_function(seed: int, K: int = 5) -> FourierFunction:
@@ -76,6 +78,93 @@ class TestHermitianEnforcement:
     def test_mirror_completion(self):
         fn = FourierFunction.from_coeffs({2: 1.0 - 2.0j})
         assert fn.coeff(-2) == 1.0 + 2.0j
+
+
+def _hermitian_function(seed: int, K: int) -> FourierFunction:
+    gen = np.random.default_rng(seed)
+    half = gen.normal(size=K) + 1j * gen.normal(size=K)
+    theta = np.concatenate([np.conj(half[::-1]), [gen.normal()], half])
+    return FourierFunction(K, theta, f"hermitian{K}")
+
+
+def _direct_sums(fn: FourierFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(t) and F(t) summed term by term with np.exp, no folding."""
+    ks = fn.ks
+    phases = np.exp(-2j * np.pi * np.outer(t, ks))
+    values = (phases @ fn.theta).real
+    nonzero = ks != 0
+    osc = (phases[:, nonzero] - 1.0) @ (fn.theta[nonzero] / (-2j * np.pi * ks[nonzero]))
+    return values, osc.real + fn.integral() * t
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Count the calls of the dense route."""
+    calls = []
+    dense = fourier._dense_sum
+
+    def spy(*args):
+        calls.append(args[0].size)
+        return dense(*args)
+
+    monkeypatch.setattr(fourier, "_dense_sum", spy)
+    return calls
+
+
+class TestGridRoute:
+    """Points (j0 + arange(L)) / m with L >= m - 1 go through one folded
+    FFT; the result must match the term-by-term sum."""
+
+    @pytest.mark.parametrize("K", [0, 1, 7, 64, 300])
+    def test_matches_direct_sum(self, K, dense_calls):
+        fn = _hermitian_function(K + 11, K)
+        tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
+        for m in (1, 2, 3, 16, 17, 1000):
+            for j0 in (-m - 1, -1, 0, 1, 5):
+                for size in (m - 1, m, m + 1, 3 * m):
+                    t = (j0 + np.arange(size)) / m
+                    values, integral = _direct_sums(fn, t)
+                    np.testing.assert_allclose(fn(t), values, rtol=0, atol=tol,
+                                               err_msg=f"m={m} j0={j0} L={size}")
+                    np.testing.assert_allclose(fn.antiderivative(t), integral,
+                                               rtol=0, atol=tol,
+                                               err_msg=f"m={m} j0={j0} L={size}")
+                    # two points fix the grid; fewer fall back to the dense sum
+                    assert not dense_calls or size < 2
+                    dense_calls.clear()
+
+    def test_grid_off_by_one_ulp_goes_dense(self, dense_calls):
+        fn = _hermitian_function(3, 64)
+        tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
+        t = path_grid(16)
+        t[101] = np.nextafter(t[101], 2.0)
+        values, integral = _direct_sums(fn, t)
+        np.testing.assert_allclose(fn(t), values, rtol=0, atol=tol)
+        np.testing.assert_allclose(fn.antiderivative(t), integral, rtol=0, atol=tol)
+        assert dense_calls == [t.size, t.size]
+
+    def test_knots_and_path_grids_never_go_dense(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense route taken at grid points")
+
+        monkeypatch.setattr(fourier, "_dense_sum", refuse)
+        fn = _hermitian_function(8, 8192)
+        grid = path_grid(4096, 4097)
+        assert fn(grid).shape == (4097,)
+        assert fn.antiderivative(grid).shape == (4097,)
+        assert fn.cell_averages(4096).shape == (4096,)
+
+    def test_non_hermitian_theta_raises_on_both_routes(self, dense_calls):
+        fn = _random_function(6)
+        theta = fn.theta.copy()
+        theta[fn.K + 1] += 0.5j
+        object.__setattr__(fn, "theta", theta)
+        with pytest.raises(HermitianViolation, match="imaginary residue"):
+            fn(path_grid(8))
+        assert dense_calls == []
+        with pytest.raises(HermitianViolation, match="imaginary residue"):
+            fn(np.array([0.1, 0.37, 0.5]))
+        assert dense_calls == [3]
 
 
 class TestCalculus:

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from gmequiv.errors import GridMismatch, KernelDegenerate, SingularCovariance
+from gmequiv.errors import (
+    DegenerateCell,
+    GridMismatch,
+    KernelDegenerate,
+    SingularCovariance,
+)
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
-from gmequiv.kernels import preset
+from gmequiv.kernels import make_kernel, preset
 from gmequiv.rkhs import (
     element_from_g,
     g_from_f,
@@ -22,6 +27,12 @@ from gmequiv.rkhs import (
 
 FINITE_PRESETS = ("bm", "ou", "slepian")
 COS = FourierFunction.harmonic(1)
+
+
+def _hump():
+    """A kernel whose clock q = t(1 - t) turns back: it fails the shape
+    assumption and is built only because validation is switched off."""
+    return make_kernel("hump", "t*(1-t)", "1", validate=False)
 
 
 class TestClockInverse:
@@ -107,6 +118,10 @@ class TestNorm:
             np.testing.assert_allclose(element.F(ts), np.asarray(k.u(ts)),
                                        rtol=1e-9, err_msg=name)
 
+    def test_non_monotone_clock_raises_degenerate_cell(self):
+        with pytest.raises(DegenerateCell):
+            rkhs_norm(g_from_f(_hump(), COS))
+
     def test_element_from_g_needs_finite_horizon(self):
         with pytest.raises(KernelDegenerate):
             element_from_g(preset("bridge"), lambda x: x)
@@ -131,6 +146,16 @@ class TestProjectionDistance:
     def test_bridge_rejected(self):
         with pytest.raises(KernelDegenerate):
             projection_distance(preset("bridge"), COS, 4)
+
+    @pytest.mark.parametrize("kernel, error", [
+        (preset("bridge"), KernelDegenerate),
+        (_hump(), DegenerateCell),
+    ], ids=["bridge", "hump"])
+    def test_oracle_refuses_what_the_fast_route_refuses(self, kernel, error):
+        with pytest.raises(error):
+            projection_distance(kernel, COS, 4)
+        with pytest.raises(error):
+            projection_distance_dense(kernel, COS, 4, grid_size=1000)
 
 
 class TestKriging:
