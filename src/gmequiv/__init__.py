@@ -66,7 +66,6 @@ from .fourier import (
 )
 from .kernels import (
     GaussMarkovKernel,
-    KernelFlags,
     ValidationReport,
     condition_on_zero,
     covariance,

@@ -28,14 +28,14 @@ EXIT_GATE = 2
 EXIT_USAGE = 64
 
 DEFAULT_RATE_TARGETS = {
-    # (statistic, family) -> (target slope, margin, mode). The first two
+    # (statistic, family) -> (target slope, margin). The first two
     # target n^-2, the rate of the unweighted gap (1/n) sum d_i^2; the
     # weighted statistics swept here decay like n^-1, so a default run
     # exits 2 and shows that slope. The projection statistic sweeps
     # sqrt(n D_n), whose expected decay is half the D_n exponent.
-    ("discretization", "single-freq"): (-2.0, 0.3, "two-sided"),
-    ("kl", "single-freq"): (-2.0, 0.3, "two-sided"),
-    ("projection", "single-freq"): (-0.5, 0.3, "two-sided"),
+    ("discretization", "single-freq"): (-2.0, 0.3),
+    ("kl", "single-freq"): (-2.0, 0.3),
+    ("projection", "single-freq"): (-0.5, 0.3),
 }
 
 
@@ -75,8 +75,7 @@ def _kernel_from_text(text: str, validate: bool = True) -> kernels.GaussMarkovKe
         spec = json.loads(text)
         if "preset" in spec or validate:
             return kernels.kernel_from_spec(spec)
-        return kernels.make_kernel(spec.get("name", "custom"), spec["u"], spec["v"],
-                                   validate=False)
+        return kernels.make_kernel(*kernels.expression_spec(spec), validate=False)
     return kernels.parse_preset_arg(text)
 
 
@@ -162,17 +161,17 @@ def _cmd_rates(args) -> int:
             family = diagnostics.class_extremal_family(spec, seed=args.seed)
         else:
             family = diagnostics.random_family(spec, seed=args.seed)
-    target, margin, mode = args.target, args.margin, "two-sided"
+    target, margin = args.target, args.margin
     if target is None:
         default = DEFAULT_RATE_TARGETS.get((args.stat, args.family))
         if default is not None:
-            target, default_margin, mode = default
+            target, default_margin = default
             if margin is None:
                 margin = default_margin
     report = diagnostics.rate_sweep(
         args.stat, kernel, family,
         n_grid=_parse_n_arg(args.n), target=target,
-        margin=margin if margin is not None else 0.3, mode=mode,
+        margin=margin if margin is not None else 0.3,
     )
     for line in report.lines():
         print(line)

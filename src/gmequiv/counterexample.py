@@ -33,7 +33,7 @@ import numpy as np
 from . import experiments, sampling
 from .errors import GridMissingEndpoints
 from .fourier import FourierFunction
-from .kernels import GaussMarkovKernel, covariance, preset
+from .kernels import covariance, preset
 from .samples import PathSample, design_knots, path_grid
 
 RECOVERY_TOL = 1e-10
@@ -153,9 +153,7 @@ class IndistinguishabilityReport:
 
 
 def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
-                               seed: int = 0, mc_paths: int = 100_000,
-                               pinned: GaussMarkovKernel | None = None,
-                               unpinned: GaussMarkovKernel | None = None) -> IndistinguishabilityReport:
+                               seed: int = 0, mc_paths: int = 100_000) -> IndistinguishabilityReport:
     """Verify every computable premise of the non-equivalence construction.
 
     Premises: the spike vanishes on the grid, sits inside the Sobolev ball,
@@ -165,10 +163,12 @@ def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
     Monte Carlo variance Var(X_1)/n. The 1/4 deficiency bound is then a
     logical consequence (identical discrete laws force any rule to err with
     probability 1/2 on one truth) and is reported as such, not re-derived
-    numerically.
+    numerically. The pinned kernel is the bridge, the unpinned one Brownian
+    motion. mc_paths < 2 leaves no sample variance and raises ValueError.
     """
-    pinned = pinned if pinned is not None else preset("bridge")
-    unpinned = unpinned if unpinned is not None else preset("bm")
+    if mc_paths < 2:
+        raise ValueError(f"the Monte Carlo variance needs at least 2 paths, got {mc_paths}")
+    pinned, unpinned = preset("bridge"), preset("bm")
     spike = build_fn(n, beta, L)
     zero = FourierFunction.zero()
     problem = DecisionProblem(null=zero, alternative=spike)

@@ -42,6 +42,7 @@ scheme; the offset against the knots j/n is intentional and kept).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -54,6 +55,8 @@ from .kernels import PINNED_TOL, GaussMarkovKernel, design_clock, gram
 from .samples import design_knots
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
+EXTREMAL_RANDOM_MEMBERS = 2  # seeded ellipsoid members of class_extremal_family
+RANDOM_FAMILY_SIZE = 3  # members of random_family
 
 
 def _gaps(f: FourierFunction, n: int) -> np.ndarray:
@@ -199,7 +202,7 @@ def band_terms_statistic(kernel: GaussMarkovKernel, f: FourierFunction, n: int) 
 def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """n sup_j (mu(s_j) - mu_{j,n})^2 + n sup_j (q'(s_j) - sigma2_{j,n})^2,
     with s_j = j/(n+1)."""
-    if not kernel.flags.v1_nonzero:
+    if not math.isfinite(kernel.horizon):
         raise KernelDegenerate(
             f"kernel {kernel.name!r} is pinned at the endpoint (v(1) = 0); "
             "the decoupling transform divides by v at every knot"
@@ -235,22 +238,19 @@ class FunctionFamily:
     frequencies scale with the design)."""
 
     name: str
-    members_of: Callable[[int], list[FourierFunction]]
-
-    def members(self, n: int) -> list[FourierFunction]:
-        return self.members_of(n)
+    members: Callable[[int], list[FourierFunction]]
 
 
 def fixed_family(name: str, fns: Sequence[FourierFunction]) -> FunctionFamily:
     fixed = list(fns)
-    return FunctionFamily(name=name, members_of=lambda n: fixed)
+    return FunctionFamily(name=name, members=lambda n: fixed)
 
 
-def single_frequency_family(k: int = 1, amplitude: float = 1.0) -> FunctionFamily:
-    return fixed_family(f"single-freq(k={k})", [FourierFunction.harmonic(k, amplitude)])
+def single_frequency_family(k: int = 1) -> FunctionFamily:
+    return fixed_family(f"single-freq(k={k})", [FourierFunction.harmonic(k)])
 
 
-def class_extremal_family(spec: ClassSpec, seed: int = 0, random_members: int = 2) -> FunctionFamily:
+def class_extremal_family(spec: ClassSpec, seed: int = 0) -> FunctionFamily:
     """Extremal single frequencies at k in {1, n//2, n, 2n} scaled to the
     class radius, plus seeded random ellipsoid members with K = 2n."""
 
@@ -264,18 +264,19 @@ def class_extremal_family(spec: ClassSpec, seed: int = 0, random_members: int = 
     def members(n: int) -> list[FourierFunction]:
         ks = sorted({1, max(1, n // 2), n, 2 * n})
         out = [scaled_harmonic(k) for k in ks]
-        for idx in range(random_members):
+        for idx in range(EXTREMAL_RANDOM_MEMBERS):
             out.append(sample_ellipsoid(spec, K=2 * n, seed=seed * 1000 + idx))
         return out
 
-    return FunctionFamily(name=f"class-extremal({spec.kind})", members_of=members)
+    return FunctionFamily(name=f"class-extremal({spec.kind})", members=members)
 
 
-def random_family(spec: ClassSpec, seed: int = 0, count: int = 3) -> FunctionFamily:
+def random_family(spec: ClassSpec, seed: int = 0) -> FunctionFamily:
     def members(n: int) -> list[FourierFunction]:
-        return [sample_ellipsoid(spec, K=2 * n, seed=seed * 1000 + idx) for idx in range(count)]
+        return [sample_ellipsoid(spec, K=2 * n, seed=seed * 1000 + idx)
+                for idx in range(RANDOM_FAMILY_SIZE)]
 
-    return FunctionFamily(name=f"random({spec.kind})", members_of=members)
+    return FunctionFamily(name=f"random({spec.kind})", members=members)
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,6 @@ class RateReport:
     stderr: float | None
     target: float | None
     margin: float
-    mode: str  # "two-sided" or "upper"
     degenerate: bool
 
     @property
@@ -301,8 +301,6 @@ class RateReport:
             return None
         if self.degenerate or self.slope is None:
             return False
-        if self.mode == "upper":
-            return self.slope <= self.target + self.margin
         return abs(self.slope - self.target) <= self.margin
 
     def lines(self) -> list[str]:
@@ -320,15 +318,15 @@ class RateReport:
                 f"  fit over n in {list(self.fit_ns)}: slope={self.slope:.4f} (stderr {se})"
             )
         if self.target is not None:
-            relation = "<=" if self.mode == "upper" else "within +-%.2g of" % self.margin
             verdict = "PASS" if self.passed else "FAIL"
-            out.append(f"  gate: slope {relation} {self.target:+.2f} -> {verdict}")
+            out.append(f"  gate: slope within +-{self.margin:.2g} of {self.target:+.2f} "
+                       f"-> {verdict}")
         return out
 
 
 def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily,
                n_grid: Sequence[int] | None = None, target: float | None = None,
-               margin: float = 0.3, mode: str = "two-sided") -> RateReport:
+               margin: float = 0.3) -> RateReport:
     """Per-n family maxima of a statistic and a log-log slope fit.
 
     The supremum over a class is standing in as a maximum over finitely
@@ -361,8 +359,7 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
         return RateReport(
             statistic=statistic, kernel_id=kernel.name, family=family.name,
             n_values=ns, values=tuple(maxima), excluded=excluded, fit_ns=(),
-            slope=None, stderr=None, target=target, margin=margin, mode=mode,
-            degenerate=True,
+            slope=None, stderr=None, target=target, margin=margin, degenerate=True,
         )
     xs = np.log10([n for n, _ in half])
     ys = np.log10([v for _, v in half])
@@ -376,5 +373,5 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
         statistic=statistic, kernel_id=kernel.name, family=family.name,
         n_values=ns, values=tuple(maxima), excluded=excluded,
         fit_ns=tuple(n for n, _ in half), slope=float(coeffs[0]), stderr=stderr,
-        target=target, margin=margin, mode=mode, degenerate=False,
+        target=target, margin=margin, degenerate=False,
     )

@@ -39,6 +39,7 @@ from .samples import path_grid
 _IMAG_TOL = 1e-12
 _ELLIPSOID_DECAY_MARGIN = 0.1  # the epsilon in the sampling decay exponent
 _CHUNK = 2048
+HOELDER_GRID = 2001  # points i/2000 of the Hoelder grid check
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,11 +208,15 @@ class FourierFunction:
 
     @staticmethod
     def from_spec(spec: Mapping) -> "FourierFunction":
-        """Build from {"coeffs": [[k, re, im], ...]}, Hermitian-completed."""
-        coeffs = {}
-        for entry in spec["coeffs"]:
-            k, re_part, im_part = int(entry[0]), float(entry[1]), float(entry[2])
-            coeffs[k] = complex(re_part, im_part)
+        """Build from {"coeffs": [[k, re, im], ...]}, Hermitian-completed;
+        ValueError naming 'coeffs' when the key is missing or malformed."""
+        try:
+            coeffs = {int(k): complex(float(re_part), float(im_part))
+                      for k, re_part, im_part in spec["coeffs"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"function spec key 'coeffs' needs [k, re, im] number triples ({exc!r})"
+            ) from exc
         return FourierFunction.from_coeffs(coeffs, name=spec.get("name"))
 
     def to_spec(self) -> dict:
@@ -349,7 +354,6 @@ class HoelderReport:
     sup_norm: float
     constant_bound: float
     sup_bound: float
-    grid_size: int
 
     @property
     def refuted(self) -> bool:
@@ -363,16 +367,17 @@ class HoelderReport:
         return not self.refuted
 
 
-def hoelder_check(fn: FourierFunction, spec: ClassSpec, grid_size: int = 2001) -> HoelderReport:
-    """Estimate sup |f(x)-f(y)| / |x-y|^alpha over all grid pairs."""
+def hoelder_check(fn: FourierFunction, spec: ClassSpec) -> HoelderReport:
+    """Estimate sup |f(x)-f(y)| / |x-y|^alpha over all pairs of the
+    HOELDER_GRID points i/(HOELDER_GRID - 1), a grid the FFT route takes."""
     if spec.kind != "hoelder":
         raise ValueError("hoelder_check needs a hoelder ClassSpec")
-    xs = np.linspace(0.0, 1.0, grid_size)
+    xs = path_grid(1, HOELDER_GRID)
     vals = fn(xs)
     best = 0.0
-    rows = max(1, _CHUNK // grid_size) * 8
-    for lo in range(0, grid_size - 1, rows):
-        hi = min(lo + rows, grid_size - 1)
+    rows = max(1, _CHUNK // HOELDER_GRID) * 8
+    for lo in range(0, HOELDER_GRID - 1, rows):
+        hi = min(lo + rows, HOELDER_GRID - 1)
         block = vals[lo:hi, None] - vals[None, lo + 1 :]
         gaps = np.abs(xs[lo:hi, None] - xs[None, lo + 1 :])
         mask = gaps > 0
@@ -385,7 +390,6 @@ def hoelder_check(fn: FourierFunction, spec: ClassSpec, grid_size: int = 2001) -
         sup_norm=float(np.max(np.abs(vals))),
         constant_bound=spec.L,
         sup_bound=spec.M,
-        grid_size=grid_size,
     )
 
 

@@ -13,9 +13,10 @@ Four presets cover the classical examples:
     bridge    u = t,              v = 1 - t,    q = t/(1-t)   (endpoint pinned)
     slepian   u = t,              v = 2 - t,    q = t/(2-t)
 
-The bridge is constructible but flagged: v(1) = 0, so its time-change horizon
-q(1) is infinite and operations that need a nonsingular design covariance
-refuse it explicitly rather than dividing by zero.
+Every kernel works out its own time-change horizon q(1) when it is built.
+The bridge has v(1) = 0, so its horizon is infinite, and operations that
+need a finite horizon or a nonsingular design covariance refuse it
+explicitly rather than dividing by zero.
 
 Custom kernels are built from expression text for u and v; their derivatives
 come from central differences (h = 1e-6, second-order one-sided stencils at
@@ -42,17 +43,12 @@ VALIDATION_GRID = 1001  # points of the shape-assumption check
 
 
 @dataclass(frozen=True)
-class KernelFlags:
-    v1_nonzero: bool
-    finite_horizon: bool
-
-
-@dataclass(frozen=True)
 class GaussMarkovKernel:
     """Immutable factor-pair kernel with its time-change data.
 
     u, v, q, q_prime, v_prime are vectorized callables on [0,1]. horizon is
-    q(1) (inf for pinned kernels such as the bridge).
+    worked out from them: q(1), or inf when |v(1)| <= PINNED_TOL pins the
+    endpoint (as for the bridge), or nan when u(1) is 0 as well.
     """
 
     name: str
@@ -61,8 +57,14 @@ class GaussMarkovKernel:
     q: Callable
     q_prime: Callable
     v_prime: Callable
-    horizon: float
-    flags: KernelFlags
+    horizon: float = field(init=False)
+
+    def __post_init__(self):
+        if abs(float(self.v(1.0))) > PINNED_TOL:
+            horizon = float(self.q(1.0))
+        else:
+            horizon = math.inf if float(self.u(1.0)) != 0.0 else math.nan
+        object.__setattr__(self, "horizon", horizon)
 
     def __repr__(self) -> str:
         return f"GaussMarkovKernel({self.name!r}, horizon={self.horizon!r})"
@@ -126,8 +128,6 @@ def _preset_bm() -> GaussMarkovKernel:
         q=lambda t: np.asarray(t, dtype=float),
         q_prime=_const(1.0),
         v_prime=_const(0.0),
-        horizon=1.0,
-        flags=KernelFlags(True, True),
     )
 
 
@@ -141,8 +141,6 @@ def _preset_ou(L: float) -> GaussMarkovKernel:
         q=lambda t: np.exp(2.0 * L * np.asarray(t, float)) - 1.0,
         q_prime=lambda t: 2.0 * L * np.exp(2.0 * L * np.asarray(t, float)),
         v_prime=lambda t: -L * np.exp(-L * np.asarray(t, float)),
-        horizon=math.exp(2.0 * L) - 1.0,
-        flags=KernelFlags(True, True),
     )
 
 
@@ -168,8 +166,6 @@ def _preset_bridge() -> GaussMarkovKernel:
         q=_bridge_q,
         q_prime=_bridge_q_prime,
         v_prime=_const(-1.0),
-        horizon=math.inf,
-        flags=KernelFlags(False, False),
     )
 
 
@@ -181,8 +177,6 @@ def _preset_slepian() -> GaussMarkovKernel:
         q=lambda t: np.asarray(t, float) / (2.0 - np.asarray(t, float)),
         q_prime=lambda t: 2.0 / (2.0 - np.asarray(t, float)) ** 2,
         v_prime=_const(-1.0),
-        horizon=1.0,
-        flags=KernelFlags(True, True),
     )
 
 
@@ -206,7 +200,9 @@ def preset(name: str, L: float = 1.0) -> GaussMarkovKernel:
 # custom kernels from expression text
 
 
-def _fd_derivative(fn: Callable, h: float = _FD_STEP) -> Callable:
+def _fd_derivative(fn: Callable) -> Callable:
+    h = _FD_STEP
+
     def deriv(t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
@@ -241,13 +237,6 @@ def _quotient(u: Callable, v: Callable) -> Callable:
 
 def _assemble(name: str, u: Callable, v: Callable, validate: bool) -> GaussMarkovKernel:
     q = _quotient(u, v)
-    v1 = float(v(1.0))
-    v1_nonzero = abs(v1) > PINNED_TOL
-    if v1_nonzero:
-        horizon = float(q(1.0))
-    else:
-        u1 = float(u(1.0))
-        horizon = math.inf if u1 != 0.0 else float("nan")
     kernel = GaussMarkovKernel(
         name=name,
         u=u,
@@ -255,8 +244,6 @@ def _assemble(name: str, u: Callable, v: Callable, validate: bool) -> GaussMarko
         q=q,
         q_prime=_fd_derivative(q),
         v_prime=_fd_derivative(v),
-        horizon=horizon,
-        flags=KernelFlags(v1_nonzero=v1_nonzero, finite_horizon=math.isfinite(horizon)),
     )
     if validate:
         report = validate_assumption(kernel)
@@ -373,8 +360,13 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
 
     Required checks: u*v >= 0 on [0,1], u*v > 0 on the interior, q strictly
     increasing, q(0) = 0 (within 1e-10). Informational: v(1) != 0 and the
-    q' range, plus rough Hoelder index estimates for v' and q'.
+    q' range, plus rough Hoelder index estimates for v' and q'. The grid
+    needs an interior point, so grid_size < 3 raises ValueError.
     """
+    if grid_size < 3:
+        raise ValueError(
+            f"the shape check needs an interior point: at least 3 grid points, got {grid_size}"
+        )
     ts = np.linspace(0.0, 1.0, grid_size)
     with np.errstate(all="ignore"):
         uv = np.asarray(kernel.u(ts)) * np.asarray(kernel.v(ts))
@@ -443,12 +435,25 @@ def kernel_from_spec(spec: dict) -> GaussMarkovKernel:
     """
     if "preset" in spec:
         params = spec.get("params", {})
+        if not (isinstance(params, dict) and set(params) <= {"L"}
+                and isinstance(params.get("L", 1.0), (int, float))):
+            raise AssumptionViolation(
+                f"kernel spec key 'params' takes only a number 'L', got {params!r}"
+            )
         return preset(spec["preset"], **params)
-    if "u" in spec and "v" in spec:
-        return make_kernel(spec.get("name", "custom"), spec["u"], spec["v"])
-    raise AssumptionViolation(
-        "kernel spec needs either a 'preset' key or 'u' and 'v' expression keys"
-    )
+    return make_kernel(*expression_spec(spec))
+
+
+def expression_spec(spec: dict) -> tuple[str, str, str]:
+    """(name, u, v) of an expression kernel spec, the name defaulting to
+    'custom'; raises AssumptionViolation naming a missing or non-text key."""
+    bad = [key for key in ("u", "v") if not isinstance(spec.get(key), str)]
+    if bad:
+        raise AssumptionViolation(
+            "kernel spec needs either a 'preset' key or 'u' and 'v' expression "
+            f"keys; missing or not text: {', '.join(map(repr, bad))}"
+        )
+    return spec.get("name", "custom"), spec["u"], spec["v"]
 
 
 def parse_preset_arg(text: str) -> GaussMarkovKernel:

@@ -5,9 +5,10 @@ breakpoints are the first panel edges, so an integrand that is smooth
 between them (a cell-wise integrand with the design knots as breakpoints,
 a step with its jump as a breakpoint) is integrated at spectral accuracy.
 Every panel is halved, all at once in one vectorized evaluation, until two
-successive totals agree to the relative tolerance or to an absolute floor
-of 1e-13. An integral that has not settled after MAX_DOUBLINGS halvings
-raises QuadratureFailure; no unconverged value is ever returned.
+successive totals agree to REL_TOL = 1e-9, the one relative tolerance
+every caller gets, or to an absolute floor of 1e-13. An integral that has
+not settled after MAX_DOUBLINGS halvings raises QuadratureFailure; no
+unconverged value is ever returned.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ def _gauss_panels(fn: Callable, edges: np.ndarray) -> float:
 
 
 def adaptive_integral(fn: Callable, a: float, b: float,
-                      rel_tol: float = REL_TOL,
                       breakpoints: Sequence[float] = ()) -> float:
-    """Integral of fn over [a, b] with an enforced relative tolerance.
+    """Integral of fn over [a, b] to the relative tolerance REL_TOL.
 
     fn takes a 1-d array of nodes and returns the integrand there. The
     breakpoints inside (a, b) are panel edges at every level. Raises
@@ -59,9 +59,9 @@ def adaptive_integral(fn: Callable, a: float, b: float,
         new = _gauss_panels(fn, edges)
         change = abs(new - value)
         value = new
-        if change <= ABS_TOL or change <= rel_tol * abs(value):
+        if change <= ABS_TOL or change <= REL_TOL * abs(value):
             return value
     raise QuadratureFailure(
-        f"Gauss-Legendre quadrature on [{a:g}, {b:g}] missed relative tolerance {rel_tol:g}",
+        f"Gauss-Legendre quadrature on [{a:g}, {b:g}] missed relative tolerance {REL_TOL:g}",
         change / max(abs(value), 1e-300),
     )

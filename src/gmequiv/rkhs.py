@@ -29,6 +29,7 @@ kept alongside as an oracle for both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -80,7 +81,6 @@ class RkhsElement:
     kernel: GaussMarkovKernel
     g_of_time: Callable
     F: Callable
-    source: str
     breakpoints_w: tuple = ()
 
     def g(self, x):
@@ -124,14 +124,13 @@ def g_from_f(kernel: GaussMarkovKernel, f: FourierFunction) -> RkhsElement:
         kernel=kernel,
         g_of_time=g_of_time,
         F=f.antiderivative,
-        source="from_f",
     )
 
 
 def element_from_g(kernel: GaussMarkovKernel, g: Callable,
                    breakpoints_x: Sequence[float] = ()) -> RkhsElement:
     """RKHS element with a directly prescribed x-domain pre-image g."""
-    if not kernel.flags.finite_horizon:
+    if not math.isfinite(kernel.horizon):
         raise KernelDegenerate(
             f"kernel {kernel.name!r} has an infinite clock horizon; "
             "prescribe g through a mean function instead"
@@ -156,12 +155,11 @@ def element_from_g(kernel: GaussMarkovKernel, g: Callable,
         kernel=kernel,
         g_of_time=g_of_time,
         F=F,
-        source="from_g",
         breakpoints_w=breaks_w,
     )
 
 
-def rkhs_norm(element: RkhsElement, rel_tol: float = 1e-9) -> float:
+def rkhs_norm(element: RkhsElement) -> float:
     """||F||_H = sqrt(integral_0^T g^2), via the clock substitution.
 
     Raises DegenerateCell when the clock is not increasing on the
@@ -173,8 +171,7 @@ def rkhs_norm(element: RkhsElement, rel_tol: float = 1e-9) -> float:
     def integrand(w):
         return np.asarray(element.g_of_time(w)) ** 2 * np.asarray(kernel.q_prime(w))
 
-    value = adaptive_integral(integrand, 0.0, 1.0, rel_tol=rel_tol,
-                              breakpoints=element.breakpoints_w)
+    value = adaptive_integral(integrand, 0.0, 1.0, breakpoints=element.breakpoints_w)
     return float(np.sqrt(max(value, 0.0)))
 
 
@@ -187,7 +184,7 @@ def _design_span_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, n
 
     The preconditions of D_n, shared by the fast route and its oracle.
     """
-    if not kernel.flags.finite_horizon:
+    if not math.isfinite(kernel.horizon):
         raise KernelDegenerate(
             f"kernel {kernel.name!r} has an infinite clock horizon; "
             "the design span is not closed in L2 of the clock domain"

@@ -1,8 +1,11 @@
 """End-to-end tests for the command line, run in-process for speed."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "kl", "--kernel", '{"oops":', "--n", "2")
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("counterexample", "--n", "4", "--paths", "1"), "at least 2 paths"),
+        (("counterexample", "--n", "4", "--paths", "0"), "at least 2 paths"),
+        (("validate", "--grid", "1"), "interior point"),
+        (("validate", "--grid", "2"), "interior point"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+    def test_out_of_range_number_is_a_runtime_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("flag, spec, key", [
+        ("--fn", '{}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[1]]}', "'coeffs'"),
+        ("--kernel", '{"u": "t"}', "'v'"),
+        ("--kernel", '{"preset": "ou", "params": {"Q": 1}}', "'Q'"),
+    ])
+    def test_malformed_spec_names_the_bad_key(self, capsys, flag, spec, key):
+        command = ("kl", "--n", "2") if flag == "--fn" else ("validate",)
+        code, out, err = run_cli(capsys, *command, flag, spec)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and key in err
 
     def test_rate_gate_failure_exits_2(self, capsys):
         # the default discretization target is a factor of n stricter than
@@ -184,6 +210,21 @@ class TestDeterminism:
         _, a, _ = run_cli(capsys, "simulate", "--exp", "e2", "--n", "4", "--seed", "0")
         _, b, _ = run_cli(capsys, "simulate", "--exp", "e2", "--n", "4", "--seed", "1")
         assert a != b
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    """Every line of the README's "Examples:" block exits as the README
+    says: 0, or 2 for the discretization rate gate."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Examples:\n\n```\n(.*?)```", readme, re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines()]
+    assert lines and all(argv[0] == "gmequiv" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fn.json").write_text('{"name": "two-tone", "coeffs": [[1, 0.5, 0.0], [2, 0.25, 0.0]]}')
+    for argv in lines:
+        expected = 2 if argv[1:4] == ["rates", "--stat", "discretization"] else 0
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert (code, err) == (expected, ""), argv
 
 
 def test_module_entry_point():

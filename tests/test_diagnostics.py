@@ -246,11 +246,8 @@ class TestRateSweep:
                          target=-1.0, margin=0.3)
         miss = rate_sweep("discretization", k, family, n_grid=(32, 64, 128),
                           target=-2.0, margin=0.3)
-        upper = rate_sweep("discretization", k, family, n_grid=(32, 64, 128),
-                           target=-0.5, margin=0.3, mode="upper")
         assert hit.passed is True
         assert miss.passed is False
-        assert upper.passed is True
         assert rate_sweep("discretization", k, family,
                           n_grid=(32, 64)).passed is None
 
@@ -292,7 +289,7 @@ class TestRateSweep:
 
     def test_random_family_is_seed_stable(self):
         spec = ClassSpec.sobolev(1.0, 1.0)
-        fam = random_family(spec, seed=3, count=2)
+        fam = random_family(spec, seed=3)
         ids_a = [f.content_id() for f in fam.members(8)]
         ids_b = [f.content_id() for f in fam.members(8)]
         assert ids_a == ids_b

@@ -47,7 +47,7 @@ class TestSampling:
         draws = sample_paths(kernel, grid, npaths, seed, label=label)
         np.testing.assert_allclose(draws[:, alive], z @ chol.T, rtol=0.0, atol=1e-12)
         assert np.all(draws[:, ~alive] == 0.0)
-        assert alive[-1] == kernel.flags.v1_nonzero
+        assert alive[-1] == math.isfinite(kernel.horizon)
 
     def test_bridge_without_interior_points_is_zero(self):
         draws = sample_paths(preset("bridge"), np.array([0.0, 1.0]), 5, seed=0)

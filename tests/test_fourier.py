@@ -301,7 +301,7 @@ class TestHoelderCheck:
         """For cos(2 pi x) with alpha = 1 the grid estimate approaches the
         maximum slope 2 pi from below."""
         fn = FourierFunction.harmonic(1)
-        report = hoelder_check(fn, ClassSpec.hoelder(1.0, 10.0), grid_size=2001)
+        report = hoelder_check(fn, ClassSpec.hoelder(1.0, 10.0))
         assert report.estimated_constant <= 2 * np.pi + 1e-9
         assert math.isclose(report.estimated_constant, 2 * np.pi, rel_tol=1e-3)
         assert math.isclose(report.sup_norm, 1.0, rel_tol=1e-9)
@@ -317,6 +317,14 @@ class TestHoelderCheck:
         fn = FourierFunction.harmonic(1, 3.0)
         report = hoelder_check(fn, ClassSpec.hoelder(1.0, 100.0, M=1.0))
         assert report.refuted
+
+    def test_takes_the_grid_route(self, dense_calls):
+        """The check's grid is i/2000 exactly, so even a K = 512 member
+        never takes the dense sum."""
+        spec = ClassSpec.hoelder(0.8, 1.0, M=2.0)
+        fn = sample_ellipsoid(spec, K=512, seed=0)
+        assert hoelder_check(fn, spec).consistent
+        assert dense_calls == []
 
     def test_needs_hoelder_spec(self):
         with pytest.raises(ValueError):

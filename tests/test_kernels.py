@@ -7,6 +7,7 @@ import pytest
 
 from gmequiv.errors import AssumptionViolation, DegenerateCell, DivisionByZero
 from gmequiv.kernels import (
+    GaussMarkovKernel,
     condition_on_zero,
     covariance,
     design_clock,
@@ -78,12 +79,12 @@ class TestPresetValues:
                                        atol=1e-9, err_msg=name)
 
     def test_flags(self):
-        assert preset("bm").flags.v1_nonzero
-        assert preset("bm").flags.finite_horizon
-        assert preset("slepian").flags.v1_nonzero
+        """The pinned endpoint shows only as an infinite horizon."""
+        assert math.isfinite(preset("bm").horizon)
+        assert math.isfinite(preset("slepian").horizon)
         bridge = preset("bridge")
-        assert not bridge.flags.v1_nonzero
-        assert not bridge.flags.finite_horizon
+        assert float(bridge.v(1.0)) == 0.0
+        assert math.isinf(bridge.horizon)
 
     def test_ou_needs_positive_rate(self):
         with pytest.raises(AssumptionViolation):
@@ -92,6 +93,30 @@ class TestPresetValues:
     def test_unknown_preset(self):
         with pytest.raises(AssumptionViolation, match="unknown preset"):
             preset("heat")
+
+
+class TestHorizon:
+    """The horizon is worked out from u and v: q(1), or inf once
+    |v(1)| <= PINNED_TOL pins the endpoint."""
+
+    def test_not_settable(self):
+        bm = preset("bm")
+        with pytest.raises(TypeError):
+            GaussMarkovKernel("bm", bm.u, bm.v, bm.q, bm.q_prime, bm.v_prime, horizon=1.0)
+
+    @pytest.mark.parametrize("kernel", [
+        preset("bm"), preset("ou", 0.3), preset("ou", 2.5), preset("slepian"),
+        make_kernel("lab", "t", "2 - t"), condition_on_zero("1 + t", "1"),
+    ], ids=lambda k: k.name)
+    def test_finite_horizon_is_q_at_one(self, kernel):
+        assert kernel.horizon == float(kernel.q(1.0))
+
+    @pytest.mark.parametrize("kernel", [
+        preset("bridge"), make_kernel("pin", "t", "1 - t"),
+        make_kernel("tiny", "t", "1 - t + 1e-13", validate=False),
+    ], ids=lambda k: k.name)
+    def test_pinned_endpoint_gives_infinite_horizon(self, kernel):
+        assert math.isinf(kernel.horizon)
 
 
 class TestCovariance:
@@ -148,7 +173,7 @@ class TestCustomKernels:
         ref = preset("bm")
         ts = np.linspace(0, 1, 101)
         np.testing.assert_allclose(gram(k, ts[1:]), gram(ref, ts[1:]), rtol=1e-15)
-        assert k.flags.v1_nonzero and k.flags.finite_horizon
+        assert k.horizon == ref.horizon
 
     def test_text_slepian_derivatives(self):
         """Finite-difference q' of a text kernel tracks the analytic one."""
