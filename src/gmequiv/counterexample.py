@@ -215,8 +215,8 @@ def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
         f"max |(Y(1)-Y(0)) - integral(f)| = {worst_recovery:.3e} over 6 pinned-kernel draws",
     ))
 
-    draws = sampling.sample_paths(unpinned, grid, mc_paths, seed, label="endpoint-mc")
-    actions = spike.antiderivative(1.0) + (draws[:, -1] - draws[:, 0]) / math.sqrt(n)
+    endpoints = sampling.sample_endpoints(unpinned, grid, mc_paths, seed, label="endpoint-mc")
+    actions = spike.antiderivative(1.0) + endpoints / math.sqrt(n)
     mc_var = float(np.var(actions, ddof=1))
     target_var = float(covariance(unpinned, 1.0, 1.0)) / n
     band = 3.0 * target_var * math.sqrt(2.0 / (mc_paths - 1))

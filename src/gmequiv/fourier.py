@@ -254,11 +254,16 @@ def _grid_indices(t: np.ndarray) -> tuple[np.ndarray, int] | None:
 
 
 def _dense_sum(t: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k exp(-2 pi i k t) at arbitrary t, chunked over t."""
+    """sum_k weights_k exp(-2 pi i k t) at arbitrary t, chunked over t.
+
+    The product is np.einsum, not `@`: a BLAS matrix-vector product wakes
+    the BLAS thread pool on every chunk, which costs milliseconds per call
+    at small K, where the sum itself costs microseconds.
+    """
     out = np.empty(t.shape, dtype=complex)
     for lo in range(0, t.size, _CHUNK):
         phases = np.exp(-2j * np.pi * np.outer(t[lo : lo + _CHUNK], ks))
-        out[lo : lo + _CHUNK] = phases @ weights
+        out[lo : lo + _CHUNK] = np.einsum("ij,j->i", phases, weights)
     return out
 
 

@@ -40,6 +40,7 @@ from .samples import path_grid
 _FD_STEP = 1e-6
 PINNED_TOL = 1e-12  # |v(1)| at or below this pins the endpoint
 VALIDATION_GRID = 1001  # points of the shape-assumption check
+MAX_VALIDATION_GRID = 10**6  # largest grid the shape check accepts
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,16 @@ class GaussMarkovKernel:
 
 
 def covariance(kernel: GaussMarkovKernel, s, t):
-    """Cov(X_s, X_t) = u(min(s,t)) * v(max(s,t)), elementwise."""
+    """Cov(X_s, X_t) = u(min(s,t)) * v(max(s,t)), elementwise.
+
+    u and v are evaluated once at s and once at t, not on the broadcast
+    shape, so an outer product of n points costs 4n kernel evaluations.
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    lo = np.minimum(s, t)
-    hi = np.maximum(s, t)
-    out = np.asarray(kernel.u(lo) * kernel.v(hi))
+    us, vs = np.asarray(kernel.u(s)), np.asarray(kernel.v(s))
+    ut, vt = np.asarray(kernel.u(t)), np.asarray(kernel.v(t))
+    out = np.where(s <= t, us * vt, ut * vs)
     if out.ndim == 0:
         return float(out)
     return out
@@ -85,9 +90,7 @@ def covariance(kernel: GaussMarkovKernel, s, t):
 def gram(kernel: GaussMarkovKernel, ts) -> np.ndarray:
     """Covariance matrix of the process at the points ts."""
     ts = np.asarray(ts, dtype=float)
-    lo = np.minimum.outer(ts, ts)
-    hi = np.maximum.outer(ts, ts)
-    return np.asarray(kernel.u(lo)) * np.asarray(kernel.v(hi))
+    return covariance(kernel, ts[:, None], ts[None, :])
 
 
 def design_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,17 +186,18 @@ def _preset_slepian() -> GaussMarkovKernel:
 PRESETS = ("bm", "ou", "bridge", "slepian")
 
 
-def preset(name: str, L: float = 1.0) -> GaussMarkovKernel:
-    """Build a preset kernel. 'ou' takes the mean-reversion rate L."""
-    if name == "bm":
-        return _preset_bm()
+def preset(name: str, L: float | None = None) -> GaussMarkovKernel:
+    """Build a preset kernel. Only 'ou' takes the mean-reversion rate L,
+    1 by default; a rate given to any other preset raises
+    AssumptionViolation rather than being ignored."""
     if name == "ou":
-        return _preset_ou(L)
-    if name == "bridge":
-        return _preset_bridge()
-    if name == "slepian":
-        return _preset_slepian()
-    raise AssumptionViolation(f"unknown preset {name!r}; choose from {PRESETS}")
+        return _preset_ou(1.0 if L is None else L)
+    builders = {"bm": _preset_bm, "bridge": _preset_bridge, "slepian": _preset_slepian}
+    if name not in builders:
+        raise AssumptionViolation(f"unknown preset {name!r}; choose from {PRESETS}")
+    if L is not None:
+        raise AssumptionViolation(f"preset {name!r} takes no rate, got L = {L!r}")
+    return builders[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +365,16 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
     Required checks: u*v >= 0 on [0,1], u*v > 0 on the interior, q strictly
     increasing, q(0) = 0 (within 1e-10). Informational: v(1) != 0 and the
     q' range, plus rough Hoelder index estimates for v' and q'. The grid
-    needs an interior point, so grid_size < 3 raises ValueError.
+    needs an interior point, so grid_size < 3 raises ValueError, and so
+    does grid_size > MAX_VALIDATION_GRID, before any array is built.
     """
     if grid_size < 3:
         raise ValueError(
             f"the shape check needs an interior point: at least 3 grid points, got {grid_size}"
+        )
+    if grid_size > MAX_VALIDATION_GRID:
+        raise ValueError(
+            f"the shape check takes at most {MAX_VALIDATION_GRID} grid points, got {grid_size}"
         )
     ts = np.linspace(0.0, 1.0, grid_size)
     with np.errstate(all="ignore"):

@@ -11,15 +11,25 @@ factorization, no jitter, no truncation.
 Grid points whose variance u*v vanishes are deterministic zeros: t = 0 on
 every kernel, and t = 1 on pinned kernels such as the bridge, where v(1) = 0
 makes the horizon q(1) infinite but leaves no randomness at that point.
+
+Draws are streamed in blocks of whole paths, at most BLOCK_DRAWS normals
+each (at least one path), so a caller holds one block beside its own output
+and never a second copy of the whole draw. The generator is read in the same
+row-major order whatever the block size, and each path is summed within its
+own row, so every number is independent of BLOCK_DRAWS.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
 from . import rng
 from .errors import SingularCovariance
 from .kernels import GaussMarkovKernel
+
+BLOCK_DRAWS = 1 << 16  # normals per streamed block: 512 KB of float64
 
 
 def _require(kernel: GaussMarkovKernel, points: np.ndarray, bad: np.ndarray,
@@ -29,6 +39,52 @@ def _require(kernel: GaussMarkovKernel, points: np.ndarray, bad: np.ndarray,
             f"grid covariance for kernel {kernel.name!r} is singular: {reason} "
             f"(first bad grid point t = {float(points[np.argmax(bad)])!r})"
         )
+
+
+def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
+                 label: str) -> tuple[int, int, Iterator[tuple[int, np.ndarray]]]:
+    """Validate the grid and clock, then stream the draw in row blocks.
+
+    Returns (size, lo, blocks): the grid size, the first random column lo,
+    and an iterator of (first_row, block), where block holds the columns
+    lo .. lo + block.shape[1] - 1 of the paths first_row onward. Every
+    column outside that run is exactly 0; with no random column the
+    iterator is empty. The checks run before this returns.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
+        raise ValueError("grid must be a 1-d increasing array starting at 0")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly increasing")
+    gen = rng.stream(seed, label, kernel.name, grid.size, npaths)
+    with np.errstate(all="ignore"):
+        vs = np.asarray(kernel.v(grid))
+        var = np.asarray(kernel.u(grid)) * vs
+    _require(kernel, grid, ~np.isfinite(var), "the variance u*v is not finite")
+    alive = var > 1e-14 * max(float(var.max()), 1.0)
+    alive[0] = False
+    run = np.flatnonzero(alive)
+    if run.size == 0:
+        return grid.size, 0, iter(())
+    lo, hi = int(run[0]), int(run[-1]) + 1
+    _require(kernel, grid[lo:hi], ~alive[lo:hi],
+             "the positive-variance points are not one contiguous run")
+    with np.errstate(all="ignore"):
+        dq = np.diff(np.asarray(kernel.q(grid[lo:hi])), prepend=0.0)
+    _require(kernel, grid[lo:hi], ~(np.isfinite(dq) & (dq > 0.0)),
+             "q is not finite and strictly increasing from q(0) = 0")
+    scale, vs = np.sqrt(dq), vs[lo:hi]
+    rows = max(1, BLOCK_DRAWS // (hi - lo))
+
+    def blocks():
+        for first in range(0, npaths, rows):
+            block = gen.standard_normal((min(rows, npaths - first), hi - lo))
+            block *= scale
+            np.cumsum(block, axis=1, out=block)
+            block *= vs
+            yield first, block
+
+    return grid.size, lo, blocks()
 
 
 def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
@@ -43,32 +99,23 @@ def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     contiguous run on which q is finite and strictly increasing from
     q(0) = 0. Deterministic in (seed, label, kernel, grid size).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
-        raise ValueError("grid must be a 1-d increasing array starting at 0")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    gen = rng.stream(seed, label, kernel.name, grid.size, npaths)
-    out = np.zeros((npaths, grid.size))
-    with np.errstate(all="ignore"):
-        vs = np.asarray(kernel.v(grid))
-        var = np.asarray(kernel.u(grid)) * vs
-    _require(kernel, grid, ~np.isfinite(var), "the variance u*v is not finite")
-    alive = var > 1e-14 * max(float(var.max()), 1.0)
-    alive[0] = False
-    run = np.flatnonzero(alive)
-    if run.size == 0:
-        return out
-    lo, hi = int(run[0]), int(run[-1]) + 1
-    _require(kernel, grid[lo:hi], ~alive[lo:hi],
-             "the positive-variance points are not one contiguous run")
-    with np.errstate(all="ignore"):
-        dq = np.diff(np.asarray(kernel.q(grid[lo:hi])), prepend=0.0)
-    _require(kernel, grid[lo:hi], ~(np.isfinite(dq) & (dq > 0.0)),
-             "q is not finite and strictly increasing from q(0) = 0")
-    draws = gen.standard_normal((npaths, hi - lo))
-    draws *= np.sqrt(dq)
-    np.cumsum(draws, axis=1, out=draws)
-    draws *= vs[lo:hi]
-    out[:, lo:hi] = draws
+    size, lo, blocks = _path_blocks(kernel, grid, npaths, seed, label)
+    out = np.zeros((npaths, size))
+    for first, block in blocks:
+        out[first : first + block.shape[0], lo : lo + block.shape[1]] = block
+    return out
+
+
+def sample_endpoints(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
+                     label: str = "paths") -> np.ndarray:
+    """The last column of sample_paths with the same arguments, bit for bit.
+
+    Same checks and stream as sample_paths, but only the npaths endpoint
+    values are kept, so memory is O(npaths) beside one streamed block.
+    """
+    size, lo, blocks = _path_blocks(kernel, grid, npaths, seed, label)
+    out = np.zeros(npaths)
+    for first, block in blocks:
+        if lo + block.shape[1] == size:
+            out[first : first + block.shape[0]] = block[:, -1]
     return out

@@ -51,11 +51,22 @@ class TestExitCodes:
         (("counterexample", "--n", "4", "--paths", "0"), "at least 2 paths"),
         (("validate", "--grid", "1"), "interior point"),
         (("validate", "--grid", "2"), "interior point"),
+        (("validate", "--grid", "1000000000"), "at most 1000000 grid points"),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_out_of_range_number_is_a_runtime_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("name", ["bm", "bridge", "slepian"])
+    @pytest.mark.parametrize("flag, text", [
+        ("--preset", "{name}(5)"),
+        ("--kernel", '{{"preset": "{name}", "params": {{"L": 5}}}}'),
+    ], ids=["preset-arg", "json-spec"])
+    def test_rate_for_a_preset_without_one_is_refused(self, capsys, name, flag, text):
+        code, out, err = run_cli(capsys, "simulate", "--n", "2", flag, text.format(name=name))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and f"preset {name!r} takes no rate" in err
 
     @pytest.mark.parametrize("flag, spec, key", [
         ("--fn", '{}', "'coeffs'"),

@@ -143,6 +143,16 @@ class TestGridRoute:
         np.testing.assert_allclose(fn.antiderivative(t), integral, rtol=0, atol=tol)
         assert dense_calls == [t.size, t.size]
 
+    def test_dense_route_across_a_chunk_boundary(self, dense_calls):
+        fn = _hermitian_function(5, 64)
+        t = np.random.default_rng(7).random(3000)
+        assert t.size > fourier._CHUNK
+        direct = np.zeros(t.size, dtype=complex)
+        for k in fn.ks:
+            direct += fn.coeff(int(k)) * np.exp(-2j * np.pi * k * t)
+        np.testing.assert_allclose(fn(t), direct.real, rtol=0, atol=1e-12)
+        assert dense_calls == [t.size]
+
     def test_knots_and_path_grids_never_go_dense(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("dense route taken at grid points")

@@ -94,6 +94,9 @@ class TestPresetValues:
         with pytest.raises(AssumptionViolation, match="unknown preset"):
             preset("heat")
 
+    def test_ou_rate_defaults_to_one(self):
+        assert preset("ou").name == preset("ou", 1.0).name == "ou(L=1)"
+
 
 class TestHorizon:
     """The horizon is worked out from u and v: q(1), or inf once
@@ -155,6 +158,23 @@ class TestCovariance:
             G = gram(k, ts)
             direct = covariance(k, ts[:, None], ts[None, :])
             np.testing.assert_array_equal(G, direct)
+
+    @pytest.mark.parametrize("kernel", [
+        preset("bm"), preset("ou", 1.0), preset("slepian"), preset("bridge"),
+        make_kernel("lab", "t", "2 - t"),
+    ], ids=lambda k: k.name)
+    def test_equals_the_definition_bitwise(self, kernel):
+        """u and v at each point once give the bits of u(min) * v(max)."""
+        ts = np.random.default_rng(5).uniform(0.0, 1.0, 40)
+        ts[7] = ts[3]
+        direct = (np.asarray(kernel.u(np.minimum.outer(ts, ts)))
+                  * np.asarray(kernel.v(np.maximum.outer(ts, ts))))
+        np.testing.assert_array_equal(gram(kernel, ts), direct)
+        np.testing.assert_array_equal(covariance(kernel, ts[:, None], ts[None, :9]),
+                                      direct[:, :9])
+        value = covariance(kernel, 1.0, 1.0)
+        assert type(value) is float
+        assert value == float(kernel.u(1.0)) * float(kernel.v(1.0))
 
     def test_gram_positive_semidefinite(self):
         gen = np.random.default_rng(11)
@@ -249,6 +269,11 @@ class TestValidationReport:
         assert not by_name["v1_nonzero"].passed
         assert not by_name["v1_nonzero"].required
         assert any("[flag]" in line for line in report.lines())
+
+    @pytest.mark.parametrize("size", [10**6 + 1, 10**9])
+    def test_grid_above_the_limit_is_refused(self, size):
+        with pytest.raises(ValueError, match="at most 1000000 grid points"):
+            validate_assumption(preset("bm"), grid_size=size)
 
     def test_report_lines_name_every_check(self):
         report = validate_assumption(preset("ou", 1.0), grid_size=501)

@@ -1,0 +1,65 @@
+"""Tests for the block stream behind sample_paths and sample_endpoints."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gmequiv import rng, sampling
+from gmequiv.counterexample import indistinguishability_check
+from gmequiv.kernels import preset
+from gmequiv.samples import path_grid
+from gmequiv.sampling import BLOCK_DRAWS, sample_endpoints, sample_paths
+
+
+def _one_shot(kernel, grid, npaths, seed, label):
+    """The whole draw as one array: normals on the same stream, times
+    sqrt(dq), summed along each path, times v."""
+    lo, hi = 1, grid.size - (1 if kernel.name == "bridge" else 0)
+    gen = rng.stream(seed, label, kernel.name, grid.size, npaths)
+    dq = np.diff(np.asarray(kernel.q(grid[lo:hi])), prepend=0.0)
+    draws = gen.standard_normal((npaths, hi - lo)) * np.sqrt(dq)
+    out = np.zeros((npaths, grid.size))
+    out[:, lo:hi] = np.cumsum(draws, axis=1) * np.asarray(kernel.v(grid[lo:hi]))
+    return out
+
+
+@pytest.mark.parametrize("name, grid, npaths", [
+    ("bm", path_grid(8), 2055),
+    ("ou", path_grid(16384), 3),
+    ("bridge", path_grid(16), 513),
+    ("slepian", path_grid(32), 1),
+], ids=["rows-not-a-block-multiple", "path-wider-than-a-block", "bridge", "one-path"])
+def test_block_stream_equals_one_shot_draw(name, grid, npaths):
+    kernel = preset(name)
+    rows = max(1, BLOCK_DRAWS // (grid.size - 1))
+    assert npaths == 1 or npaths > rows
+    paths = sample_paths(kernel, grid, npaths, 11, label="blocks")
+    np.testing.assert_array_equal(paths, _one_shot(kernel, grid, npaths, 11, "blocks"))
+    if name == "bridge":
+        assert np.all(paths[:, -1] == 0.0)
+
+
+@pytest.mark.parametrize("kernel", [preset("bm"), preset("ou", 1.0), preset("bridge")],
+                         ids=lambda k: k.name)
+def test_endpoints_are_the_last_column(kernel):
+    grid = path_grid(64, 65)
+    npaths = 3 * (BLOCK_DRAWS // 64) + 5
+    np.testing.assert_array_equal(sample_endpoints(kernel, grid, npaths, 2, label="end"),
+                                  sample_paths(kernel, grid, npaths, 2, label="end")[:, -1])
+
+
+def test_endpoints_share_the_grid_checks():
+    with pytest.raises(ValueError, match="starting at 0"):
+        sampling.sample_endpoints(preset("bm"), [0.5, 1.0], 4, 0)
+
+
+def test_counterexample_monte_carlo_holds_one_block():
+    """100k paths at n = 64 as one array would be 52 MB twice over."""
+    tracemalloc.start()
+    try:
+        indistinguishability_check(64, mc_paths=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
