@@ -211,8 +211,7 @@ def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n:
     mu_grid = np.diff(np.cumsum(np.asarray(f(design_knots(n)))) / v[1:], prepend=0.0)
     sigma2_grid = n * np.diff(q)
     s = np.arange(1, n + 1) / (n + 1)
-    vs = np.asarray(kernel.v(s))
-    mu_cont = (np.asarray(f(s)) * vs - np.asarray(kernel.v_prime(s)) * np.asarray(f.antiderivative(s))) / (vs * vs)
+    mu_cont = rkhs.decoupled_drift(kernel, f, s)
     qp_cont = np.asarray(kernel.q_prime(s))
     return float(
         n * np.max((mu_cont - mu_grid) ** 2) + n * np.max((qp_cont - sigma2_grid) ** 2)
@@ -286,6 +285,7 @@ class RateReport:
     family: str
     n_values: tuple
     values: tuple  # per-n family maxima; nan where every member failed
+    failures: tuple  # per n, the error class names of the members that raised
     excluded: tuple  # n values dropped from the fit (non-finite or nonpositive)
     fit_ns: tuple
     slope: float | None
@@ -307,8 +307,12 @@ class RateReport:
         out = [
             f"rate sweep: statistic={self.statistic} kernel={self.kernel_id} family={self.family}"
         ]
-        for n, v in zip(self.n_values, self.values):
+        for n, v, failed in zip(self.n_values, self.values, self.failures):
             mark = " (excluded)" if n in self.excluded else ""
+            if failed:
+                counts = {name: failed.count(name) for name in failed}
+                shown = (name if c == 1 else f"{name} x{c}" for name, c in counts.items())
+                mark += f" [failed: {', '.join(shown)}]"
             out.append(f"  n={n:<6d} max={v!r}{mark}")
         if self.degenerate:
             out.append("  fit: degenerate (no usable points)")
@@ -333,24 +337,28 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
     many members, so every reported value is a lower bound for the class
     supremum. The slope is fit on the upper half of the n grid (the
     asymptotic regime); non-finite or nonpositive maxima are excluded from
-    the fit and reported.
+    the fit and reported. A member whose statistic raises a GmequivError
+    is left out of the maximum, and the error's class name is recorded in
+    failures and shown on that n's line.
     """
     if statistic not in STATISTICS:
         raise KeyError(f"unknown statistic {statistic!r}; choose from {sorted(STATISTICS)}")
     stat_fn = STATISTICS[statistic]
     ns = tuple(int(n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
 
-    maxima = []
+    maxima, failures = [], []
     for n in ns:
-        vals = []
+        vals, failed = [], []
         for fn in family.members(n):
             try:
                 value = float(stat_fn(kernel, fn, n))
-            except GmequivError:
+            except GmequivError as exc:
+                failed.append(type(exc).__name__)
                 continue
             if np.isfinite(value):
                 vals.append(value)
         maxima.append(max(vals) if vals else float("nan"))
+        failures.append(tuple(failed))
 
     usable = [(n, v) for n, v in zip(ns, maxima) if np.isfinite(v) and v > 0.0]
     excluded = tuple(n for n, v in zip(ns, maxima) if not (np.isfinite(v) and v > 0.0))
@@ -358,7 +366,8 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
     if len(half) < 2:
         return RateReport(
             statistic=statistic, kernel_id=kernel.name, family=family.name,
-            n_values=ns, values=tuple(maxima), excluded=excluded, fit_ns=(),
+            n_values=ns, values=tuple(maxima), failures=tuple(failures),
+            excluded=excluded, fit_ns=(),
             slope=None, stderr=None, target=target, margin=margin, degenerate=True,
         )
     xs = np.log10([n for n, _ in half])
@@ -371,7 +380,7 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
         stderr = float("nan")
     return RateReport(
         statistic=statistic, kernel_id=kernel.name, family=family.name,
-        n_values=ns, values=tuple(maxima), excluded=excluded,
+        n_values=ns, values=tuple(maxima), failures=tuple(failures), excluded=excluded,
         fit_ns=tuple(n for n, _ in half), slope=float(coeffs[0]), stderr=stderr,
         target=target, margin=margin, degenerate=False,
     )

@@ -24,6 +24,7 @@ report says so.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -209,10 +210,16 @@ class FourierFunction:
     @staticmethod
     def from_spec(spec: Mapping) -> "FourierFunction":
         """Build from {"coeffs": [[k, re, im], ...]}, Hermitian-completed;
-        ValueError naming 'coeffs' when the key is missing or malformed."""
+        ValueError naming 'coeffs' when the key is missing or malformed,
+        including a k that is not an integer and a part that is not finite."""
         try:
-            coeffs = {int(k): complex(float(re_part), float(im_part))
-                      for k, re_part, im_part in spec["coeffs"]}
+            coeffs = {}
+            for k, re_part, im_part in spec["coeffs"]:
+                index, value = float(k), complex(float(re_part), float(im_part))
+                if not (index.is_integer() and cmath.isfinite(value)):
+                    raise ValueError(f"{[k, re_part, im_part]!r} needs an integral k "
+                                     "and finite parts")
+                coeffs[int(index)] = value
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"function spec key 'coeffs' needs [k, re, im] number triples ({exc!r})"

@@ -1,10 +1,13 @@
 """Triangular covariance kernels for Gauss-Markov processes on [0,1].
 
 A kernel here is a factor pair (u, v) defining Cov(X_s, X_t) = u(s) v(t) for
-s <= t. The quotient q = u/v carries the whole geometry: the process is the
-deterministic scaling v(t) of a standard Brownian motion run on the clock
-q(t), so q must increase strictly from q(0) = 0, and u*v (the variance) must
-be nonnegative, positive away from the endpoints.
+s <= t, given together with the derivatives u' and v'. The quotient q = u/v
+carries the whole geometry: the process is the deterministic scaling v(t) of
+a standard Brownian motion run on the clock q(t), so q must increase
+strictly from q(0) = 0, and u*v (the variance) must be nonnegative, positive
+away from the endpoints. The clock q, its derivative q' = (u'v - uv')/v^2
+and the time-change horizon q(1) are derived from (u, v, u', v') in one
+place, GaussMarkovKernel, and nowhere else.
 
 Four presets cover the classical examples:
 
@@ -13,14 +16,13 @@ Four presets cover the classical examples:
     bridge    u = t,              v = 1 - t,    q = t/(1-t)   (endpoint pinned)
     slepian   u = t,              v = 2 - t,    q = t/(2-t)
 
-Every kernel works out its own time-change horizon q(1) when it is built.
 The bridge has v(1) = 0, so its horizon is infinite, and operations that
 need a finite horizon or a nonsingular design covariance refuse it
 explicitly rather than dividing by zero.
 
-Custom kernels are built from expression text for u and v; their derivatives
-come from central differences (h = 1e-6, second-order one-sided stencils at
-the endpoints) and the shape assumption is checked on a grid, which is a
+Custom kernels are built from expression text for u and v; u' and v' come
+from central differences (h = 1e-6, second-order one-sided stencils at the
+endpoints) and the shape assumption is checked on a grid, which is a
 deliberate, documented limitation: a grid check can refute the assumption,
 not certify it.
 """
@@ -45,18 +47,18 @@ MAX_VALIDATION_GRID = 10**6  # largest grid the shape check accepts
 
 @dataclass(frozen=True)
 class GaussMarkovKernel:
-    """Immutable factor-pair kernel with its time-change data.
+    """Immutable kernel given by its factor pair and the pair's derivatives.
 
-    u, v, q, q_prime, v_prime are vectorized callables on [0,1]. horizon is
-    worked out from them: q(1), or inf when |v(1)| <= PINNED_TOL pins the
-    endpoint (as for the bridge), or nan when u(1) is 0 as well.
+    u, v, u_prime, v_prime are vectorized callables on [0,1]. The clock q,
+    its derivative q_prime and horizon are worked out from them; horizon is
+    q(1), or inf when |v(1)| <= PINNED_TOL pins the endpoint (as for the
+    bridge), or nan when u(1) is 0 as well.
     """
 
     name: str
     u: Callable
     v: Callable
-    q: Callable
-    q_prime: Callable
+    u_prime: Callable
     v_prime: Callable
     horizon: float = field(init=False)
 
@@ -66,6 +68,22 @@ class GaussMarkovKernel:
         else:
             horizon = math.inf if float(self.u(1.0)) != 0.0 else math.nan
         object.__setattr__(self, "horizon", horizon)
+
+    def q(self, t):
+        """The clock u/v; inf where v vanishes, as at a pinned endpoint."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.asarray(self.u(t)) / np.asarray(self.v(t))
+        return out if out.ndim else float(out)
+
+    def q_prime(self, t):
+        """The clock's derivative (u'v - uv')/v^2."""
+        t = np.asarray(t, dtype=float)
+        v = np.asarray(self.v(t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (np.asarray(self.u_prime(t)) * v
+                   - np.asarray(self.u(t)) * np.asarray(self.v_prime(t))) / (v * v)
+        return out if out.ndim else float(out)
 
     def __repr__(self) -> str:
         return f"GaussMarkovKernel({self.name!r}, horizon={self.horizon!r})"
@@ -128,8 +146,7 @@ def _preset_bm() -> GaussMarkovKernel:
         name="bm",
         u=lambda t: np.asarray(t, dtype=float),
         v=_const(1.0),
-        q=lambda t: np.asarray(t, dtype=float),
-        q_prime=_const(1.0),
+        u_prime=_const(1.0),
         v_prime=_const(0.0),
     )
 
@@ -141,24 +158,9 @@ def _preset_ou(L: float) -> GaussMarkovKernel:
         name=f"ou(L={L:g})",
         u=lambda t: np.exp(L * np.asarray(t, float)) - np.exp(-L * np.asarray(t, float)),
         v=lambda t: np.exp(-L * np.asarray(t, float)),
-        q=lambda t: np.exp(2.0 * L * np.asarray(t, float)) - 1.0,
-        q_prime=lambda t: 2.0 * L * np.exp(2.0 * L * np.asarray(t, float)),
+        u_prime=lambda t: L * (np.exp(L * np.asarray(t, float)) + np.exp(-L * np.asarray(t, float))),
         v_prime=lambda t: -L * np.exp(-L * np.asarray(t, float)),
     )
-
-
-def _bridge_q(t):
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = t / (1.0 - t)
-    return out if out.ndim else float(out)
-
-
-def _bridge_q_prime(t):
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = (1.0 - t) ** -2.0
-    return out if out.ndim else float(out)
 
 
 def _preset_bridge() -> GaussMarkovKernel:
@@ -166,8 +168,7 @@ def _preset_bridge() -> GaussMarkovKernel:
         name="bridge",
         u=lambda t: np.asarray(t, dtype=float),
         v=lambda t: 1.0 - np.asarray(t, dtype=float),
-        q=_bridge_q,
-        q_prime=_bridge_q_prime,
+        u_prime=_const(1.0),
         v_prime=_const(-1.0),
     )
 
@@ -177,8 +178,7 @@ def _preset_slepian() -> GaussMarkovKernel:
         name="slepian",
         u=lambda t: np.asarray(t, dtype=float),
         v=lambda t: 2.0 - np.asarray(t, dtype=float),
-        q=lambda t: np.asarray(t, float) / (2.0 - np.asarray(t, float)),
-        q_prime=lambda t: 2.0 / (2.0 - np.asarray(t, float)) ** 2,
+        u_prime=_const(1.0),
         v_prime=_const(-1.0),
     )
 
@@ -229,24 +229,12 @@ def _fd_derivative(fn: Callable) -> Callable:
     return deriv
 
 
-def _quotient(u: Callable, v: Callable) -> Callable:
-    def q(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.asarray(u(t)) / np.asarray(v(t))
-        return out if out.ndim else float(out)
-
-    return q
-
-
 def _assemble(name: str, u: Callable, v: Callable, validate: bool) -> GaussMarkovKernel:
-    q = _quotient(u, v)
     kernel = GaussMarkovKernel(
         name=name,
         u=u,
         v=v,
-        q=q,
-        q_prime=_fd_derivative(q),
+        u_prime=_fd_derivative(u),
         v_prime=_fd_derivative(v),
     )
     if validate:

@@ -94,31 +94,41 @@ class RkhsElement:
         For from_f elements this must reproduce the antiderivative F_f;
         the difference is a quadrature-level consistency check.
         """
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
         kernel = self.kernel
 
         def integrand(w):
             return np.asarray(self.g_of_time(w)) * np.asarray(kernel.q_prime(w))
 
-        vals = np.array([
-            adaptive_integral(integrand, 0.0, float(s), breakpoints=self.breakpoints_w)
-            if s > 0.0 else 0.0
-            for s in ts
-        ])
-        out = np.asarray(kernel.v(ts)) * vals
-        return float(out[0]) if np.asarray(t).ndim == 0 else out
+        return _scaled_integrals(kernel, t, integrand, lambda ts: ts, self.breakpoints_w)
+
+
+def _scaled_integrals(kernel: GaussMarkovKernel, t, integrand: Callable,
+                      upper: Callable, breakpoints: Sequence[float]):
+    """v(t) * integral_0^{upper(t)} integrand, one quadrature call per point."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    vals = np.array([
+        adaptive_integral(integrand, 0.0, float(b), breakpoints=breakpoints)
+        if b > 0.0 else 0.0
+        for b in upper(ts)
+    ])
+    out = np.asarray(kernel.v(ts)) * vals
+    return float(out[0]) if np.asarray(t).ndim == 0 else out
+
+
+def decoupled_drift(kernel: GaussMarkovKernel, f: FourierFunction, w) -> np.ndarray:
+    """(F_f / v)'(w) = (f v - v' F_f) / v^2, the drift of the decoupled
+    process X/v with regression mean F_f."""
+    w = np.asarray(w, dtype=float)
+    v = np.asarray(kernel.v(w))
+    return (np.asarray(f(w)) * v - np.asarray(kernel.v_prime(w)) * np.asarray(f.antiderivative(w))) / (v * v)
 
 
 def g_from_f(kernel: GaussMarkovKernel, f: FourierFunction) -> RkhsElement:
     """RKHS element of the regression mean F_f(t) = integral_0^t f."""
 
     def g_of_time(w):
-        w = np.asarray(w, dtype=float)
-        v = np.asarray(kernel.v(w))
         with np.errstate(all="ignore"):
-            return (np.asarray(f(w)) * v - np.asarray(kernel.v_prime(w)) * np.asarray(f.antiderivative(w))) / (
-                v * v * np.asarray(kernel.q_prime(w))
-            )
+            return decoupled_drift(kernel, f, w) / np.asarray(kernel.q_prime(w))
 
     return RkhsElement(
         kernel=kernel,
@@ -140,15 +150,7 @@ def element_from_g(kernel: GaussMarkovKernel, g: Callable,
         return np.asarray(g(np.asarray(kernel.q(w))))
 
     def F(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        qs = np.asarray(kernel.q(ts))
-        vals = np.array([
-            adaptive_integral(g, 0.0, float(x), breakpoints=breakpoints_x)
-            if x > 0.0 else 0.0
-            for x in qs
-        ])
-        out = np.asarray(kernel.v(ts)) * vals
-        return float(out[0]) if np.asarray(t).ndim == 0 else out
+        return _scaled_integrals(kernel, t, g, kernel.q, breakpoints_x)
 
     breaks_w = tuple(float(q_inverse(kernel, x)[0]) for x in breakpoints_x)
     return RkhsElement(

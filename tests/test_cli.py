@@ -71,6 +71,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, spec, key", [
         ("--fn", '{}', "'coeffs'"),
         ("--fn", '{"coeffs": [[1]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[1.5, 1, 0]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[1, "inf", 0]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[1, Infinity, 0]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[1, "nan", 0]]}', "'coeffs'"),
         ("--kernel", '{"u": "t"}', "'v'"),
         ("--kernel", '{"preset": "ou", "params": {"Q": 1}}', "'Q'"),
     ])

@@ -23,7 +23,12 @@ from gmequiv.diagnostics import (
     single_frequency_family,
     transformation_discrepancy,
 )
-from gmequiv.errors import DegenerateCell, KernelDegenerate, SingularCovariance
+from gmequiv.errors import (
+    DegenerateCell,
+    KernelDegenerate,
+    QuadratureFailure,
+    SingularCovariance,
+)
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import make_kernel, preset
 from gmequiv.rkhs import kriging_interpolate, projection_distance
@@ -270,6 +275,39 @@ class TestRateSweep:
         assert report.passed is False
         assert all(math.isnan(v) for v in report.values)
         assert "degenerate" in "\n".join(report.lines())
+
+    def test_member_failures_are_named(self):
+        """On the bridge the constant has a zero statistic and cos raises;
+        the excluded zero maximum says that a member failed."""
+        family = fixed_family("const-cos", [FourierFunction.harmonic(0, 1.0),
+                                            FourierFunction.harmonic(1)])
+        report = rate_sweep("discretization", preset("bridge"), family, n_grid=(8, 16))
+        assert report.values == (0.0, 0.0)
+        assert report.failures == (("SingularCovariance",),) * 2
+        for line in report.lines()[1:3]:
+            assert line.endswith("max=0.0 (excluded) [failed: SingularCovariance]")
+
+    def test_partial_failure_is_shown_next_to_the_maximum(self, monkeypatch):
+        def flaky(kernel, f, n):
+            if f.name == "cos1" or (f.name == "cos2" and n == 16):
+                raise QuadratureFailure("no convergence", 1e-3)
+            return float(n) if f.name == "const" else 1.0
+
+        monkeypatch.setitem(STATISTICS, "discretization", flaky)
+        family = fixed_family("trio", [FourierFunction.harmonic(0, 1.0),
+                                       FourierFunction.harmonic(1),
+                                       FourierFunction.harmonic(2)])
+        report = rate_sweep("discretization", preset("bm"), family, n_grid=(8, 16))
+        assert report.values == (8.0, 16.0)
+        assert report.failures == (("QuadratureFailure",), ("QuadratureFailure",) * 2)
+        assert report.lines()[1] == "  n=8      max=8.0 [failed: QuadratureFailure]"
+        assert report.lines()[2] == "  n=16     max=16.0 [failed: QuadratureFailure x2]"
+
+    def test_clean_sweep_lines_name_no_failure(self):
+        report = rate_sweep("discretization", preset("bm"), single_frequency_family(),
+                            n_grid=(16, 32))
+        assert report.failures == ((), ())
+        assert not any("failed" in line for line in report.lines())
 
     def test_zero_values_are_excluded(self):
         family = fixed_family("flat", [FourierFunction.harmonic(0, 1.0)])

@@ -104,8 +104,8 @@ class TestHorizon:
 
     def test_not_settable(self):
         bm = preset("bm")
-        with pytest.raises(TypeError):
-            GaussMarkovKernel("bm", bm.u, bm.v, bm.q, bm.q_prime, bm.v_prime, horizon=1.0)
+        with pytest.raises(TypeError, match="horizon"):
+            GaussMarkovKernel("bm", bm.u, bm.v, bm.u_prime, bm.v_prime, horizon=1.0)
 
     @pytest.mark.parametrize("kernel", [
         preset("bm"), preset("ou", 0.3), preset("ou", 2.5), preset("slepian"),
@@ -187,12 +187,31 @@ class TestCovariance:
             assert eig.min() >= -1e-9 * max(eig.max(), 1.0), name
 
 
+TWINS = {
+    "bm": ("t", "1"),
+    "ou": ("exp(t) - exp(-t)", "exp(-t)"),
+    "bridge": ("t", "1 - t"),
+    "slepian": ("t", "2 - t"),
+}
+
+
 class TestCustomKernels:
-    def test_text_bm_matches_preset(self):
-        k = make_kernel("bm-text", "t", "1")
-        ref = preset("bm")
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    def test_text_twin_matches_preset(self, name):
+        """Exact derivatives of a preset and central differences of its
+        expression twin give the same clock."""
+        k = make_kernel(f"{name}-text", *TWINS[name])
+        ref = preset(name)
         ts = np.linspace(0, 1, 101)
+        if name == "bridge":
+            ts = ts[:-1]
         np.testing.assert_allclose(gram(k, ts[1:]), gram(ref, ts[1:]), rtol=1e-15)
+        for part in ("u", "v", "q"):
+            np.testing.assert_allclose(getattr(k, part)(ts), getattr(ref, part)(ts),
+                                       rtol=1e-14, atol=0.0, err_msg=part)
+        for part in ("q_prime", "v_prime"):
+            np.testing.assert_allclose(getattr(k, part)(ts), getattr(ref, part)(ts),
+                                       rtol=1e-6, atol=1e-6, err_msg=part)
         assert k.horizon == ref.horizon
 
     def test_text_slepian_derivatives(self):
