@@ -35,7 +35,6 @@ from .diagnostics import (
 from .errors import (
     AssumptionViolation,
     DegenerateCell,
-    DivisionByZero,
     EvaluationError,
     ExpressionSyntaxError,
     GmequivError,
@@ -67,7 +66,6 @@ from .fourier import (
 from .kernels import (
     GaussMarkovKernel,
     ValidationReport,
-    condition_on_zero,
     covariance,
     gram,
     kernel_from_spec,
@@ -77,14 +75,12 @@ from .kernels import (
 )
 from .rkhs import (
     RkhsElement,
-    element_from_g,
     g_from_f,
     kriging_interpolate,
     kriging_interpolate_dense,
     kriging_residual_process,
     projection_distance,
     projection_distance_dense,
-    q_inverse,
     rkhs_norm,
 )
 from .samples import DiscreteSample, PathSample

@@ -79,9 +79,8 @@ def _kernel_from_text(text: str, validate: bool = True) -> kernels.GaussMarkovKe
     return kernels.parse_preset_arg(text)
 
 
-def _kernel_from_args(args) -> kernels.GaussMarkovKernel:
-    text = getattr(args, "kernel", None) or getattr(args, "preset", None) or "bm"
-    return _kernel_from_text(text)
+def _kernel_from_args(args, validate: bool = True) -> kernels.GaussMarkovKernel:
+    return _kernel_from_text(args.kernel or args.preset or "bm", validate=validate)
 
 
 def _fn_from_args(args) -> FourierFunction:
@@ -91,8 +90,7 @@ def _fn_from_args(args) -> FourierFunction:
 
 
 def _emit(rows: list[dict], meta: dict, args) -> None:
-    fmt = getattr(args, "format", None) or "csv"
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps({"meta": meta, "rows": rows}, sort_keys=True, indent=2) + "\n"
     else:
         lines = [f"# {key}={meta[key]}" for key in sorted(meta)]
@@ -107,11 +105,10 @@ def _emit(rows: list[dict], meta: dict, args) -> None:
 
 def _write(text: str, args) -> None:
     """Write text to the --out file and report it on stdout, or to stdout."""
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(f"wrote {out_path}")
+        print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
 
@@ -267,7 +264,7 @@ def _cmd_counterexample(args) -> int:
                                       mc_paths=args.paths)
         for n in _parse_n_arg(args.n)
     ]
-    if (getattr(args, "format", None) or "text") == "json":
+    if args.format == "json":
         _write(json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n", args)
     else:
         _write("".join(f"{line}\n" for report in reports for line in report.lines()), args)
@@ -277,8 +274,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    text = getattr(args, "kernel", None) or getattr(args, "preset", None) or "bm"
-    kernel = _kernel_from_text(text, validate=False)
+    kernel = _kernel_from_args(args, validate=False)
     report = kernels.validate_assumption(kernel, grid_size=args.grid)
     for line in report.lines():
         print(line)
@@ -292,17 +288,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gmequiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fn_flag=True, kernel_flags=True, out_flags=True):
+    def add_common(p, fn_flag=True, kernel_flags=True, formats=("csv", "json")):
         if kernel_flags:
             p.add_argument("--preset", help="kernel preset: bm, ou, ou(L), bridge, slepian")
             p.add_argument("--kernel", help="kernel JSON (inline or a file path)")
         if fn_flag:
             p.add_argument("--fn", help="function JSON {'coeffs': [[k, re, im], ...]} "
                                         "(inline or a file path); default cos(2 pi x)")
-        p.add_argument("--seed", type=int, default=0)
-        if out_flags:
+        if formats:
             p.add_argument("--out", help="output file (default stdout)")
-            p.add_argument("--format", choices=("csv", "json"), help="output format")
+            p.add_argument("--format", choices=formats, default=formats[0],
+                           help=f"output format (default {formats[0]})")
 
     p = sub.add_parser("simulate", help="draw one experiment sample")
     p.add_argument("--exp", choices=("e1", "e1prime", "e2", "kriging-path", "increments"),
@@ -310,6 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid-density", type=int, default=DEFAULT_GRID_DENSITY,
                    help=f"path grid has density*n+1 points (default {DEFAULT_GRID_DENSITY})")
+    p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(run=_cmd_simulate)
 
@@ -323,7 +320,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", default="16..512", help="n grid, e.g. 16..512 or 8,16,32")
     p.add_argument("--target", type=float, help="slope gate; defaults depend on the statistic")
     p.add_argument("--margin", type=float)
-    add_common(p, fn_flag=False, out_flags=False)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sobolev and random families")
+    add_common(p, fn_flag=False, formats=None)
     p.set_defaults(run=_cmd_rates)
 
     p = sub.add_parser("kriging", help="interpolation curve and oracle comparison")
@@ -352,12 +350,13 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths")
-    add_common(p, fn_flag=False, kernel_flags=False)
+    p.add_argument("--seed", type=int, default=0)
+    add_common(p, fn_flag=False, kernel_flags=False, formats=("text", "json"))
     p.set_defaults(run=_cmd_counterexample)
 
     p = sub.add_parser("validate", help="check the kernel shape assumption on a grid")
     p.add_argument("--grid", type=int, default=kernels.VALIDATION_GRID)
-    add_common(p, fn_flag=False, out_flags=False)
+    add_common(p, fn_flag=False, formats=None)
     p.set_defaults(run=_cmd_validate)
 
     return parser

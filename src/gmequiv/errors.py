@@ -49,11 +49,6 @@ class EvaluationError(GmequivError):
     number, square root of a negative, division by zero, overflow)."""
 
 
-class DivisionByZero(GmequivError):
-    """A structurally required denominator is zero (e.g. conditioning a
-    kernel whose second factor vanishes at the origin)."""
-
-
 class AssumptionViolation(GmequivError):
     """The kernel factor pair fails the standing shape assumption:
     u*v must be nonnegative on [0,1] and positive inside, and q = u/v

@@ -13,9 +13,6 @@ Binding strength is ``^`` above unary minus above ``*``/``/`` above
 ``+``/``-``, so ``-t^2`` means ``-(t^2)``. Known functions: exp, sin, cos,
 sqrt, log. Numbers are ordinary decimal literals with an optional exponent
 part.
-
-Pretty-printing emits minimal parentheses and round-trips: parsing the
-printed form reproduces the original tree exactly.
 """
 
 from __future__ import annotations
@@ -208,43 +205,7 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and printing
-
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POWER, _PREC_ATOM = 0, 1, 2, 3, 4
-
-
-def _precedence(node: Node) -> int:
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            return _PREC_ADD
-        if node.op in "*/":
-            return _PREC_MUL
-        return _PREC_POWER
-    if isinstance(node, Neg):
-        return _PREC_UNARY
-    return _PREC_ATOM
-
-
-def _render(node: Node, minimum: int) -> str:
-    prec = _precedence(node)
-    if isinstance(node, Num):
-        text = repr(node.value)
-    elif isinstance(node, Var):
-        text = VARIABLE
-    elif isinstance(node, Neg):
-        text = "-" + _render(node.operand, _PREC_UNARY)
-    elif isinstance(node, Call):
-        text = f"{node.fn}({_render(node.arg, _PREC_ADD)})"
-    else:
-        if node.op in "+-":
-            text = f"{_render(node.left, _PREC_ADD)} {node.op} {_render(node.right, _PREC_MUL)}"
-        elif node.op in "*/":
-            text = f"{_render(node.left, _PREC_MUL)}{node.op}{_render(node.right, _PREC_UNARY)}"
-        else:
-            text = f"{_render(node.left, _PREC_ATOM)}^{_render(node.right, _PREC_UNARY)}"
-    if prec < minimum:
-        return f"({text})"
-    return text
+# evaluation
 
 
 def _evaluate(node: Node, t: np.ndarray) -> np.ndarray:
@@ -289,9 +250,6 @@ class KernelExpression:
         if arr.ndim == 0:
             return float(out[0])
         return out
-
-    def pretty(self) -> str:
-        return _render(self.root, _PREC_ADD)
 
 
 def parse_kernel_expression(source: str) -> KernelExpression:

@@ -17,9 +17,8 @@ The antiderivative from 0 is closed-form,
 so cell averages n * (F(i/n) - F((i-1)/n)) are exact, with no quadrature in
 the loop. Smoothness classes are parameterized by ClassSpec: a Sobolev
 ellipsoid sum (1+|k|)^{2 beta} |theta_k|^2 <= L^2, or a Hoelder ball with
-exponent alpha, constant L, and sup-norm bound M. Hoelder membership is
-checked on a grid, which can refute membership but never certify it; the
-report says so.
+exponent alpha, constant L, and sup-norm bound M. The Hoelder constant
+and sup norm are estimated on a grid, so both estimates are lower bounds.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ _IMAG_TOL = 1e-12
 _ELLIPSOID_DECAY_MARGIN = 0.1  # the epsilon in the sampling decay exponent
 _CHUNK = 2048
 HOELDER_GRID = 2001  # points i/2000 of the Hoelder grid check
+# Largest |k| a function spec may name: theta has 2|k| + 1 entries, so this
+# caps one spec at 32 MB of coefficients, far above any K the package builds.
+MAX_FREQUENCY = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,18 +194,8 @@ class FourierFunction:
         weights = (1.0 + np.abs(self.ks)) ** (2.0 * beta)
         return float(np.sum(weights * np.abs(self.theta) ** 2))
 
-    def l2_norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.theta) ** 2))
-
     def scaled(self, factor: float, name: str | None = None) -> "FourierFunction":
         return FourierFunction(self.K, self.theta * factor, name or self.name)
-
-    def plus(self, other: "FourierFunction", name: str | None = None) -> "FourierFunction":
-        K = max(self.K, other.K)
-        theta = np.zeros(2 * K + 1, dtype=complex)
-        theta[K - self.K : K + self.K + 1] += self.theta
-        theta[K - other.K : K + other.K + 1] += other.theta
-        return FourierFunction(K, theta, name or f"{self.name}+{other.name}")
 
     # -- JSON surface ------------------------------------------------------
 
@@ -211,14 +203,16 @@ class FourierFunction:
     def from_spec(spec: Mapping) -> "FourierFunction":
         """Build from {"coeffs": [[k, re, im], ...]}, Hermitian-completed;
         ValueError naming 'coeffs' when the key is missing or malformed,
-        including a k that is not an integer and a part that is not finite."""
+        including a k that is not an integer, a |k| above MAX_FREQUENCY and
+        a part that is not finite."""
         try:
             coeffs = {}
             for k, re_part, im_part in spec["coeffs"]:
                 index, value = float(k), complex(float(re_part), float(im_part))
-                if not (index.is_integer() and cmath.isfinite(value)):
+                if not (index.is_integer() and abs(index) <= MAX_FREQUENCY
+                        and cmath.isfinite(value)):
                     raise ValueError(f"{[k, re_part, im_part]!r} needs an integral k "
-                                     "and finite parts")
+                                     f"with |k| <= {MAX_FREQUENCY} and finite parts")
                 coeffs[int(index)] = value
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
@@ -284,7 +278,7 @@ class ClassSpec:
 
     The asymptotic statements this package probes need beta > 1/2 for the
     Sobolev ellipsoid and 1/2 < alpha <= 1 for the Hoelder ball. Looser
-    parameters are allowed for exploratory runs and flagged.
+    parameters are allowed for exploratory runs.
     """
 
     kind: str
@@ -308,14 +302,6 @@ class ClassSpec:
         if not 0 < alpha <= 1:
             raise ValueError("hoelder exponent must lie in (0, 1]")
         return ClassSpec(kind="hoelder", alpha=alpha, L=L, M=M)
-
-    @property
-    def below_smoothness_floor(self) -> bool:
-        """True when the parameters sit at or under the smoothness floor
-        (beta <= 1/2, alpha <= 1/2) where the asymptotics stop applying."""
-        if self.kind == "sobolev":
-            return not self.beta > 0.5
-        return not 0.5 < self.alpha <= 1.0
 
 
 def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
@@ -356,27 +342,13 @@ def scale_into_hoelder_ball(fn: FourierFunction, spec: ClassSpec) -> FourierFunc
 class HoelderReport:
     """Grid estimates of the Hoelder constant and sup norm.
 
-    Both estimates are lower bounds (a grid sees only finitely many pairs),
-    so `refuted` is trustworthy and `consistent` is only consistency, never
-    a certificate of membership.
+    Both estimates are lower bounds (a grid sees only finitely many pairs):
+    an estimate above a class bound refutes membership, one below it
+    certifies nothing.
     """
 
-    alpha: float
     estimated_constant: float
     sup_norm: float
-    constant_bound: float
-    sup_bound: float
-
-    @property
-    def refuted(self) -> bool:
-        return (
-            self.estimated_constant > self.constant_bound
-            or self.sup_norm > self.sup_bound
-        )
-
-    @property
-    def consistent(self) -> bool:
-        return not self.refuted
 
 
 def hoelder_check(fn: FourierFunction, spec: ClassSpec) -> HoelderReport:
@@ -396,13 +368,7 @@ def hoelder_check(fn: FourierFunction, spec: ClassSpec) -> HoelderReport:
         ratios = np.abs(block[mask]) / gaps[mask] ** spec.alpha
         if ratios.size:
             best = max(best, float(ratios.max()))
-    return HoelderReport(
-        alpha=spec.alpha,
-        estimated_constant=best,
-        sup_norm=float(np.max(np.abs(vals))),
-        constant_bound=spec.L,
-        sup_bound=spec.M,
-    )
+    return HoelderReport(estimated_constant=best, sup_norm=float(np.max(np.abs(vals))))
 
 
 def function_from_spec(spec: Mapping | str) -> FourierFunction:

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionViolation, DegenerateCell, DivisionByZero
+from .errors import AssumptionViolation, DegenerateCell
 from .expr import parse_kernel_expression
 from .samples import path_grid
 
@@ -261,29 +261,6 @@ def make_kernel(name: str, u_source: str, v_source: str,
     u = parse_kernel_expression(u_source)
     v = parse_kernel_expression(v_source)
     return _assemble(name, u, v, validate=validate)
-
-
-def condition_on_zero(u_source: str, v_source: str, name: str | None = None) -> GaussMarkovKernel:
-    """Condition a process with factor pair (U, V) to start at zero.
-
-    The conditioned pair is u = U - Q(0) V, v = V with Q = U/V, which
-    requires V(0) != 0.
-    """
-    U = parse_kernel_expression(u_source)
-    V = parse_kernel_expression(v_source)
-    v0 = float(V(0.0))
-    if v0 == 0.0:
-        raise DivisionByZero(
-            f"cannot condition on a start at zero: V(0) = 0 for V = {v_source!r}"
-        )
-    q0 = float(U(0.0)) / v0
-
-    def u(t):
-        return np.asarray(U(t)) - q0 * np.asarray(V(t))
-
-    if name is None:
-        name = f"conditioned({u_source} | {v_source})"
-    return _assemble(name, u, V, validate=True)
 
 
 # ---------------------------------------------------------------------------

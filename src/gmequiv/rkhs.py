@@ -13,8 +13,7 @@ in time coordinates is
 
 obtained by differentiating F/v along the clock. All integrals over the
 clock domain [0, T] are pulled back to [0, 1] with the substitution
-x = q(w), dx = q'(w) dw, so nothing ever needs q explicitly inverted except
-the x-domain view of g, which inverts the monotone clock by bisection.
+x = q(w), dx = q'(w) dw, so nothing ever needs q explicitly inverted.
 
 The finite-design operations live here too: the least-squares distance
 D_n from g to the span of the design representers, and Kriging
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -49,70 +48,14 @@ from .kernels import (
 from .quadrature import adaptive_integral
 from .samples import PathSample, design_knots, knot_stride, path_grid
 
-_BISECT_ITERS = 60
-_BISECT_TOL = 1e-12
-
-
-def q_inverse(kernel: GaussMarkovKernel, x) -> np.ndarray:
-    """Invert the clock q on [0,1] by bisection (60 halvings)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo = np.zeros_like(x)
-    hi = np.ones_like(x)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        with np.errstate(all="ignore"):
-            below = np.asarray(kernel.q(mid)) < x
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < _BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
-
 
 @dataclass(frozen=True, eq=False)
 class RkhsElement:
-    """An RKHS element F together with its L2 pre-image g.
-
-    g_of_time is g composed with the clock (defined on [0,1]); g is the
-    native x-domain view on [0, T]. breakpoints_w lists known kinks of
-    g_of_time for the adaptive integrator.
-    """
+    """An RKHS element F, held as its L2 pre-image g composed with the
+    clock: g_of_time(w) = g(q(w)), defined on [0,1]."""
 
     kernel: GaussMarkovKernel
     g_of_time: Callable
-    F: Callable
-    breakpoints_w: tuple = ()
-
-    def g(self, x):
-        w = q_inverse(self.kernel, x)
-        out = np.asarray(self.g_of_time(w))
-        return float(out[0]) if np.asarray(x).ndim == 0 else out
-
-    def reproduce_F(self, t) -> np.ndarray:
-        """v(t) * integral_0^{q(t)} g, evaluated by quadrature.
-
-        For from_f elements this must reproduce the antiderivative F_f;
-        the difference is a quadrature-level consistency check.
-        """
-        kernel = self.kernel
-
-        def integrand(w):
-            return np.asarray(self.g_of_time(w)) * np.asarray(kernel.q_prime(w))
-
-        return _scaled_integrals(kernel, t, integrand, lambda ts: ts, self.breakpoints_w)
-
-
-def _scaled_integrals(kernel: GaussMarkovKernel, t, integrand: Callable,
-                      upper: Callable, breakpoints: Sequence[float]):
-    """v(t) * integral_0^{upper(t)} integrand, one quadrature call per point."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = np.array([
-        adaptive_integral(integrand, 0.0, float(b), breakpoints=breakpoints)
-        if b > 0.0 else 0.0
-        for b in upper(ts)
-    ])
-    out = np.asarray(kernel.v(ts)) * vals
-    return float(out[0]) if np.asarray(t).ndim == 0 else out
 
 
 def decoupled_drift(kernel: GaussMarkovKernel, f: FourierFunction, w) -> np.ndarray:
@@ -130,35 +73,7 @@ def g_from_f(kernel: GaussMarkovKernel, f: FourierFunction) -> RkhsElement:
         with np.errstate(all="ignore"):
             return decoupled_drift(kernel, f, w) / np.asarray(kernel.q_prime(w))
 
-    return RkhsElement(
-        kernel=kernel,
-        g_of_time=g_of_time,
-        F=f.antiderivative,
-    )
-
-
-def element_from_g(kernel: GaussMarkovKernel, g: Callable,
-                   breakpoints_x: Sequence[float] = ()) -> RkhsElement:
-    """RKHS element with a directly prescribed x-domain pre-image g."""
-    if not math.isfinite(kernel.horizon):
-        raise KernelDegenerate(
-            f"kernel {kernel.name!r} has an infinite clock horizon; "
-            "prescribe g through a mean function instead"
-        )
-
-    def g_of_time(w):
-        return np.asarray(g(np.asarray(kernel.q(w))))
-
-    def F(t):
-        return _scaled_integrals(kernel, t, g, kernel.q, breakpoints_x)
-
-    breaks_w = tuple(float(q_inverse(kernel, x)[0]) for x in breakpoints_x)
-    return RkhsElement(
-        kernel=kernel,
-        g_of_time=g_of_time,
-        F=F,
-        breakpoints_w=breaks_w,
-    )
+    return RkhsElement(kernel=kernel, g_of_time=g_of_time)
 
 
 def rkhs_norm(element: RkhsElement) -> float:
@@ -173,7 +88,7 @@ def rkhs_norm(element: RkhsElement) -> float:
     def integrand(w):
         return np.asarray(element.g_of_time(w)) ** 2 * np.asarray(kernel.q_prime(w))
 
-    value = adaptive_integral(integrand, 0.0, 1.0, breakpoints=element.breakpoints_w)
+    value = adaptive_integral(integrand, 0.0, 1.0)
     return float(np.sqrt(max(value, 0.0)))
 
 

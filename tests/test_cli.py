@@ -1,5 +1,6 @@
 """End-to-end tests for the command line, run in-process for speed."""
 
+import ast
 import json
 import re
 import shlex
@@ -75,6 +76,8 @@ class TestExitCodes:
         ("--fn", '{"coeffs": [[1, "inf", 0]]}', "'coeffs'"),
         ("--fn", '{"coeffs": [[1, Infinity, 0]]}', "'coeffs'"),
         ("--fn", '{"coeffs": [[1, "nan", 0]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[1e19, 1, 0]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[1048577, 1, 0]]}', "'coeffs'"),
         ("--kernel", '{"u": "t"}', "'v'"),
         ("--kernel", '{"preset": "ou", "params": {"Q": 1}}', "'Q'"),
     ])
@@ -83,6 +86,14 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *command, flag, spec)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("argv", [
+        ("kl",), ("kriging", "--n", "4"), ("decompose",), ("transform",), ("validate",),
+    ], ids=lambda a: a[0])
+    def test_seed_is_refused_where_nothing_is_drawn(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "1")
+        assert (code, out) == (64, "")
+        assert "unrecognized arguments: --seed 1" in err
 
     def test_rate_gate_failure_exits_2(self, capsys):
         # the default discretization target is a factor of n stricter than
@@ -195,6 +206,15 @@ class TestCounterexampleCommand:
         assert len(reports) == 1
         assert reports[0]["verdict"] == "premises verified"
 
+    def test_text_is_the_default_format(self, capsys):
+        argv = ("counterexample", "--n", "4", "--paths", "2000")
+        assert run_cli(capsys, *argv, "--format", "text") == run_cli(capsys, *argv)
+
+    def test_csv_format_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "counterexample", "--n", "4", "--format", "csv")
+        assert (code, out) == (64, "")
+        assert "invalid choice: 'csv'" in err
+
     def test_text_report_honours_out(self, capsys, tmp_path):
         argv = ("counterexample", "--n", "4", "--paths", "2000")
         code, stdout_bytes, _ = run_cli(capsys, *argv)
@@ -261,3 +281,27 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_every_definition_has_a_reader_outside_the_tests():
+    """Every function, class and method defined under src/gmequiv is read
+    by name somewhere in the package or in bench/: code that only the
+    tests read is not kept."""
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "gmequiv"
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    defined, read = set(), set()
+    for path in sources + sorted((root / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.update(node.name.split("."))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path.parent == package:
+                defined.add(node.name)
+    # rkhs_norm is the RKHS isometry that ROADMAP item 7 reads
+    unread = sorted(name for name in defined - read - {"rkhs_norm"}
+                    if not (name.startswith("__") and name.endswith("__")))
+    assert unread == []

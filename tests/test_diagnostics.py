@@ -186,9 +186,12 @@ class TestBandDecomposition:
         band sums."""
         n = 8
         f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=6, seed=1)
-        h = FourierFunction.from_coeffs({n: 1.0, -n: 1.0, 2 * n: -1.0, -2 * n: -1.0})
+        null = {n: 1.0, -n: 1.0, 2 * n: -1.0, -2 * n: -1.0}
+        # f has K = 6 < n, so f plus the null combination is the union of
+        # the two coefficient maps
+        perturbed = FourierFunction.from_coeffs({**dict(zip(f.ks.tolist(), f.theta)), **null})
         before = band_split_decomposition(f, n)
-        after = band_split_decomposition(f.plus(h), n)
+        after = band_split_decomposition(perturbed, n)
         assert math.isclose(after.total_gap_sq, before.total_gap_sq,
                             rel_tol=1e-10, abs_tol=1e-12)
         assert after.b_sum != before.b_sum

@@ -211,7 +211,7 @@ class TestCalculus:
         m = 4096
         xs = np.arange(m) / m
         quad = float(np.mean(fn(xs) ** 2))
-        np.testing.assert_allclose(quad, fn.l2_norm_sq(), rtol=1e-12)
+        np.testing.assert_allclose(quad, np.sum(np.abs(fn.theta) ** 2), rtol=1e-12)
 
     def test_integral_is_constant_coefficient(self):
         fn = FourierFunction.from_coeffs({0: 0.75, 2: 0.1 + 0.2j})
@@ -223,12 +223,6 @@ class TestAlgebra:
         fn = _random_function(1)
         xs = np.linspace(0, 1, 33)
         np.testing.assert_allclose(fn.scaled(2.5)(xs), 2.5 * fn(xs), rtol=1e-14)
-
-    def test_plus_with_different_bandwidths(self):
-        a = FourierFunction.harmonic(1)
-        b = FourierFunction.harmonic(4, 0.5)
-        xs = np.linspace(0, 1, 33)
-        np.testing.assert_allclose(a.plus(b)(xs), a(xs) + b(xs), rtol=0, atol=1e-12)
 
     def test_sobolev_norm_closed_form(self):
         # c at k=0 and -c/2 at k = +-n: norm^2 = c^2 (1 + (1+n)^{2 beta} / 2)
@@ -277,12 +271,6 @@ class TestClassSpec:
         with pytest.raises(ValueError):
             ClassSpec.hoelder(1.5, 1.0)
 
-    def test_smoothness_floor_flag(self):
-        assert ClassSpec.sobolev(0.5, 1.0).below_smoothness_floor
-        assert not ClassSpec.sobolev(0.75, 1.0).below_smoothness_floor
-        assert ClassSpec.hoelder(0.4, 1.0).below_smoothness_floor
-        assert not ClassSpec.hoelder(0.9, 1.0).below_smoothness_floor
-
 
 class TestEllipsoidSampling:
     def test_deterministic_in_seed(self):
@@ -302,8 +290,8 @@ class TestEllipsoidSampling:
         spec = ClassSpec.hoelder(0.8, 1.0, M=2.0)
         fn = sample_ellipsoid(spec, K=8, seed=3)
         report = hoelder_check(fn, spec)
-        assert report.consistent
-        assert report.sup_norm <= 2.0
+        assert report.estimated_constant <= spec.L
+        assert report.sup_norm <= spec.M
 
 
 class TestHoelderCheck:
@@ -318,22 +306,24 @@ class TestHoelderCheck:
 
     def test_refutation_is_one_sided(self):
         fn = FourierFunction.harmonic(1)
-        tight = hoelder_check(fn, ClassSpec.hoelder(1.0, 1.0))
-        loose = hoelder_check(fn, ClassSpec.hoelder(1.0, 7.0))
-        assert tight.refuted
-        assert loose.consistent
+        # the estimate approaches 2 pi from below: it refutes L = 1 and
+        # cannot refute L = 7
+        assert hoelder_check(fn, ClassSpec.hoelder(1.0, 1.0)).estimated_constant > 1.0
+        assert hoelder_check(fn, ClassSpec.hoelder(1.0, 7.0)).estimated_constant <= 7.0
 
     def test_sup_norm_bound_refutes(self):
         fn = FourierFunction.harmonic(1, 3.0)
         report = hoelder_check(fn, ClassSpec.hoelder(1.0, 100.0, M=1.0))
-        assert report.refuted
+        assert report.estimated_constant <= 100.0
+        assert report.sup_norm > 1.0
 
     def test_takes_the_grid_route(self, dense_calls):
         """The check's grid is i/2000 exactly, so even a K = 512 member
         never takes the dense sum."""
         spec = ClassSpec.hoelder(0.8, 1.0, M=2.0)
         fn = sample_ellipsoid(spec, K=512, seed=0)
-        assert hoelder_check(fn, spec).consistent
+        report = hoelder_check(fn, spec)
+        assert report.estimated_constant <= spec.L and report.sup_norm <= spec.M
         assert dense_calls == []
 
     def test_needs_hoelder_spec(self):

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gmequiv.errors import AssumptionViolation, DegenerateCell, DivisionByZero
+from gmequiv.errors import AssumptionViolation, DegenerateCell
 from gmequiv.kernels import (
     GaussMarkovKernel,
-    condition_on_zero,
     covariance,
     design_clock,
     gram,
@@ -109,7 +108,7 @@ class TestHorizon:
 
     @pytest.mark.parametrize("kernel", [
         preset("bm"), preset("ou", 0.3), preset("ou", 2.5), preset("slepian"),
-        make_kernel("lab", "t", "2 - t"), condition_on_zero("1 + t", "1"),
+        make_kernel("lab", "t", "2 - t"),
     ], ids=lambda k: k.name)
     def test_finite_horizon_is_q_at_one(self, kernel):
         assert kernel.horizon == float(kernel.q(1.0))
@@ -256,21 +255,6 @@ class TestDesignClock:
         for n in (1, 2, 3, 4, 7):
             with pytest.raises(DegenerateCell):
                 design_clock(k, n)
-
-
-class TestConditionOnZero:
-    def test_stationary_pair_becomes_ou(self):
-        """Conditioning the stationary exponential pair to start at zero
-        reproduces the ou preset exactly."""
-        k = condition_on_zero("exp(t)", "exp(-t)")
-        ref = preset("ou", 1.0)
-        ts = np.linspace(0.05, 1.0, 20)
-        np.testing.assert_allclose(gram(k, ts), gram(ref, ts), rtol=1e-12)
-        assert math.isclose(k.horizon, ref.horizon, rel_tol=1e-12)
-
-    def test_vanishing_v_at_origin_rejected(self):
-        with pytest.raises(DivisionByZero):
-            condition_on_zero("1", "t")
 
 
 class TestValidationReport:

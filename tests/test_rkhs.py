@@ -13,15 +13,15 @@ from gmequiv.errors import (
 )
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import make_kernel, preset
+from gmequiv.quadrature import adaptive_integral
 from gmequiv.rkhs import (
-    element_from_g,
+    RkhsElement,
     g_from_f,
     kriging_interpolate,
     kriging_interpolate_dense,
     kriging_residual_process,
     projection_distance,
     projection_distance_dense,
-    q_inverse,
     rkhs_norm,
 )
 
@@ -35,19 +35,16 @@ def _hump():
     return make_kernel("hump", "t*(1-t)", "1", validate=False)
 
 
-class TestClockInverse:
-    def test_inverts_presets(self):
-        ts = np.linspace(0.0, 1.0, 64)
-        for name in FINITE_PRESETS:
-            k = preset(name)
-            xs = np.asarray(k.q(ts))
-            np.testing.assert_allclose(q_inverse(k, xs), ts, rtol=0, atol=1e-10,
-                                       err_msg=name)
+def _reproduce_F(element: RkhsElement, ts) -> np.ndarray:
+    """F(t) = v(t) * integral_0^{q(t)} g, pulled back to the time axis:
+    v(t) * integral_0^t g(q(w)) q'(w) dw, one quadrature call per t."""
+    k = element.kernel
 
-    def test_bridge_inverts_inside(self):
-        k = preset("bridge")
-        ts = np.linspace(0.0, 0.99, 40)
-        np.testing.assert_allclose(q_inverse(k, k.q(ts)), ts, rtol=0, atol=1e-10)
+    def integrand(w):
+        return np.asarray(element.g_of_time(w)) * np.asarray(k.q_prime(w))
+
+    integrals = [adaptive_integral(integrand, 0.0, float(t)) if t > 0 else 0.0 for t in ts]
+    return np.asarray(k.v(ts)) * np.array(integrals)
 
 
 class TestPreimage:
@@ -66,21 +63,13 @@ class TestPreimage:
         expected = np.exp(-ws) * (1 + ws) / 2
         np.testing.assert_allclose(element.g_of_time(ws), expected, rtol=1e-10)
 
-    def test_x_domain_view_agrees(self):
-        k = preset("ou", 1.0)
-        element = g_from_f(k, COS)
-        ws = np.linspace(0.1, 0.9, 9)
-        xs = np.asarray(k.q(ws))
-        np.testing.assert_allclose(element.g(xs), element.g_of_time(ws),
-                                   rtol=1e-8, atol=1e-10)
-
     @pytest.mark.filterwarnings("error")
     def test_reproduce_F_matches_antiderivative(self):
         ts = np.array([0.2, 0.5, 0.77, 1.0])
         for name in FINITE_PRESETS:
             k = preset(name)
             element = g_from_f(k, COS)
-            np.testing.assert_allclose(element.reproduce_F(ts), COS.antiderivative(ts),
+            np.testing.assert_allclose(_reproduce_F(element, ts), COS.antiderivative(ts),
                                        rtol=0, atol=1e-6, err_msg=name)
 
 
@@ -99,13 +88,14 @@ class TestNorm:
         """Isometry on step functions: a piecewise-constant g has squared
         norm equal to the clock-length-weighted sum of its squared levels."""
         k = preset("ou", 1.0)
-        split = float(k.q(0.3))
+        split = float(k.q(0.5))
 
         def g(x):
             x = np.asarray(x, dtype=float)
             return np.where(x < split, 3.0, 0.5)
 
-        element = element_from_g(k, g, breakpoints_x=(split,))
+        # the jump sits at w = 0.5, a panel edge at every quadrature level
+        element = RkhsElement(k, lambda w: g(k.q(w)))
         expected_sq = 9.0 * split + 0.25 * (k.horizon - split)
         assert math.isclose(rkhs_norm(element) ** 2, expected_sq, rel_tol=1e-8)
 
@@ -113,18 +103,14 @@ class TestNorm:
         """g = 1 gives F = v * q = u for any kernel."""
         for name in FINITE_PRESETS:
             k = preset(name)
-            element = element_from_g(k, lambda x: np.ones_like(np.asarray(x, float)))
             ts = np.linspace(0.1, 1.0, 7)
-            np.testing.assert_allclose(element.F(ts), np.asarray(k.u(ts)),
+            np.testing.assert_allclose(_reproduce_F(RkhsElement(k, lambda w: 1), ts),
+                                       np.asarray(k.u(ts)),
                                        rtol=1e-9, err_msg=name)
 
     def test_non_monotone_clock_raises_degenerate_cell(self):
         with pytest.raises(DegenerateCell):
             rkhs_norm(g_from_f(_hump(), COS))
-
-    def test_element_from_g_needs_finite_horizon(self):
-        with pytest.raises(KernelDegenerate):
-            element_from_g(preset("bridge"), lambda x: x)
 
 
 class TestProjectionDistance:
