@@ -5,85 +5,64 @@ classical experiments (discrete regression with dependent Gaussian noise
 and continuous observation of a drifted path). This package simulates both
 exactly, computes the information-theoretic statistics that decide their
 equivalence, and exercises the constructions that break it.
+
+`import gmequiv` loads no submodule: each public name below is imported
+from its submodule on first access (PEP 562) and then cached here.
 """
 
-from .counterexample import (
-    DecisionProblem,
-    IndistinguishabilityReport,
-    build_fn,
-    endpoint_increment,
-    indistinguishability_check,
-)
-from .diagnostics import (
-    BandDecomposition,
-    FunctionFamily,
-    RateReport,
-    band_split_decomposition,
-    band_terms_statistic,
-    class_extremal_family,
-    discretization_statistic,
-    fixed_family,
-    kl_chain,
-    kl_dense,
-    kl_sequential,
-    projection_statistic,
-    random_family,
-    rate_sweep,
-    single_frequency_family,
-    transformation_discrepancy,
-)
-from .errors import (
-    AssumptionViolation,
-    DegenerateCell,
-    EvaluationError,
-    ExpressionSyntaxError,
-    GmequivError,
-    GridMismatch,
-    GridMissingEndpoints,
-    HermitianViolation,
-    KernelDegenerate,
-    QuadratureFailure,
-    SingularCovariance,
-    UnknownIdentifier,
-)
-from .experiments import (
-    kriging_path_experiment,
-    path_from_discrete,
-    reconstruct_discrete_from_path,
-    simulate_e1,
-    simulate_e2,
-    simulate_increments,
-)
-from .expr import KernelExpression, parse_kernel_expression
-from .fourier import (
-    ClassSpec,
-    FourierFunction,
-    HoelderReport,
-    function_from_spec,
-    hoelder_check,
-    sample_ellipsoid,
-)
-from .kernels import (
-    GaussMarkovKernel,
-    ValidationReport,
-    covariance,
-    gram,
-    kernel_from_spec,
-    make_kernel,
-    preset,
-    validate_assumption,
-)
-from .rkhs import (
-    RkhsElement,
-    g_from_f,
-    kriging_interpolate,
-    kriging_interpolate_dense,
-    kriging_residual_process,
-    projection_distance,
-    projection_distance_dense,
-    rkhs_norm,
-)
-from .samples import DiscreteSample, PathSample
-from .sampling import sample_paths
+import importlib
 
+_EXPORTS = {
+    "counterexample": (
+        "DecisionProblem", "IndistinguishabilityReport", "build_fn",
+        "endpoint_increment", "indistinguishability_check",
+    ),
+    "diagnostics": (
+        "BandDecomposition", "FunctionFamily", "RateReport", "band_split_decomposition",
+        "band_terms_statistic", "class_extremal_family", "discretization_statistic",
+        "fixed_family", "kl_chain", "kl_dense", "kl_sequential", "projection_statistic",
+        "random_family", "rate_sweep", "single_frequency_family",
+        "transformation_discrepancy",
+    ),
+    "errors": (
+        "AssumptionViolation", "DegenerateCell", "EvaluationError", "ExpressionSyntaxError",
+        "GmequivError", "GridMismatch", "GridMissingEndpoints", "HermitianViolation",
+        "KernelDegenerate", "QuadratureFailure", "SingularCovariance", "UnknownIdentifier",
+    ),
+    "experiments": (
+        "kriging_path_experiment", "path_from_discrete", "reconstruct_discrete_from_path",
+        "simulate_e1", "simulate_e2", "simulate_increments",
+    ),
+    "expr": ("KernelExpression", "parse_kernel_expression"),
+    "fourier": (
+        "ClassSpec", "FourierFunction", "HoelderReport", "function_from_spec",
+        "hoelder_check", "sample_ellipsoid",
+    ),
+    "kernels": (
+        "GaussMarkovKernel", "ValidationReport", "covariance", "gram", "kernel_from_spec",
+        "make_kernel", "preset", "validate_assumption",
+    ),
+    "rkhs": (
+        "RkhsElement", "g_from_f", "kriging_interpolate", "kriging_interpolate_dense",
+        "kriging_residual_process", "projection_distance", "projection_distance_dense",
+        "rkhs_norm",
+    ),
+    "samples": ("DiscreteSample", "PathSample"),
+    "sampling": ("sample_paths",),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,9 @@ Exit codes: 0 success (and gates passed), 2 a gate failed, 1 runtime error,
 byte-identical bytes, because every random draw is keyed by the seed and
 the run parameters, floats are printed with repr, and no timestamps are
 ever written.
+
+Each subcommand imports only the modules it runs, inside its handler, so a
+process pays the import cost of one command, not of the whole package.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ import sys
 
 import numpy as np
 
-from . import counterexample as cx
-from . import diagnostics, experiments, kernels, rkhs
+from . import kernels
 from .errors import GmequivError
-from .fourier import ClassSpec, FourierFunction, function_from_spec
 from .samples import DEFAULT_GRID_DENSITY, design_knots, knot_stride, path_grid
 
 EXIT_OK = 0
@@ -36,6 +37,18 @@ DEFAULT_RATE_TARGETS = {
     ("discretization", "single-freq"): (-2.0, 0.3),
     ("kl", "single-freq"): (-2.0, 0.3),
     ("projection", "single-freq"): (-0.5, 0.3),
+}
+
+# sorted(diagnostics.STATISTICS), written out so that building the parser
+# does not import diagnostics; a test keeps the two equal
+STATISTIC_CHOICES = ("band_terms", "discretization", "kl", "projection", "transformation")
+
+# the flags each rates family reads, with their defaults; a flag that the
+# chosen family would ignore is a usage error
+FAMILY_FLAGS = {
+    "single-freq": {"k": 1},
+    "sobolev": {"beta": 1.0, "L": 1.0, "seed": 0},
+    "random": {"beta": 1.0, "L": 1.0, "seed": 0},
 }
 
 
@@ -84,6 +97,8 @@ def _kernel_from_args(args, validate: bool = True) -> kernels.GaussMarkovKernel:
 
 
 def _fn_from_args(args) -> FourierFunction:
+    from .fourier import FourierFunction, function_from_spec
+
     if getattr(args, "fn", None):
         return function_from_spec(args.fn)
     return FourierFunction.harmonic(1, 1.0)
@@ -118,6 +133,8 @@ def _write(text: str, args) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from . import experiments
+
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
     grid_size = args.grid_density * args.n + 1
@@ -149,6 +166,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    from . import diagnostics
+    from .fourier import ClassSpec
+
     kernel = _kernel_from_args(args)
     if args.family == "single-freq":
         family = diagnostics.single_frequency_family(k=args.k)
@@ -178,6 +198,8 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_kriging(args) -> int:
+    from . import rkhs
+
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
     n = args.n
@@ -204,6 +226,8 @@ def _cmd_kriging(args) -> int:
 
 
 def _cmd_kl(args) -> int:
+    from . import diagnostics
+
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
     rows = []
@@ -225,6 +249,8 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import diagnostics
+
     fn = _fn_from_args(args)
     rows = []
     for n in _parse_n_arg(args.n):
@@ -244,6 +270,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import diagnostics
+
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
     rows = []
@@ -259,6 +287,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from . import counterexample as cx
+
     reports = [
         cx.indistinguishability_check(n, beta=args.beta, L=args.L, seed=args.seed,
                                       mc_paths=args.paths)
@@ -290,8 +320,10 @@ def build_parser() -> _Parser:
 
     def add_common(p, fn_flag=True, kernel_flags=True, formats=("csv", "json")):
         if kernel_flags:
-            p.add_argument("--preset", help="kernel preset: bm, ou, ou(L), bridge, slepian")
-            p.add_argument("--kernel", help="kernel JSON (inline or a file path)")
+            kernel_group = p.add_mutually_exclusive_group()
+            kernel_group.add_argument("--preset",
+                                      help="kernel preset: bm, ou, ou(L), bridge, slepian")
+            kernel_group.add_argument("--kernel", help="kernel JSON (inline or a file path)")
         if fn_flag:
             p.add_argument("--fn", help="function JSON {'coeffs': [[k, re, im], ...]} "
                                         "(inline or a file path); default cos(2 pi x)")
@@ -311,16 +343,15 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("rates", help="rate sweep with a slope gate")
-    p.add_argument("--stat", choices=sorted(diagnostics.STATISTICS), required=True)
-    p.add_argument("--family", choices=("single-freq", "sobolev", "random"),
-                   default="single-freq")
-    p.add_argument("--k", type=int, default=1, help="frequency for single-freq family")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=1.0)
+    p.add_argument("--stat", choices=STATISTIC_CHOICES, required=True)
+    p.add_argument("--family", choices=tuple(FAMILY_FLAGS), default="single-freq")
+    p.add_argument("--k", type=int, help="frequency for single-freq family (default 1)")
+    p.add_argument("--beta", type=float, help="sobolev and random families (default 1)")
+    p.add_argument("--L", type=float, help="sobolev and random families (default 1)")
     p.add_argument("--n", default="16..512", help="n grid, e.g. 16..512 or 8,16,32")
     p.add_argument("--target", type=float, help="slope gate; defaults depend on the statistic")
     p.add_argument("--margin", type=float)
-    p.add_argument("--seed", type=int, default=0, help="seed of the sobolev and random families")
+    p.add_argument("--seed", type=int, help="seed of the sobolev and random families (default 0)")
     add_common(p, fn_flag=False, formats=None)
     p.set_defaults(run=_cmd_rates)
 
@@ -362,10 +393,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_family_flags(args, parser: _Parser) -> None:
+    """Refuse a rates flag that the chosen family would ignore, and fill in
+    the defaults of the flags it reads."""
+    reads = FAMILY_FLAGS[args.family]
+    every_flag = dict.fromkeys(dest for flags in FAMILY_FLAGS.values() for dest in flags)
+    ignored = [f"--{dest}" for dest in every_flag
+               if dest not in reads and getattr(args, dest) is not None]
+    if ignored:
+        parser.error(f"rates --family {args.family} does not read {', '.join(ignored)}")
+    for dest, default in reads.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "rates":
+            _check_family_flags(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

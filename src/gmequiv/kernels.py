@@ -36,7 +36,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssumptionViolation, DegenerateCell
-from .expr import parse_kernel_expression
 from .samples import path_grid
 
 _FD_STEP = 1e-6
@@ -258,6 +257,8 @@ def make_kernel(name: str, u_source: str, v_source: str,
     `validate` CLI command does this to report on broken kernels instead of
     refusing to look at them).
     """
+    from .expr import parse_kernel_expression  # only expression kernels parse text
+
     u = parse_kernel_expression(u_source)
     v = parse_kernel_expression(v_source)
     return _assemble(name, u, v, validate=validate)

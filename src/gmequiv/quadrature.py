@@ -13,13 +13,13 @@ unconverged value is ever returned.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import QuadratureFailure
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 REL_TOL = 1e-9
 ABS_TOL = 1e-13
 # Integrands analytic between breakpoints settle within a level or two. The
@@ -28,14 +28,22 @@ ABS_TOL = 1e-13
 MAX_DOUBLINGS = 8
 
 
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 16-point Gauss-Legendre on [-1, 1], built on
+    first use, so numpy.polynomial loads only when something is integrated."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _gauss_panels(fn: Callable, edges: np.ndarray) -> float:
     """16-point Gauss-Legendre on each panel [edges[i], edges[i+1]], summed."""
+    nodes, weights = _gauss_rule()
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     # nodes shape (panels, 16), evaluated in one vectorized call
-    xs = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    xs = mid[:, None] + half[:, None] * nodes[None, :]
     vals = np.asarray(fn(xs.ravel()), dtype=float).reshape(xs.shape)
-    return float(np.sum(half * (vals @ _GL_WEIGHTS)))
+    return float(np.sum(half * (vals @ weights)))
 
 
 def adaptive_integral(fn: Callable, a: float, b: float,

@@ -95,6 +95,38 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert "unrecognized arguments: --seed 1" in err
 
+    @pytest.mark.parametrize("family, flags, named", [
+        ("single-freq", ("--seed", "7"), "--seed"),
+        ("single-freq", ("--beta", "2"), "--beta"),
+        ("single-freq", ("--L", "2", "--seed", "1"), "--L, --seed"),
+        ("sobolev", ("--k", "2"), "--k"),
+        ("random", ("--k", "2"), "--k"),
+    ])
+    def test_rates_refuses_a_flag_its_family_ignores(self, capsys, family, flags, named):
+        code, out, err = run_cli(capsys, "rates", "--stat", "kl", "--preset", "bm",
+                                 "--n", "8..16", "--family", family, *flags)
+        assert (code, out) == (64, "")
+        assert f"rates --family {family} does not read {named}" in err
+
+    def test_rates_flags_the_family_reads_keep_their_defaults(self, capsys):
+        argv = ("rates", "--stat", "kl", "--preset", "bm", "--n", "8..16", "--family", "sobolev")
+        explicit = run_cli(capsys, *argv, "--beta", "1", "--L", "1", "--seed", "0")
+        assert explicit == run_cli(capsys, *argv)
+        assert explicit[0] == 0
+        single = ("rates", "--stat", "kl", "--preset", "bm", "--n", "8..16")
+        assert run_cli(capsys, *single, "--k", "1") == run_cli(capsys, *single)
+
+    @pytest.mark.parametrize("command", ["simulate", "rates", "kriging", "kl", "transform",
+                                         "validate"])
+    def test_preset_and_kernel_are_exclusive(self, capsys, command):
+        argv = {"simulate": ("--n", "2"), "rates": ("--stat", "kl", "--n", "8"),
+                "kriging": ("--n", "2"), "kl": ("--n", "2"), "transform": ("--n", "8"),
+                "validate": ()}[command]
+        code, out, err = run_cli(capsys, command, *argv, "--preset", "bridge",
+                                 "--kernel", '{"preset": "bm"}')
+        assert (code, out) == (64, "")
+        assert "argument --kernel: not allowed with argument --preset" in err
+
     def test_rate_gate_failure_exits_2(self, capsys):
         # the default discretization target is a factor of n stricter than
         # what the sweep actually measures, so the gate trips
@@ -273,10 +305,12 @@ def test_module_entry_point():
 
 def test_import_loads_no_scipy():
     """scipy is a test-only dependency and the package runs in one thread:
-    importing it must load neither scipy nor concurrent.futures."""
+    importing it must load neither scipy nor concurrent.futures. The
+    package exports load lazily, so every one is resolved first."""
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, gmequiv; print(sorted(m for m in sys.modules"
+         "import sys, gmequiv, gmequiv.cli; [getattr(gmequiv, n) for n in gmequiv.__all__];"
+         " print(sorted(m for m in sys.modules"
          " if m.split('.')[0] == 'scipy' or m.startswith('concurrent')))"],
         capture_output=True, text=True, check=True,
     )
