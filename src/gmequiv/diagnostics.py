@@ -48,7 +48,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import rkhs
 from .errors import GmequivError, KernelDegenerate, SingularCovariance
 from .fourier import ClassSpec, FourierFunction, sample_ellipsoid, scale_into_hoelder_ball
 from .kernels import PINNED_TOL, GaussMarkovKernel, design_clock, gram
@@ -94,9 +93,15 @@ def kl_chain(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
 
 def _increment_covariance(kernel: GaussMarkovKernel, n: int) -> np.ndarray:
     """Cov(xi) = D G D^T with D the first-difference matrix, formed by
-    differencing the rows and then the columns of the knot Gram matrix G."""
+    differencing the rows of the knot Gram matrix G into one scratch matrix
+    and its columns back into G; row and column 0 are copied, as x - 0.0."""
     G = gram(kernel, design_knots(n))
-    return np.diff(np.diff(G, axis=0, prepend=0.0), axis=1, prepend=0.0)
+    rows = np.empty_like(G)
+    rows[0] = G[0]
+    np.subtract(G[1:], G[:-1], out=rows[1:])
+    G[:, 0] = rows[:, 0]
+    np.subtract(rows[:, 1:], rows[:, :-1], out=G[:, 1:])
+    return G
 
 
 def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
@@ -109,7 +114,8 @@ def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
             f"increment covariance is singular at n={n}"
         )
     dm = _gaps(f, n)
-    C = n * _increment_covariance(kernel, n)
+    C = _increment_covariance(kernel, n)
+    C *= n
     try:
         solved = np.linalg.solve(C, dm)
     except np.linalg.LinAlgError as exc:
@@ -131,6 +137,8 @@ def kl_sequential(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> floa
 
 def projection_statistic(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """sqrt(n D_n): the scaled distance from g to the design span."""
+    from . import rkhs  # only these two statistics read the RKHS layer
+
     return float(np.sqrt(n * rkhs.projection_distance(kernel, f, n)))
 
 
@@ -202,6 +210,8 @@ def band_terms_statistic(kernel: GaussMarkovKernel, f: FourierFunction, n: int) 
 def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """n sup_j (mu(s_j) - mu_{j,n})^2 + n sup_j (q'(s_j) - sigma2_{j,n})^2,
     with s_j = j/(n+1)."""
+    from . import rkhs
+
     if not math.isfinite(kernel.horizon):
         raise KernelDegenerate(
             f"kernel {kernel.name!r} is pinned at the endpoint (v(1) = 0); "

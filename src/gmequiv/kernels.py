@@ -92,13 +92,18 @@ def covariance(kernel: GaussMarkovKernel, s, t):
     """Cov(X_s, X_t) = u(min(s,t)) * v(max(s,t)), elementwise.
 
     u and v are evaluated once at s and once at t, not on the broadcast
-    shape, so an outer product of n points costs 4n kernel evaluations.
+    shape, so an outer product of n points costs 4n factor evaluations.
+    The broadcast shape holds one output array plus a boolean mask: u(s) v(t)
+    is written everywhere, then u(t) v(s) over it wherever s <= t is false,
+    NaN points included.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     us, vs = np.asarray(kernel.u(s)), np.asarray(kernel.v(s))
     ut, vt = np.asarray(kernel.u(t)), np.asarray(kernel.v(t))
-    out = np.where(s <= t, us * vt, ut * vs)
+    out = np.multiply(us, vt, out=np.empty(np.broadcast_shapes(s.shape, t.shape)))
+    other = np.asarray(s <= t)  # an array for 0-d s and t too, to invert in place
+    np.multiply(ut, vs, out=out, where=np.invert(other, out=other))
     if out.ndim == 0:
         return float(out)
     return out

@@ -177,8 +177,11 @@ def kriging_interpolate(kernel: GaussMarkovKernel, y, t):
         )
     zk = np.concatenate([[0.0], y / v[1:]])
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    qt = np.asarray(kernel.q(ts))
-    out = np.interp(qt, q, zk) * np.asarray(kernel.v(ts))
+    vt = np.asarray(kernel.v(ts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qt = np.asarray(kernel.u(ts)) / vt  # the clock u/v, as kernel.q gives it
+    out = np.interp(qt, q, zk)
+    out *= vt
     return float(out[0]) if np.asarray(t).ndim == 0 else out
 
 
@@ -187,9 +190,8 @@ def kriging_interpolate_dense(kernel: GaussMarkovKernel, y, t):
     y = np.asarray(y, dtype=float)
     n = y.size
     knots = design_knots(n)
-    C = gram(kernel, knots)
     try:
-        lower = np.linalg.cholesky(C)
+        lower = np.linalg.cholesky(gram(kernel, knots))
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(
             f"design covariance for kernel {kernel.name!r} is singular"

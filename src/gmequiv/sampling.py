@@ -58,22 +58,22 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
         raise ValueError("grid must be strictly increasing")
     gen = rng.stream(seed, label, kernel.name, grid.size, npaths)
     with np.errstate(all="ignore"):
-        vs = np.asarray(kernel.v(grid))
-        var = np.asarray(kernel.u(grid)) * vs
+        us, vs = np.asarray(kernel.u(grid)), np.asarray(kernel.v(grid))
+        var = us * vs
     _require(kernel, grid, ~np.isfinite(var), "the variance u*v is not finite")
     alive = var > 1e-14 * max(float(var.max()), 1.0)
     alive[0] = False
-    run = np.flatnonzero(alive)
-    if run.size == 0:
+    lo = int(np.argmax(alive))
+    if not alive[lo]:
         return grid.size, 0, iter(())
-    lo, hi = int(run[0]), int(run[-1]) + 1
+    hi = alive.size - int(np.argmax(alive[::-1]))
     _require(kernel, grid[lo:hi], ~alive[lo:hi],
              "the positive-variance points are not one contiguous run")
-    with np.errstate(all="ignore"):
-        dq = np.diff(np.asarray(kernel.q(grid[lo:hi])), prepend=0.0)
+    with np.errstate(all="ignore"):  # increments of the clock u/v, as kernel.q gives it
+        dq = np.diff(us[lo:hi] / vs[lo:hi], prepend=0.0)
     _require(kernel, grid[lo:hi], ~(np.isfinite(dq) & (dq > 0.0)),
              "q is not finite and strictly increasing from q(0) = 0")
-    scale, vs = np.sqrt(dq), vs[lo:hi]
+    scale, vs = np.sqrt(dq, out=dq), vs[lo:hi]
     rows = max(1, BLOCK_DRAWS // (hi - lo))
 
     def blocks():

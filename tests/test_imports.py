@@ -54,13 +54,15 @@ EXPORTS = {
 
 # what each command line loads besides gmequiv and gmequiv.cli
 _NUMERICAL = {"errors", "fourier", "kernels", "quadrature", "rkhs", "rng", "samples", "sampling"}
+# diagnostics without the RKHS layer, which only two statistics read
+_DIAGNOSTICS = {"diagnostics", "errors", "fourier", "kernels", "rng", "samples"}
 LOADED = {
     "simulate": _NUMERICAL | {"experiments"},
-    "rates-discretization": _NUMERICAL | {"diagnostics"},
+    "rates-discretization": _DIAGNOSTICS,
     "rates-projection": _NUMERICAL | {"diagnostics", "numpy.polynomial"},
-    "kl": _NUMERICAL | {"diagnostics"},
+    "kl": _DIAGNOSTICS,
     "kriging": _NUMERICAL,
-    "decompose": _NUMERICAL | {"diagnostics"},
+    "decompose": _DIAGNOSTICS,
     "counterexample": _NUMERICAL | {"counterexample", "experiments"},
     "validate": {"errors", "expr", "kernels", "samples"},
 }

@@ -160,17 +160,26 @@ class TestCovariance:
 
     @pytest.mark.parametrize("kernel", [
         preset("bm"), preset("ou", 1.0), preset("slepian"), preset("bridge"),
-        make_kernel("lab", "t", "2 - t"),
+        make_kernel("lab", "t", "2 - t"), make_kernel("c", "t", "2"),
     ], ids=lambda k: k.name)
     def test_equals_the_definition_bitwise(self, kernel):
         """u and v at each point once give the bits of u(min) * v(max)."""
+
+        def definition(s, t):
+            return np.asarray(kernel.u(np.minimum(s, t))) * np.asarray(kernel.v(np.maximum(s, t)))
+
         ts = np.random.default_rng(5).uniform(0.0, 1.0, 40)
         ts[7] = ts[3]
-        direct = (np.asarray(kernel.u(np.minimum.outer(ts, ts)))
-                  * np.asarray(kernel.v(np.maximum.outer(ts, ts))))
+        direct = definition(ts[:, None], ts[None, :])
         np.testing.assert_array_equal(gram(kernel, ts), direct)
         np.testing.assert_array_equal(covariance(kernel, ts[:, None], ts[None, :9]),
                                       direct[:, :9])
+        # a column against a row of other points, some tied with the column
+        row = np.array([0.0, ts[3], 0.5, ts[20], 1.0, ts[0]])[None, :]
+        np.testing.assert_array_equal(covariance(kernel, ts[:, None], row),
+                                      definition(ts[:, None], row))
+        for s, t in ((0.5, ts), (ts, 0.5), (ts[20], ts), (ts, ts[20])):
+            np.testing.assert_array_equal(covariance(kernel, s, t), definition(s, t))
         value = covariance(kernel, 1.0, 1.0)
         assert type(value) is float
         assert value == float(kernel.u(1.0)) * float(kernel.v(1.0))

@@ -1,0 +1,49 @@
+"""Peak memory of the dense oracles, in units of the array each one builds.
+
+tracemalloc sees numpy's data buffers, so a routine that holds k full-size
+temporaries at once peaks at about k units. Each routine is called once
+before it is measured, so imports and first-call caches are not counted.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from gmequiv.diagnostics import kl_dense
+from gmequiv.fourier import FourierFunction
+from gmequiv.kernels import gram, preset
+from gmequiv.rkhs import kriging_interpolate_dense
+
+N = 512
+UNIT = N * N * 8  # one n x n matrix of doubles
+
+
+def _peak(fn) -> int:
+    """Bytes fn allocates at its peak above what is held before the call."""
+    fn()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_holds_its_result_and_a_mask():
+    ts = np.arange(1, N + 1) / N
+    assert _peak(lambda: gram(preset("ou", 1.0), ts)) <= 1.25 * UNIT
+
+
+def test_kl_dense_holds_two_matrices():
+    """The increment covariance and the copy np.linalg.solve takes."""
+    cos = FourierFunction.harmonic(1)
+    assert _peak(lambda: kl_dense(preset("slepian"), cos, N)) <= 2.25 * UNIT
+
+
+def test_dense_kriging_holds_its_cross_covariance_and_a_mask():
+    n = N // 2
+    y = np.asarray(FourierFunction.harmonic(1).antiderivative(np.arange(1, n + 1) / n))
+    grid = np.arange(20 * n + 1) / (20 * n)
+    cross = grid.size * n * 8
+    assert _peak(lambda: kriging_interpolate_dense(preset("ou", 1.0), y, grid)) <= 1.25 * cross
