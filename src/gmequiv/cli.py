@@ -17,7 +17,15 @@ import json
 import os
 import sys
 
-import numpy as np
+# OpenBLAS starts one worker per core when numpy loads, and the workers
+# spin before they sleep, yet no command does BLAS work large enough to
+# gain from a second thread. So a process that reaches this line before
+# numpy loads (the command line does, since `import gmequiv` loads no
+# submodule) runs BLAS on one thread, unless its user chose a count.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 
 from . import kernels
 from .errors import GmequivError

@@ -57,7 +57,7 @@ def adaptive_integral(fn: Callable, a: float, b: float,
     are judged on the absolute floor ABS_TOL instead).
     """
     inner = [p for p in breakpoints if a < p < b]
-    edges = np.unique(np.array([a, *inner, b], dtype=float))
+    edges = np.array(sorted({a, *inner, b}), dtype=float)
     value = _gauss_panels(fn, edges)
     for _ in range(MAX_DOUBLINGS):
         halved = np.empty(2 * edges.size - 1)

@@ -62,6 +62,7 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
         var = us * vs
     _require(kernel, grid, ~np.isfinite(var), "the variance u*v is not finite")
     alive = var > 1e-14 * max(float(var.max()), 1.0)
+    del var
     alive[0] = False
     lo = int(np.argmax(alive))
     if not alive[lo]:
@@ -70,7 +71,12 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     _require(kernel, grid[lo:hi], ~alive[lo:hi],
              "the positive-variance points are not one contiguous run")
     with np.errstate(all="ignore"):  # increments of the clock u/v, as kernel.q gives it
-        dq = np.diff(us[lo:hi] / vs[lo:hi], prepend=0.0)
+        q = us[lo:hi] / vs[lo:hi]
+        del us
+        dq = np.empty_like(q)
+        dq[0] = q[0]  # the clock is 0 at the zero-variance point before the run
+        np.subtract(q[1:], q[:-1], out=dq[1:])
+        del q
     _require(kernel, grid[lo:hi], ~(np.isfinite(dq) & (dq > 0.0)),
              "q is not finite and strictly increasing from q(0) = 0")
     scale, vs = np.sqrt(dq, out=dq), vs[lo:hi]

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -10,13 +11,26 @@ from pathlib import Path
 
 import pytest
 
+import gmequiv
 from gmequiv.cli import main
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(argv, cwd=None, **env):
+    """Run a fresh interpreter with the tested package first on its path,
+    no BLAS thread count but the ones given, and check its exit code."""
+    source = str(Path(gmequiv.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    base["PYTHONPATH"] = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env={**base, **env},
+                          capture_output=True, check=True)
 
 
 class TestExitCodes:
@@ -277,6 +291,51 @@ class TestDeterminism:
         _, a, _ = run_cli(capsys, "simulate", "--exp", "e2", "--n", "4", "--seed", "0")
         _, b, _ = run_cli(capsys, "simulate", "--exp", "e2", "--n", "4", "--seed", "1")
         assert a != b
+
+    def test_blas_thread_count_does_not_change_the_output(self, tmp_path):
+        (tmp_path / "fn.json").write_text('{"coeffs": [[1, 0.5, 0.0], [2, 0.25, 0.0]]}')
+        commands = (
+            ("kl", "--preset", "slepian", "--n", "2..64", "--format", "json"),
+            ("decompose", "--n", "64", "--fn", "fn.json", "--out", "terms.csv"),
+        )
+        runs = []
+        for threads in ("1", "2"):
+            outputs = [run_fresh(["-m", "gmequiv.cli", *argv], cwd=tmp_path,
+                                 OPENBLAS_NUM_THREADS=threads).stdout for argv in commands]
+            outputs.append((tmp_path / "terms.csv").read_bytes())
+            (tmp_path / "terms.csv").unlink()
+            runs.append(outputs)
+        assert runs[0] == runs[1]
+        assert all(runs[0])
+
+
+class TestBlasThreads:
+    """A command-line process runs OpenBLAS on one thread unless its user
+    chose a thread count; a process that loaded numpy first, or imports
+    only the package, keeps its BLAS setting. Each case is a fresh
+    interpreter."""
+
+    @staticmethod
+    def environ_after(code, **env):
+        """The BLAS thread variables after `code` runs, None where unset."""
+        report = f"; import json, os; print(json.dumps([os.environ.get(k) for k in {BLAS_THREADS}]))"
+        return json.loads(run_fresh(["-c", code + report], **env).stdout)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_command_line_process_runs_one_thread(self):
+        result = run_fresh(["-c", "import os, gmequiv.cli; print(len(os.listdir('/proc/self/task')))"])
+        assert result.stdout.strip() == b"1"
+
+    @pytest.mark.parametrize("name", BLAS_THREADS)
+    def test_a_user_thread_count_is_kept(self, name):
+        expected = ["2" if k == name else None for k in BLAS_THREADS]
+        assert self.environ_after("import gmequiv.cli", **{name: "2"}) == expected
+
+    def test_numpy_loaded_first_is_left_alone(self):
+        assert self.environ_after("import numpy, gmequiv.cli") == [None, None]
+
+    def test_bare_import_sets_nothing(self):
+        assert self.environ_after("import gmequiv") == [None, None]
 
 
 def test_readme_examples_run(capsys, monkeypatch, tmp_path):

@@ -72,7 +72,7 @@ _REPORT = (
     "{run}\n"
     "sys.stdout.flush()\n"
     "sys.stderr.write(json.dumps(sorted(m for m in sys.modules"
-    " if m.startswith('gmequiv') or m == 'numpy.polynomial')))\n"
+    " if m.startswith('gmequiv') or m in ('numpy.ma', 'numpy.polynomial'))))\n"
 )
 
 
@@ -127,6 +127,10 @@ def test_preset_only_commands_do_not_parse_expressions(loaded):
 
 def test_only_the_projection_statistic_loads_numpy_polynomial(loaded):
     assert [name for name in COMMANDS if "numpy.polynomial" in loaded[name]] == ["rates-projection"]
+
+
+def test_no_command_loads_numpy_ma(loaded):
+    assert [name for name in COMMANDS if "numpy.ma" in loaded[name]] == []
 
 
 def test_bare_import_loads_no_submodule():

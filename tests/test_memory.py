@@ -1,4 +1,5 @@
-"""Peak memory of the dense oracles, in units of the array each one builds.
+"""Peak memory of the dense oracles and of a path draw, in units of the
+array each one builds.
 
 tracemalloc sees numpy's data buffers, so a routine that holds k full-size
 temporaries at once peaks at about k units. Each routine is called once
@@ -13,6 +14,8 @@ from gmequiv.diagnostics import kl_dense
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, preset
 from gmequiv.rkhs import kriging_interpolate_dense
+from gmequiv.samples import path_grid
+from gmequiv.sampling import sample_paths
 
 N = 512
 UNIT = N * N * 8  # one n x n matrix of doubles
@@ -47,3 +50,10 @@ def test_dense_kriging_holds_its_cross_covariance_and_a_mask():
     grid = np.arange(20 * n + 1) / (20 * n)
     cross = grid.size * n * 8
     assert _peak(lambda: kriging_interpolate_dense(preset("ou", 1.0), y, grid)) <= 1.25 * cross
+
+
+def test_one_path_draw_holds_four_grid_arrays():
+    """v and the clock increments, which scale the draw, the output and the
+    block being drawn: 10 MiB on this 327,681-point grid."""
+    grid = path_grid(16384)
+    assert _peak(lambda: sample_paths(preset("ou", 1.0), grid, 1, 0)) <= 4.2 * grid.nbytes
