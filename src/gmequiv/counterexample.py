@@ -42,12 +42,15 @@ GRID_TOL = 1e-12
 
 def build_fn(n: int, beta: float, L: float) -> FourierFunction:
     """The spike function for design size n: vanishes at every knot,
-    integrates to sqrt(2/3) L n^{-beta}, Sobolev(beta) norm <= L."""
+    integrates to sqrt(2/3) L n^{-beta}, Sobolev(beta) norm <= L. Raises
+    ValueError for n < 2 and for an L that is not positive and finite."""
     if n < 2:
         raise ValueError(
             "n must be at least 2: a one-point design leaves no room between "
             "the constant term and the spike frequency"
         )
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"class radius L must be positive and finite, got {L!r}")
     c = math.sqrt(2.0 / 3.0) * L * float(n) ** (-beta)
     return FourierFunction.from_coeffs(
         {0: c, n: -c / 2.0, -n: -c / 2.0},

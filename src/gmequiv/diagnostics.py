@@ -345,16 +345,20 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
 
     The supremum over a class is standing in as a maximum over finitely
     many members, so every reported value is a lower bound for the class
-    supremum. The slope is fit on the upper half of the n grid (the
-    asymptotic regime); non-finite or nonpositive maxima are excluded from
-    the fit and reported. A member whose statistic raises a GmequivError
-    is left out of the maximum, and the error's class name is recorded in
-    failures and shown on that n's line.
+    supremum. The slope is fit on the half of the usable points with the
+    largest n (the asymptotic regime), whatever order n_grid lists them
+    in; non-finite or nonpositive maxima are excluded from the fit and
+    reported. A member whose statistic raises a GmequivError is left out of
+    the maximum, and the error's class name is recorded in failures and
+    shown on that n's line. An n listed twice raises ValueError.
     """
     if statistic not in STATISTICS:
         raise KeyError(f"unknown statistic {statistic!r}; choose from {sorted(STATISTICS)}")
     stat_fn = STATISTICS[statistic]
     ns = tuple(int(n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
+    repeated = sorted({n for n in ns if ns.count(n) > 1})
+    if repeated:
+        raise ValueError(f"n grid lists n = {repeated[0]} more than once")
 
     maxima, failures = [], []
     for n in ns:
@@ -370,7 +374,7 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
         maxima.append(max(vals) if vals else float("nan"))
         failures.append(tuple(failed))
 
-    usable = [(n, v) for n, v in zip(ns, maxima) if np.isfinite(v) and v > 0.0]
+    usable = sorted((n, v) for n, v in zip(ns, maxima) if np.isfinite(v) and v > 0.0)
     excluded = tuple(n for n, v in zip(ns, maxima) if not (np.isfinite(v) and v > 0.0))
     half = usable[len(usable) // 2 :] if len(usable) >= 2 else []
     if len(half) < 2:

@@ -13,10 +13,17 @@ every kernel, and t = 1 on pinned kernels such as the bridge, where v(1) = 0
 makes the horizon q(1) infinite but leaves no randomness at that point.
 
 Draws are streamed in blocks of whole paths, at most BLOCK_DRAWS normals
-each (at least one path), so a caller holds one block beside its own output
-and never a second copy of the whole draw. The generator is read in the same
-row-major order whatever the block size, and each path is summed within its
-own row, so every number is independent of BLOCK_DRAWS.
+each (at least one path), already multiplied by sqrt(dq), and each caller
+reduces a block to what it keeps. sample_paths keeps every running sum
+times v: on blocks at most COLUMN_ADD_WIDTH columns wide it adds column by
+column, where np.cumsum over short rows is slow, and on wider blocks it
+calls np.cumsum. sample_endpoints keeps only each row's sum times v(1): it
+adds the columns of a Fortran-ordered copy with np.add.reduce, which for
+two or more rows adds left to right as np.cumsum does; a one-row block,
+which np.add.reduce would sum pairwise, takes np.cumsum. The generator is
+read in the same row-major order whatever the block size, and every sum
+runs left to right along its own path, so every number is independent of
+BLOCK_DRAWS and of the column-add or cumsum route.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ from .errors import SingularCovariance
 from .kernels import GaussMarkovKernel
 
 BLOCK_DRAWS = 1 << 16  # normals per streamed block: 512 KB of float64
+# Widest block whose running sums are built by one np.add per column. On a
+# block of BLOCK_DRAWS normals (x86-64 Xeon, numpy 2.4) the column adds take
+# 100 us at 10 columns where np.cumsum, looping row by row, takes 266 us; the
+# two break even near 64 columns.
+COLUMN_ADD_WIDTH = 48
 
 
 def _require(kernel: GaussMarkovKernel, points: np.ndarray, bad: np.ndarray,
@@ -41,15 +53,16 @@ def _require(kernel: GaussMarkovKernel, points: np.ndarray, bad: np.ndarray,
         )
 
 
-def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
-                 label: str) -> tuple[int, int, Iterator[tuple[int, np.ndarray]]]:
-    """Validate the grid and clock, then stream the draw in row blocks.
+def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int, label: str
+                 ) -> tuple[int, int, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """Validate the grid and clock, then stream the scaled normals in row blocks.
 
-    Returns (size, lo, blocks): the grid size, the first random column lo,
-    and an iterator of (first_row, block), where block holds the columns
-    lo .. lo + block.shape[1] - 1 of the paths first_row onward. Every
-    column outside that run is exactly 0; with no random column the
-    iterator is empty. The checks run before this returns.
+    Returns (size, lo, v, blocks): the grid size, the first random column lo,
+    v over the random columns, and an iterator of (first_row, block), where
+    block holds the normals times sqrt(dq) for the columns lo .. lo + v.size - 1
+    of the paths first_row onward; path j is v times the running sum of row j.
+    Every column outside that run is exactly 0; with no random column v is
+    empty and the iterator is empty. The checks run before this returns.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
@@ -66,7 +79,7 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     alive[0] = False
     lo = int(np.argmax(alive))
     if not alive[lo]:
-        return grid.size, 0, iter(())
+        return grid.size, 0, vs[:0], iter(())
     hi = alive.size - int(np.argmax(alive[::-1]))
     _require(kernel, grid[lo:hi], ~alive[lo:hi],
              "the positive-variance points are not one contiguous run")
@@ -79,18 +92,16 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
         del q
     _require(kernel, grid[lo:hi], ~(np.isfinite(dq) & (dq > 0.0)),
              "q is not finite and strictly increasing from q(0) = 0")
-    scale, vs = np.sqrt(dq, out=dq), vs[lo:hi]
+    scale = np.sqrt(dq, out=dq)
     rows = max(1, BLOCK_DRAWS // (hi - lo))
 
     def blocks():
         for first in range(0, npaths, rows):
             block = gen.standard_normal((min(rows, npaths - first), hi - lo))
             block *= scale
-            np.cumsum(block, axis=1, out=block)
-            block *= vs
             yield first, block
 
-    return grid.size, lo, blocks()
+    return grid.size, lo, vs[lo:hi], blocks()
 
 
 def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
@@ -105,10 +116,15 @@ def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     contiguous run on which q is finite and strictly increasing from
     q(0) = 0. Deterministic in (seed, label, kernel, grid size).
     """
-    size, lo, blocks = _path_blocks(kernel, grid, npaths, seed, label)
+    size, lo, v, blocks = _path_blocks(kernel, grid, npaths, seed, label)
     out = np.zeros((npaths, size))
     for first, block in blocks:
-        out[first : first + block.shape[0], lo : lo + block.shape[1]] = block
+        if v.size <= COLUMN_ADD_WIDTH:
+            for j in range(1, v.size):
+                np.add(block[:, j - 1], block[:, j], out=block[:, j])
+        else:
+            np.cumsum(block, axis=1, out=block)
+        np.multiply(block, v, out=out[first : first + block.shape[0], lo : lo + v.size])
     return out
 
 
@@ -117,11 +133,18 @@ def sample_endpoints(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     """The last column of sample_paths with the same arguments, bit for bit.
 
     Same checks and stream as sample_paths, but only the npaths endpoint
-    values are kept, so memory is O(npaths) beside one streamed block.
+    values are kept, so memory is O(npaths) beside one streamed block and
+    its Fortran-ordered copy.
     """
-    size, lo, blocks = _path_blocks(kernel, grid, npaths, seed, label)
+    size, lo, v, blocks = _path_blocks(kernel, grid, npaths, seed, label)
     out = np.zeros(npaths)
+    if lo + v.size < size:  # the endpoint is a pinned zero
+        return out
     for first, block in blocks:
-        if lo + block.shape[1] == size:
-            out[first : first + block.shape[0]] = block[:, -1]
+        sums = out[first : first + block.shape[0]]
+        if block.shape[0] == 1:
+            sums[:] = np.cumsum(block, axis=1)[:, -1]
+        else:
+            np.add.reduce(np.asfortranarray(block), axis=1, out=sums)
+    out *= v[-1]
     return out

@@ -67,6 +67,9 @@ class TestExitCodes:
         (("validate", "--grid", "1"), "interior point"),
         (("validate", "--grid", "2"), "interior point"),
         (("validate", "--grid", "1000000000"), "at most 1000000 grid points"),
+        (("counterexample", "--n", "4", "--L", "0"), "class radius L must be positive"),
+        (("rates", "--stat", "discretization", "--preset", "bm", "--n", "16,16"),
+         "n = 16 more than once"),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_out_of_range_number_is_a_runtime_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -42,8 +42,13 @@ class TestSpikeFunction:
         assert math.isclose(f.sobolev_norm_sq(beta), expected, rel_tol=1e-12)
 
     def test_needs_room_for_the_spike(self):
-        with pytest.raises(ValueError):
+        """A one-point design leaves no room, and a radius that is not
+        positive and finite leaves no ball to put it in."""
+        with pytest.raises(ValueError, match="at least 2"):
             build_fn(1, beta=1.0, L=1.0)
+        for L in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="class radius"):
+                build_fn(4, beta=1.0, L=L)
 
     def test_factor_placement_matters(self):
         """The superficially similar coefficients c and -c/4 at +-n (from

@@ -247,6 +247,17 @@ class TestRateSweep:
         assert abs(report.slope + 1.0) < 0.05
         assert report.fit_ns == DEFAULT_N_GRID[len(DEFAULT_N_GRID) // 2:]
 
+    def test_fit_takes_the_largest_n_in_any_order(self):
+        up, down = (rate_sweep("discretization", preset("bm"), single_frequency_family(),
+                               n_grid=ns) for ns in ((16, 32, 64, 128), (128, 64, 32, 16)))
+        assert down.fit_ns == up.fit_ns == (64, 128)
+        assert down.slope == up.slope
+
+    def test_repeated_n_is_refused(self):
+        with pytest.raises(ValueError, match="n = 16 more than once"):
+            rate_sweep("discretization", preset("bm"), single_frequency_family(),
+                       n_grid=(16, 32, 16))
+
     def test_gate_modes(self):
         family = single_frequency_family()
         k = preset("bm")

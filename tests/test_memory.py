@@ -1,5 +1,5 @@
-"""Peak memory of the dense oracles and of a path draw, in units of the
-array each one builds.
+"""Peak memory of the dense oracles and of the path draws, in units of the
+arrays each one builds.
 
 tracemalloc sees numpy's data buffers, so a routine that holds k full-size
 temporaries at once peaks at about k units. Each routine is called once
@@ -15,7 +15,7 @@ from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, preset
 from gmequiv.rkhs import kriging_interpolate_dense
 from gmequiv.samples import path_grid
-from gmequiv.sampling import sample_paths
+from gmequiv.sampling import BLOCK_DRAWS, sample_endpoints, sample_paths
 
 N = 512
 UNIT = N * N * 8  # one n x n matrix of doubles
@@ -57,3 +57,13 @@ def test_one_path_draw_holds_four_grid_arrays():
     block being drawn: 10 MiB on this 327,681-point grid."""
     grid = path_grid(16384)
     assert _peak(lambda: sample_paths(preset("ou", 1.0), grid, 1, 0)) <= 4.2 * grid.nbytes
+
+
+def test_endpoint_draw_holds_its_output_and_two_blocks():
+    """The npaths endpoints, the drawn block and its Fortran-ordered copy,
+    plus 128 KiB for the generator's own working memory; never a path per
+    row (52 MB at these sizes)."""
+    grid, npaths = path_grid(64, 65), 100_000
+    block = (BLOCK_DRAWS // 64) * 64 * 8
+    peak = _peak(lambda: sample_endpoints(preset("bm"), grid, npaths, 0))
+    assert peak <= 8 * npaths + 2 * block + 2**17

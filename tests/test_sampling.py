@@ -29,7 +29,9 @@ def _one_shot(kernel, grid, npaths, seed, label):
     ("ou", path_grid(16384), 3),
     ("bridge", path_grid(16), 513),
     ("slepian", path_grid(32), 1),
-], ids=["rows-not-a-block-multiple", "path-wider-than-a-block", "bridge", "one-path"])
+    ("ou", np.linspace(0.0, 1.0, 11), 13_109),
+], ids=["rows-not-a-block-multiple", "path-wider-than-a-block", "bridge", "one-path",
+        "eleven-point-grid"])
 def test_block_stream_equals_one_shot_draw(name, grid, npaths):
     kernel = preset(name)
     rows = max(1, BLOCK_DRAWS // (grid.size - 1))
@@ -43,10 +45,13 @@ def test_block_stream_equals_one_shot_draw(name, grid, npaths):
 @pytest.mark.parametrize("kernel", [preset("bm"), preset("ou", 1.0), preset("bridge")],
                          ids=lambda k: k.name)
 def test_endpoints_are_the_last_column(kernel):
+    """Also when the last block has one row, which np.add.reduce would sum
+    pairwise, and when the only block is shorter than a full one."""
     grid = path_grid(64, 65)
-    npaths = 3 * (BLOCK_DRAWS // 64) + 5
-    np.testing.assert_array_equal(sample_endpoints(kernel, grid, npaths, 2, label="end"),
-                                  sample_paths(kernel, grid, npaths, 2, label="end")[:, -1])
+    rows = BLOCK_DRAWS // 64
+    for npaths in (3 * rows + 5, 3 * rows + 1, 5):
+        np.testing.assert_array_equal(sample_endpoints(kernel, grid, npaths, 2, label="end"),
+                                      sample_paths(kernel, grid, npaths, 2, label="end")[:, -1])
 
 
 def test_endpoints_share_the_grid_checks():
