@@ -38,17 +38,23 @@ from .samples import PathSample, design_knots, path_grid
 
 RECOVERY_TOL = 1e-10
 GRID_TOL = 1e-12
+# The one premise the 1/4 bound does not rest on: it shows only that the
+# unpinned kernel cannot decide the pair the same way.
+MC_PREMISE = "unpinned_statistic_stays_noisy"
 
 
 def build_fn(n: int, beta: float, L: float) -> FourierFunction:
     """The spike function for design size n: vanishes at every knot,
     integrates to sqrt(2/3) L n^{-beta}, Sobolev(beta) norm <= L. Raises
-    ValueError for n < 2 and for an L that is not positive and finite."""
+    ValueError for n < 2, for a beta that is not finite and for an L that
+    is not positive and finite."""
     if n < 2:
         raise ValueError(
             "n must be at least 2: a one-point design leaves no room between "
             "the constant term and the spike frequency"
         )
+    if not math.isfinite(beta):
+        raise ValueError(f"smoothness beta must be finite, got {beta!r}")
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"class radius L must be positive and finite, got {L!r}")
     c = math.sqrt(2.0 / 3.0) * L * float(n) ** (-beta)
@@ -116,6 +122,11 @@ class IndistinguishabilityReport:
     def passed(self) -> bool:
         return all(p.passed for p in self.premises)
 
+    @property
+    def failed_bound_premises(self) -> list[str]:
+        """Failed premises the deficiency bound rests on: all but MC_PREMISE."""
+        return [p.name for p in self.premises if not p.passed and p.name != MC_PREMISE]
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -134,7 +145,7 @@ class IndistinguishabilityReport:
             "mc_variance": self.mc_variance,
             "mc_variance_target": self.mc_variance_target,
             "mc_variance_band": self.mc_variance_band,
-            "delta_lower_bound": self.delta_lower_bound,
+            "delta_lower_bound": None if self.failed_bound_premises else self.delta_lower_bound,
             "verdict": "premises verified" if self.passed else "premise FAILED",
             "conclusion": self.conclusion,
         }
@@ -151,7 +162,11 @@ class IndistinguishabilityReport:
             f"(target {self.mc_variance_target:.6e} +- {self.mc_variance_band:.6e}, "
             f"{self.mc_paths} paths)"
         )
-        out.append(f"  => deficiency lower bound {self.delta_lower_bound}")
+        failed = self.failed_bound_premises
+        if failed:
+            out.append(f"  => no deficiency bound: premise failed: {', '.join(failed)}")
+        else:
+            out.append(f"  => deficiency lower bound {self.delta_lower_bound}")
         return out
 
 
@@ -224,7 +239,7 @@ def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
     target_var = float(covariance(unpinned, 1.0, 1.0)) / n
     band = 3.0 * target_var * math.sqrt(2.0 / (mc_paths - 1))
     premises.append(Premise(
-        "unpinned_statistic_stays_noisy", abs(mc_var - target_var) <= band,
+        MC_PREMISE, abs(mc_var - target_var) <= band,
         f"MC variance {mc_var:.6e} vs Var(X_1)/n = {target_var:.6e} "
         f"(3-sigma band {band:.2e}); plugin risk {problem.risk(spike, actions):.3f}",
     ))

@@ -243,7 +243,7 @@ class KernelExpression:
             out = _evaluate(self.root, np.atleast_1d(arr))
         bad = ~np.isfinite(out)
         if np.any(bad):
-            where = float(np.atleast_1d(arr)[np.argmax(bad)])
+            where = float(np.atleast_1d(arr).flat[np.argmax(bad)])
             raise EvaluationError(
                 f"expression {self.source!r} is not finite at t={where!r}"
             )

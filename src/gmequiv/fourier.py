@@ -5,10 +5,14 @@ with e_k(x) = exp(-2 pi i k x). Real-valuedness is enforced structurally:
 coefficients must satisfy theta_{-k} = conj(theta_k), and every evaluation
 checks that the reconstructed imaginary part stays below 1e-12.
 
-Grid points t = j/m for consecutive j, such as the design knots, the path
-grids and the transform's j/(n+1), are evaluated by one length-m FFT of
-the coefficients folded k mod m, in O(K + m log m). Other points take the
-dense O(points * K) sum. The two routes agree to the last bits.
+An arithmetic progression of points t = (j0 + frac + r)/m, r = 0, 1, ...,
+is evaluated by one length-m FFT of the coefficients folded k mod m, in
+O(K + m log m). That covers the grid points j/m of the design knots, the
+path grids and the transform's j/(n+1) (frac = 0, evaluated exactly
+there), and each column of the Gauss nodes the quadrature places on
+equal panels (evaluated at the progression within 8 eps of them). Other
+points take the dense O(points * K) sum. The two routes agree to the
+last bits.
 
 The antiderivative from 0 is closed-form,
 
@@ -37,6 +41,9 @@ from .errors import HermitianViolation
 from .samples import path_grid
 
 _IMAG_TOL = 1e-12
+# A column within this absolute distance of an arithmetic progression is
+# evaluated at the progression, by FFT.
+_PROGRESSION_TOL = 8 * np.finfo(float).eps
 _ELLIPSOID_DECAY_MARGIN = 0.1  # the epsilon in the sampling decay exponent
 _CHUNK = 2048
 HOELDER_GRID = 2001  # points i/2000 of the Hoelder grid check
@@ -136,49 +143,53 @@ class FourierFunction:
     # -- evaluation --------------------------------------------------------
 
     def _reduce(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_k weights_k exp(-2 pi i k t), checked real.
+        """sum_k weights_k exp(-2 pi i k t), checked real, in the shape of t.
 
-        At grid points t = j/m, j = j0 .. j0 + L - 1 with L >= m - 1, the
-        phase exp(-2 pi i k j/m) depends on k only mod m, so the sum is one
-        length-m FFT of the weights folded mod m. Other points take the
-        dense sum, chunked over t.
+        Each column t[:, c] (t itself when 1-d) that is an arithmetic
+        progression (j0 + frac + r) / m with at least m - 1 points is
+        evaluated by FFT, one batched length-m FFT for all the columns that
+        share m (_fft_columns). The other columns go through one dense sum,
+        chunked over their points.
         """
         ks = self.ks
-        grid = _grid_indices(t)
-        if grid is None:
-            vals = _dense_sum(t, ks, weights)
-        else:
-            js, m = grid
-            bins = ks % m
-            folded = (np.bincount(bins, weights.real, m)
-                      + 1j * np.bincount(bins, weights.imag, m))
-            vals = np.fft.fft(folded)[js % m]
+        columns = t.reshape(t.shape[0], math.prod(t.shape[1:]))
+        periods, j0, frac = _progressions(columns)
+        out = np.empty(columns.shape)
+        worst = 0.0
+        for m in set(periods.tolist()) - {0}:
+            picked = np.flatnonzero(periods == m)
+            worst = max(worst, _fft_columns(ks, weights, m, j0[picked], frac[picked],
+                                            out, picked))
+        dense = np.flatnonzero(periods == 0)
+        if dense.size:
+            points = columns.ravel() if dense.size == periods.size else columns[:, dense].ravel()
+            vals = _dense_sum(points, ks, weights)
+            worst = max(worst, float(np.max(np.abs(vals.imag), initial=0.0)))
+            out[:, dense] = vals.real.reshape(columns.shape[0], dense.size)
         scale = max(float(np.sum(np.abs(weights))), 1.0)
-        worst = float(np.max(np.abs(vals.imag), initial=0.0))
         if worst > _IMAG_TOL * scale:
             raise HermitianViolation(
                 f"evaluation produced imaginary residue {worst:.3e}"
             )
-        return vals.real
+        return out.reshape(t.shape)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        out = self._reduce(np.atleast_1d(arr).ravel(), self.theta)
-        out = out.reshape(np.atleast_1d(arr).shape)
+        out = self._reduce(np.atleast_1d(arr), self.theta)
         return float(out[0]) if arr.ndim == 0 else out
 
     def antiderivative(self, t):
         """F(t) = integral of f from 0 to t, in closed form."""
         arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
+        points = np.atleast_1d(arr)
         ks = self.ks
         weights = np.zeros_like(self.theta)
         nonzero = ks != 0
         weights[nonzero] = self.theta[nonzero] / (-2j * np.pi * ks[nonzero])
-        # sum theta_k (e_k(t) - 1)/(-2 pi i k)  +  theta_0 t
-        osc = self._reduce(flat, weights) - float(np.sum(weights).real)
-        out = osc + float(self.theta[self.K].real) * flat
-        out = out.reshape(np.atleast_1d(arr).shape)
+        # sum theta_k (e_k(t) - 1)/(-2 pi i k)  +  theta_0 t, in place
+        out = self._reduce(points, weights)
+        out -= float(np.sum(weights).real)
+        out += float(self.theta[self.K].real) * points
         return float(out[0]) if arr.ndim == 0 else out
 
     def cell_averages(self, n: int) -> np.ndarray:
@@ -232,26 +243,83 @@ class FourierFunction:
         return json.dumps(self.to_spec(), sort_keys=True)
 
 
-def _grid_indices(t: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """(j, m) when t is exactly (j0 + arange(t.size)) / m with
-    t.size >= m - 1, the form path_grid and design_knots build; else None."""
-    size = t.size
+def _progressions(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, j0, frac) per column of t, shape (points, columns), such that
+    t[r, c] lies within _PROGRESSION_TOL of (j0 + frac + r) / m for every
+    r, with points >= m - 1; m is 0 where a column is no such progression.
+
+    frac is 0.0 exactly when a column is (j0 + arange(points)) / m bit for
+    bit, the form path_grid and design_knots build. Otherwise the
+    progression is anchored at t[0, c], j0 is the integer part of m t[0, c]
+    and 0 <= frac < 1: on equal panels every column of Gauss nodes is such
+    a progression, panel r's node s sitting at (r + s) / m.
+    """
+    size, count = t.shape
     if size < 2:
-        return None
-    span = float(t[-1] - t[0])
-    if not 0.0 < span < math.inf:
-        return None
-    ratio = (size - 1) / span
-    if not ratio < size + 2:
-        return None
-    m = round(ratio)
-    start = float(t[0]) * m
-    if not 1 <= m <= size + 1 or not abs(start) <= 2.0**52:
-        return None
-    js = round(start) + np.arange(size)
-    if not np.array_equal(t, js / m):
-        return None
-    return js, m
+        return np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64), np.zeros(count)
+    with np.errstate(all="ignore"):
+        m = np.rint((size - 1) / (t[-1] - t[0]))
+        start = t[0] * m
+        # 1 <= m <= size + 1 also rules out a span that is not positive and finite
+        ok = (1 <= m) & (m <= size + 1) & (np.abs(start) <= 2.0**52)
+        m = np.where(ok, m, 1.0)
+        start = np.where(ok, start, 0.0)
+    j0 = np.rint(start)
+    ideal = np.add.outer(np.arange(size, dtype=float), j0)
+    ideal /= m
+    exact = np.all(t == ideal, axis=0)
+    j0 = np.where(exact, j0, np.floor(start))
+    frac = np.where(exact, 0.0, start - j0)
+    if not np.all(exact):
+        # in place: the distance of each point from its progression
+        ideal = np.add.outer(np.arange(size, dtype=float), j0 + frac, out=ideal)
+        ideal /= m
+        ideal -= t
+        exact |= np.max(np.abs(ideal, out=ideal), axis=0) <= _PROGRESSION_TOL
+    return np.where(ok & exact, m, 0.0).astype(np.int64), j0.astype(np.int64), frac
+
+
+def _fft_columns(ks: np.ndarray, weights: np.ndarray, m: int, j0: np.ndarray,
+                 frac: np.ndarray, out: np.ndarray, picked: np.ndarray) -> float:
+    """Write sum_k weights_k exp(-2 pi i k (j0[i] + frac[i] + r) / m) into
+    out[r, picked[i]] and return the largest |imaginary part| among the
+    FFT entries used.
+
+    The phase exp(-2 pi i k (j0 + r) / m) depends on k only mod m, so the
+    weights, times exp(-2 pi i k frac / m) when some frac != 0, are folded
+    k mod m into one complex buffer row per column (one row in all when
+    every frac is 0), in k order, and one in-place FFT along the rows
+    evaluates all m residues. Point r reads entry (j0 + r) mod m: the real
+    parts are copied out through two rotation slices, and beyond m points
+    the values repeat with period m.
+    """
+    phase = frac * (-2j * np.pi / m) if np.any(frac) else None
+    spectrum = np.zeros((1 if phase is None else frac.size, m), dtype=complex)
+    position = int(ks[0]) % m
+    for lo in range(0, ks.size, m):
+        chunk = weights[None, lo : lo + m]
+        if phase is not None:
+            chunk = chunk * np.exp(np.multiply.outer(phase, ks[lo : lo + m]))
+        head = min(m - position, chunk.shape[1])
+        spectrum[:, position : position + head] += chunk[:, :head]
+        spectrum[:, : chunk.shape[1] - head] += chunk[:, head:]
+    np.fft.fft(spectrum, axis=1, out=spectrum)
+    size, worst = out.shape[0], 0.0
+    first, starts = min(size, m), j0 % m
+    for start in set(starts.tolist()):
+        here = starts == start
+        rows = spectrum if phase is None or here.all() else spectrum[here]
+        head = min(m - start, first)
+        for lo, hi, used in ((0, head, rows[:, start : start + head]),
+                             (head, first, rows[:, : first - head])):
+            out[lo:hi, picked[here]] = used.real.T
+            worst = max(worst, np.max(used.imag, initial=0.0), -np.min(used.imag, initial=0.0))
+    done = first
+    while done < size:
+        step = min(done, size - done)
+        out[done : done + step, picked] = out[:step, picked]
+        done += step
+    return float(worst)
 
 
 def _dense_sum(t: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -290,8 +358,14 @@ class ClassSpec:
     def __post_init__(self):
         if self.kind not in ("sobolev", "hoelder"):
             raise ValueError(f"unknown class kind {self.kind!r}")
+        for name in ("beta", "alpha", "L"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"class parameter {name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.L <= 0:
             raise ValueError("class radius L must be positive")
+        if math.isnan(self.M):
+            raise ValueError("class sup-norm bound M must be a number (inf for none)")
 
     @staticmethod
     def sobolev(beta: float, L: float) -> "ClassSpec":

@@ -40,9 +40,11 @@ def _gauss_panels(fn: Callable, edges: np.ndarray) -> float:
     nodes, weights = _gauss_rule()
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
-    # nodes shape (panels, 16), evaluated in one vectorized call
+    # nodes shape (panels, 16), evaluated in one vectorized call; on equal
+    # panels each column is an arithmetic progression, which
+    # FourierFunction evaluates by FFT
     xs = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.asarray(fn(xs.ravel()), dtype=float).reshape(xs.shape)
+    vals = np.asarray(fn(xs), dtype=float)
     return float(np.sum(half * (vals @ weights)))
 
 
@@ -50,11 +52,12 @@ def adaptive_integral(fn: Callable, a: float, b: float,
                       breakpoints: Sequence[float] = ()) -> float:
     """Integral of fn over [a, b] to the relative tolerance REL_TOL.
 
-    fn takes a 1-d array of nodes and returns the integrand there. The
-    breakpoints inside (a, b) are panel edges at every level. Raises
-    QuadratureFailure carrying the achieved relative tolerance when the
-    totals have not settled after MAX_DOUBLINGS halvings (tiny integrals
-    are judged on the absolute floor ABS_TOL instead).
+    fn takes an array of nodes, shape (panels, 16), and returns the
+    integrand there in the same shape. The breakpoints inside (a, b) are
+    panel edges at every level. Raises QuadratureFailure carrying the
+    achieved relative tolerance when the totals have not settled after
+    MAX_DOUBLINGS halvings (tiny integrals are judged on the absolute
+    floor ABS_TOL instead).
     """
     inner = [p for p in breakpoints if a < p < b]
     edges = np.array(sorted({a, *inner, b}), dtype=float)

@@ -68,6 +68,14 @@ class TestExitCodes:
         (("validate", "--grid", "2"), "interior point"),
         (("validate", "--grid", "1000000000"), "at most 1000000 grid points"),
         (("counterexample", "--n", "4", "--L", "0"), "class radius L must be positive"),
+        (("counterexample", "--n", "4", "--beta", "nan"), "beta must be finite"),
+        (("counterexample", "--n", "4", "--beta", "inf"), "beta must be finite"),
+        (("rates", "--stat", "discretization", "--preset", "bm", "--family", "sobolev",
+          "--L", "nan", "--n", "8..16"), "class parameter L must be finite"),
+        (("rates", "--stat", "discretization", "--preset", "bm", "--family", "sobolev",
+          "--beta", "nan", "--n", "8..16"), "class parameter beta must be finite"),
+        (("rates", "--stat", "discretization", "--preset", "bm", "--family", "sobolev",
+          "--beta", "inf", "--n", "8..16"), "class parameter beta must be finite"),
         (("rates", "--stat", "discretization", "--preset", "bm", "--n", "16,16"),
          "n = 16 more than once"),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
@@ -246,6 +254,15 @@ class TestCounterexampleCommand:
         assert code == 0
         assert "deficiency lower bound 0.25" in out
         assert "FAIL" not in out
+
+    def test_no_bound_when_a_premise_it_rests_on_fails(self, capsys):
+        code, out, _ = run_cli(capsys, "counterexample", "--n", "4", "--beta", "-1",
+                               "--paths", "1000")
+        assert code == 2
+        assert "[FAIL] spike_inside_class" in out
+        assert "deficiency lower bound" not in out
+        assert out.splitlines()[-1] == (
+            "  => no deficiency bound: premise failed: spike_inside_class")
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", "--n", "4",

@@ -1,11 +1,13 @@
 """Tests for the two-point decision problem and its verification report."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gmequiv.counterexample import (
+    MC_PREMISE,
     DecisionProblem,
     build_fn,
     endpoint_increment,
@@ -112,6 +114,23 @@ class TestIndistinguishabilityCheck:
         assert payload["delta_lower_bound"] == 0.25
         text = "\n".join(report.lines())
         assert "deficiency lower bound 0.25" in text
+
+    def test_bound_rests_on_every_premise_but_the_monte_carlo(self):
+        report = indistinguishability_check(4, mc_paths=2_000)
+
+        def failing(name):
+            return replace(report, premises=tuple(
+                replace(p, passed=p.name != name) for p in report.premises))
+
+        noisy = failing(MC_PREMISE)
+        assert not noisy.passed and noisy.failed_bound_premises == []
+        assert noisy.lines()[-1] == "  => deficiency lower bound 0.25"
+        assert noisy.to_dict()["delta_lower_bound"] == 0.25
+        recovery = failing("pinned_path_recovers_integral")
+        assert recovery.failed_bound_premises == ["pinned_path_recovers_integral"]
+        assert recovery.lines()[-1] == (
+            "  => no deficiency bound: premise failed: pinned_path_recovers_integral")
+        assert recovery.to_dict()["delta_lower_bound"] is None
 
     def test_deterministic(self):
         a = indistinguishability_check(4, mc_paths=2_000)

@@ -233,6 +233,12 @@ class TestDomainErrors:
         with pytest.raises(EvaluationError):
             fn(np.array([0.5, 0.0]))
 
+    def test_names_the_point_of_a_node_array(self):
+        """Quadrature passes a (panels, 16) node array."""
+        fn = parse_kernel_expression("1/(t - 0.5)")
+        with pytest.raises(EvaluationError, match="t=0.5"):
+            fn(np.array([[0.25, 0.75], [0.5, 0.125]]))
+
     def test_sqrt_of_negative(self):
         fn = parse_kernel_expression("sqrt(t - 1)")
         with pytest.raises(EvaluationError):

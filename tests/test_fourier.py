@@ -8,6 +8,7 @@ import pytest
 
 from gmequiv import fourier
 from gmequiv.errors import HermitianViolation
+from gmequiv.kernels import preset
 from gmequiv.fourier import (
     ClassSpec,
     FourierFunction,
@@ -15,6 +16,8 @@ from gmequiv.fourier import (
     hoelder_check,
     sample_ellipsoid,
 )
+from gmequiv.quadrature import _gauss_rule
+from gmequiv.rkhs import projection_distance
 from gmequiv.samples import path_grid
 
 
@@ -97,6 +100,18 @@ def _direct_sums(fn: FourierFunction, t: np.ndarray) -> tuple[np.ndarray, np.nda
     return values, osc.real + fn.integral() * t
 
 
+def _gauss_nodes(n: int) -> np.ndarray:
+    """The (2n, 16) node array of one halving on the design knots of n,
+    built as quadrature._gauss_panels builds it."""
+    nodes, _ = _gauss_rule()
+    edges = np.empty(2 * n + 1)
+    edges[0::2] = path_grid(n, n + 1)
+    edges[1::2] = 0.5 * (edges[2::2] + edges[:-1:2])
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return mid[:, None] + half[:, None] * nodes[None, :]
+
+
 @pytest.fixture
 def dense_calls(monkeypatch):
     """Count the calls of the dense route."""
@@ -112,8 +127,9 @@ def dense_calls(monkeypatch):
 
 
 class TestGridRoute:
-    """Points (j0 + arange(L)) / m with L >= m - 1 go through one folded
-    FFT; the result must match the term-by-term sum."""
+    """Points (j0 + frac + arange(L)) / m with L >= m - 1 go through one
+    folded FFT, column by column; the result must match the term-by-term
+    sum."""
 
     @pytest.mark.parametrize("K", [0, 1, 7, 64, 300])
     def test_matches_direct_sum(self, K, dense_calls):
@@ -133,7 +149,9 @@ class TestGridRoute:
                     assert not dense_calls or size < 2
                     dense_calls.clear()
 
-    def test_grid_off_by_one_ulp_goes_dense(self, dense_calls):
+    def test_grid_off_by_one_ulp_takes_the_fft(self, dense_calls):
+        """One ulp is inside the progression tolerance: the point is
+        evaluated at the grid point it misses, within the sums' rounding."""
         fn = _hermitian_function(3, 64)
         tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
         t = path_grid(16)
@@ -141,7 +159,56 @@ class TestGridRoute:
         values, integral = _direct_sums(fn, t)
         np.testing.assert_allclose(fn(t), values, rtol=0, atol=tol)
         np.testing.assert_allclose(fn.antiderivative(t), integral, rtol=0, atol=tol)
+        assert dense_calls == []
+
+    def test_grid_off_beyond_the_tolerance_goes_dense(self, dense_calls):
+        fn = _hermitian_function(3, 64)
+        tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
+        t = path_grid(16)
+        t[101] += 2 * fourier._PROGRESSION_TOL
+        values, integral = _direct_sums(fn, t)
+        np.testing.assert_allclose(fn(t), values, rtol=0, atol=tol)
+        np.testing.assert_allclose(fn.antiderivative(t), integral, rtol=0, atol=tol)
         assert dense_calls == [t.size, t.size]
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 100])
+    def test_gauss_node_columns_take_the_fft(self, n, dense_calls):
+        """Each column of a halving's node array is a progression with a
+        fractional offset; one perturbed beyond the tolerance goes dense
+        alone."""
+        fn = _hermitian_function(n, 2 * n)
+        tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
+        xs = _gauss_nodes(n)
+        values, integral = _direct_sums(fn, xs.ravel())
+        np.testing.assert_allclose(fn(xs), values.reshape(xs.shape), rtol=0, atol=tol)
+        np.testing.assert_allclose(fn.antiderivative(xs), integral.reshape(xs.shape),
+                                   rtol=0, atol=tol)
+        assert dense_calls == []
+        xs[xs.shape[0] // 2, 5] += 2 * fourier._PROGRESSION_TOL
+        values, _ = _direct_sums(fn, xs.ravel())
+        np.testing.assert_allclose(fn(xs), values.reshape(xs.shape), rtol=0, atol=tol)
+        assert dense_calls == [xs.shape[0]]
+
+    def test_exact_grid_columns_with_different_starts(self, dense_calls):
+        """Columns j/m with different first j share one unphased FFT and
+        read it through their own rotations."""
+        fn = _hermitian_function(5, 40)
+        tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
+        t = (np.array([-3, 0, 5, 17])[None, :] + np.arange(20)[:, None]) / 16
+        values, integral = _direct_sums(fn, t.ravel())
+        np.testing.assert_allclose(fn(t), values.reshape(t.shape), rtol=0, atol=tol)
+        np.testing.assert_allclose(fn.antiderivative(t), integral.reshape(t.shape),
+                                   rtol=0, atol=tol)
+        np.testing.assert_array_equal(fn(t)[:, 1], fn(t[:, 1]))
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("kernel", ["bm", "ou", "slepian"])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_projection_distance_never_goes_dense(self, kernel, n, dense_calls):
+        k = preset(kernel, 1.0) if kernel == "ou" else preset(kernel)
+        f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=2 * n, seed=n)
+        assert projection_distance(k, f, n) > 0.0
+        assert dense_calls == []
 
     def test_dense_route_across_a_chunk_boundary(self, dense_calls):
         fn = _hermitian_function(5, 64)
@@ -171,6 +238,9 @@ class TestGridRoute:
         object.__setattr__(fn, "theta", theta)
         with pytest.raises(HermitianViolation, match="imaginary residue"):
             fn(path_grid(8))
+        assert dense_calls == []
+        with pytest.raises(HermitianViolation, match="imaginary residue"):
+            fn(_gauss_nodes(8))
         assert dense_calls == []
         with pytest.raises(HermitianViolation, match="imaginary residue"):
             fn(np.array([0.1, 0.37, 0.5]))
@@ -270,6 +340,15 @@ class TestClassSpec:
             ClassSpec.sobolev(1.0, 0.0)
         with pytest.raises(ValueError):
             ClassSpec.hoelder(1.5, 1.0)
+
+    @pytest.mark.parametrize("params, name", [
+        ({"beta": math.nan}, "beta"), ({"beta": math.inf}, "beta"),
+        ({"alpha": math.nan}, "alpha"), ({"L": math.nan}, "L"), ({"L": math.inf}, "L"),
+        ({"M": math.nan}, "M"),
+    ])
+    def test_non_finite_parameters_are_refused(self, params, name):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            ClassSpec(kind="sobolev", **params)
 
 
 class TestEllipsoidSampling:

@@ -1,5 +1,5 @@
-"""Peak memory of the dense oracles and of the path draws, in units of the
-arrays each one builds.
+"""Peak memory of the dense oracles, the path draws and the grid
+evaluations, in units of the arrays each one builds.
 
 tracemalloc sees numpy's data buffers, so a routine that holds k full-size
 temporaries at once peaks at about k units. Each routine is called once
@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 
 from gmequiv.diagnostics import kl_dense
+from gmequiv.experiments import simulate_e2
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, preset
 from gmequiv.rkhs import kriging_interpolate_dense
@@ -67,3 +68,19 @@ def test_endpoint_draw_holds_its_output_and_two_blocks():
     block = (BLOCK_DRAWS // 64) * 64 * 8
     peak = _peak(lambda: sample_endpoints(preset("bm"), grid, npaths, 0))
     assert peak <= 8 * npaths + 2 * block + 2**17
+
+
+def test_grid_antiderivative_holds_its_fft_buffer_and_output():
+    """The folded FFT buffer, complex and transformed in place, the output
+    and theta_0 t: no index array, gathered copy or complex output."""
+    grid = path_grid(16384)
+    cos = FourierFunction.harmonic(1)
+    assert _peak(lambda: cos.antiderivative(grid)) <= 4.25 * grid.nbytes
+
+
+def test_continuous_experiment_holds_the_noise_beside_one_evaluation():
+    """The grid and the drawn noise, held while the antiderivative is
+    evaluated, and the sum that becomes the sample."""
+    grid = path_grid(16384)
+    cos = FourierFunction.harmonic(1)
+    assert _peak(lambda: simulate_e2(preset("ou", 1.0), cos, 16384, 0)) <= 6.25 * grid.nbytes

@@ -60,14 +60,29 @@ def test_kl_sequential_equals_dense(kernel, beta, seed, n):
     m=st.integers(1, 200),
     j0=st.integers(-300, 300),
     extra=st.integers(-1, 40),
+    columns=st.integers(1, 5),
 )
-def test_fft_grid_route_equals_dense_route(K, seed, m, j0, extra):
+def test_fft_grid_route_equals_dense_route(K, seed, m, j0, extra, columns):
+    """Exact grids, then columns at fractional offsets with one column
+    perturbed beyond the progression tolerance, against the dense sum."""
     gen = np.random.default_rng(seed)
     coeffs = {k: complex(*gen.normal(size=2)) for k in range(1, K + 1)}
     coeffs[0] = float(gen.normal())
     fn = FourierFunction.from_coeffs(coeffs)
+    scale = max(float(np.sum(np.abs(fn.theta))), 1.0)
     t = (j0 + np.arange(max(m + extra, 2))) / m
-    assert fourier._grid_indices(t) is not None
+    m_found, _, frac = fourier._progressions(t[:, None])
+    assert (m_found[0], frac[0]) == (m, 0.0)
     dense = fourier._dense_sum(t, fn.ks, fn.theta).real
-    tol = 1e-12 * max(float(np.sum(np.abs(fn.theta))), 1.0)
-    np.testing.assert_allclose(fn(t), dense, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(fn(t), dense, rtol=0.0, atol=1e-12 * scale)
+
+    rows = max(m, 2)
+    offsets = (j0 % m) + gen.uniform(-0.5, 0.5, size=columns)
+    t = (offsets[None, :] + np.arange(rows)[:, None]) / m
+    t[gen.integers(rows), -1] += 4 * fourier._PROGRESSION_TOL
+    assert fourier._progressions(t)[0].tolist() == [m] * (columns - 1) + [0]
+    dense = fourier._dense_sum(t.ravel(), fn.ks, fn.theta).real.reshape(t.shape)
+    # an FFT column is evaluated at its progression, which can sit up to
+    # _PROGRESSION_TOL from the given points, where |f'| <= 2 pi K scale
+    moved = 2 * np.pi * K * fourier._PROGRESSION_TOL * scale
+    np.testing.assert_allclose(fn(t), dense, rtol=0.0, atol=1e-12 * scale + moved)
