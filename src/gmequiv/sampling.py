@@ -13,17 +13,25 @@ every kernel, and t = 1 on pinned kernels such as the bridge, where v(1) = 0
 makes the horizon q(1) infinite but leaves no randomness at that point.
 
 Draws are streamed in blocks of whole paths, at most BLOCK_DRAWS normals
-each (at least one path), already multiplied by sqrt(dq), and each caller
-reduces a block to what it keeps. sample_paths keeps every running sum
+each (at least one path). Every block is drawn into one reused buffer and
+multiplied by sqrt(dq) there, and each caller reduces it to what it keeps
+before the next block overwrites it. sample_paths keeps every running sum
 times v: on blocks at most COLUMN_ADD_WIDTH columns wide it adds column by
 column, where np.cumsum over short rows is slow, and on wider blocks it
-calls np.cumsum. sample_endpoints keeps only each row's sum times v(1): it
-adds the columns of a Fortran-ordered copy with np.add.reduce, which for
-two or more rows adds left to right as np.cumsum does; a one-row block,
-which np.add.reduce would sum pairwise, takes np.cumsum. The generator is
-read in the same row-major order whatever the block size, and every sum
-runs left to right along its own path, so every number is independent of
-BLOCK_DRAWS and of the column-add or cumsum route.
+calls np.cumsum. The generator is read in the same row-major order whatever
+the block size, and every sum runs left to right along its own path, so
+every path value is independent of BLOCK_DRAWS and of the route.
+
+endpoint_blocks streams only the endpoints, one block of paths at a time,
+so its memory is one block, its Fortran-ordered copy and one block of sums
+whatever npaths is. Each endpoint is its row's sum times v(1), written to
+a contiguous buffer: np.add.reduce adds the columns of the copy, left to
+right as np.cumsum does when the block has two or more rows; a one-row
+block, which np.add.reduce would sum pairwise, takes np.cumsum. So every
+endpoint is bit for bit the last column of sample_paths, independent of
+BLOCK_DRAWS. A statistic merged over the blocks, such as the
+counterexample's streamed variance, depends on the block partition only in
+its last bits.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int, label:
     v over the random columns, and an iterator of (first_row, block), where
     block holds the normals times sqrt(dq) for the columns lo .. lo + v.size - 1
     of the paths first_row onward; path j is v times the running sum of row j.
+    Every block is a view of one buffer, overwritten by the next block.
     Every column outside that run is exactly 0; with no random column v is
     empty and the iterator is empty. The checks run before this returns.
     """
@@ -94,10 +103,12 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int, label:
              "q is not finite and strictly increasing from q(0) = 0")
     scale = np.sqrt(dq, out=dq)
     rows = max(1, BLOCK_DRAWS // (hi - lo))
+    buffer = np.empty((min(rows, npaths), hi - lo))
 
     def blocks():
         for first in range(0, npaths, rows):
-            block = gen.standard_normal((min(rows, npaths - first), hi - lo))
+            block = buffer[: min(rows, npaths - first)]
+            gen.standard_normal(out=block)
             block *= scale
             yield first, block
 
@@ -128,23 +139,34 @@ def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     return out
 
 
-def sample_endpoints(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
-                     label: str = "paths") -> np.ndarray:
-    """The last column of sample_paths with the same arguments, bit for bit.
+def endpoint_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
+                    label: str = "paths") -> Iterator[np.ndarray]:
+    """Stream the last column of sample_paths with the same arguments, bit
+    for bit, as consecutive blocks of endpoints.
 
-    Same checks and stream as sample_paths, but only the npaths endpoint
-    values are kept, so memory is O(npaths) beside one streamed block and
-    its Fortran-ordered copy.
+    Same checks, which run before this returns, and same stream as
+    sample_paths, but memory is one block, its Fortran-ordered copy and one
+    block of sums whatever npaths is. A yielded array may be overwritten by
+    the next block; the caller reduces it, in place if it likes, before
+    asking for the next.
     """
     size, lo, v, blocks = _path_blocks(kernel, grid, npaths, seed, label)
-    out = np.zeros(npaths)
-    if lo + v.size < size:  # the endpoint is a pinned zero
-        return out
-    for first, block in blocks:
-        sums = out[first : first + block.shape[0]]
-        if block.shape[0] == 1:
-            sums[:] = np.cumsum(block, axis=1)[:, -1]
-        else:
-            np.add.reduce(np.asfortranarray(block), axis=1, out=sums)
-    out *= v[-1]
-    return out
+
+    def sums():
+        if lo + v.size < size:  # the endpoint is a pinned zero
+            for first in range(0, npaths, BLOCK_DRAWS):
+                yield np.zeros(min(BLOCK_DRAWS, npaths - first))
+            return
+        buffer = np.empty(0)
+        for _, block in blocks:
+            if buffer.size < block.shape[0]:  # the first block is the largest
+                buffer = np.empty(block.shape[0])
+            out = buffer[: block.shape[0]]
+            if block.shape[0] == 1:
+                out[:] = np.cumsum(block, axis=1)[:, -1]
+            else:
+                np.add.reduce(np.asfortranarray(block), axis=1, out=out)
+            out *= v[-1]
+            yield out
+
+    return sums()

@@ -9,13 +9,16 @@ import pytest
 from gmequiv.counterexample import (
     MC_PREMISE,
     DecisionProblem,
+    _streamed_actions,
     build_fn,
     endpoint_increment,
     indistinguishability_check,
 )
 from gmequiv.errors import GridMissingEndpoints
 from gmequiv.fourier import FourierFunction
-from gmequiv.samples import PathSample
+from gmequiv.kernels import preset
+from gmequiv.samples import PathSample, path_grid
+from gmequiv.sampling import BLOCK_DRAWS, endpoint_blocks
 
 
 class TestSpikeFunction:
@@ -87,7 +90,7 @@ class TestDecisionProblem:
         assert problem.loss(problem.alternative, target) == 0.0
         assert problem.loss(problem.alternative, target + 0.02) == 1.0
         actions = np.array([target, target + 0.02, target - 0.005])
-        assert problem.risk(problem.alternative, actions) == pytest.approx(1.0 / 3.0)
+        assert problem.misses(problem.alternative, actions) == 1
 
 
 class TestIndistinguishabilityCheck:
@@ -136,3 +139,55 @@ class TestIndistinguishabilityCheck:
         a = indistinguishability_check(4, mc_paths=2_000)
         b = indistinguishability_check(4, mc_paths=2_000)
         assert a.mc_variance == b.mc_variance
+
+
+class TestStreamedPremise:
+    """The Monte Carlo premise streams its endpoints block by block; these
+    compare it with the statistics of all endpoints held at once."""
+
+    @staticmethod
+    def _actions(n, mc_paths, seed):
+        """F(1) + e / sqrt(n) over the premise's endpoints, as one array."""
+        stream = endpoint_blocks(preset("bm"), path_grid(n, n + 1), mc_paths, seed,
+                                 label="endpoint-mc")
+        endpoints = np.concatenate([block.copy() for block in stream])
+        return build_fn(n, 1.0, 1.0).antiderivative(1.0) + endpoints / math.sqrt(n)
+
+    @pytest.mark.parametrize("mc_paths", [50_000, 2], ids=["four-blocks", "two-paths"])
+    def test_variance_matches_all_endpoints_at_once(self, mc_paths):
+        n = 4
+        assert mc_paths % (BLOCK_DRAWS // n) != 0
+        report = indistinguishability_check(n, seed=3, mc_paths=mc_paths)
+        one_shot = float(np.var(self._actions(n, mc_paths, 3), ddof=1))
+        assert math.isclose(report.mc_variance, one_shot, rel_tol=1e-14, abs_tol=0.0)
+
+    @pytest.mark.parametrize("mc_paths", [50_000, 2], ids=["four-blocks", "two-paths"])
+    def test_plugin_risk_is_the_exact_miss_count(self, mc_paths):
+        """A tolerance that some actions meet and others miss; the streamed
+        count over N is the plug-in risk of all actions, bit for bit."""
+        n, spike = 4, build_fn(4, 1.0, 1.0)
+        actions = self._actions(n, mc_paths, 5)
+        problem = DecisionProblem(null=FourierFunction.zero(), alternative=spike,
+                                  tolerance=float(np.median(np.abs(actions - spike.integral()))))
+        risk = float(np.mean(np.abs(actions - spike.integral()) > problem.tolerance))
+        stream = endpoint_blocks(preset("bm"), path_grid(n, n + 1), mc_paths, 5,
+                                 label="endpoint-mc")
+        misses, variance = _streamed_actions(problem, spike, n, stream)
+        assert 0 < misses < mc_paths
+        assert misses / mc_paths == risk
+        assert math.isclose(variance, float(np.var(actions, ddof=1)), rel_tol=1e-14)
+
+    def test_one_block_is_np_var_bit_for_bit(self):
+        """The merge starts from empty moments without rounding, and any
+        partition of the same endpoints moves only the last bits."""
+        n, spike = 8, build_fn(8, 1.0, 1.0)
+        problem = DecisionProblem(null=FourierFunction.zero(), alternative=spike)
+        endpoints = np.random.default_rng(0).standard_normal(1_000)
+        whole = _streamed_actions(problem, spike, n, iter([endpoints.copy()]))
+        actions = spike.antiderivative(1.0) + endpoints / math.sqrt(n)
+        assert whole == (1_000, float(np.var(actions, ddof=1)))
+        for cuts in ([1], [999], [3, 500, 501, 997]):
+            parts = np.split(endpoints.copy(), cuts)
+            misses, variance = _streamed_actions(problem, spike, n, iter(parts))
+            assert misses == 1_000
+            assert math.isclose(variance, whole[1], rel_tol=1e-14, abs_tol=0.0)

@@ -1,5 +1,6 @@
-"""Peak memory of the dense oracles, the path draws and the grid
-evaluations, in units of the arrays each one builds.
+"""Peak memory of the dense oracles, the path draws, the counterexample's
+Monte Carlo premise and the grid evaluations, in units of the arrays each
+one builds.
 
 tracemalloc sees numpy's data buffers, so a routine that holds k full-size
 temporaries at once peaks at about k units. Each routine is called once
@@ -10,13 +11,14 @@ import tracemalloc
 
 import numpy as np
 
+from gmequiv.counterexample import indistinguishability_check
 from gmequiv.diagnostics import kl_dense
 from gmequiv.experiments import simulate_e2
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, preset
 from gmequiv.rkhs import kriging_interpolate_dense
 from gmequiv.samples import path_grid
-from gmequiv.sampling import BLOCK_DRAWS, sample_endpoints, sample_paths
+from gmequiv.sampling import BLOCK_DRAWS, endpoint_blocks, sample_paths
 
 N = 512
 UNIT = N * N * 8  # one n x n matrix of doubles
@@ -60,14 +62,22 @@ def test_one_path_draw_holds_four_grid_arrays():
     assert _peak(lambda: sample_paths(preset("ou", 1.0), grid, 1, 0)) <= 4.2 * grid.nbytes
 
 
-def test_endpoint_draw_holds_its_output_and_two_blocks():
-    """The npaths endpoints, the drawn block and its Fortran-ordered copy,
-    plus 128 KiB for the generator's own working memory; never a path per
-    row (52 MB at these sizes)."""
+def test_endpoint_stream_holds_two_blocks():
+    """The drawn block, its Fortran-ordered copy and one block of
+    endpoints, plus 128 KiB for the generator's own working memory; never
+    the npaths endpoints (800 KB here) or a path per row (52 MB)."""
     grid, npaths = path_grid(64, 65), 100_000
-    block = (BLOCK_DRAWS // 64) * 64 * 8
-    peak = _peak(lambda: sample_endpoints(preset("bm"), grid, npaths, 0))
-    assert peak <= 8 * npaths + 2 * block + 2**17
+    rows = BLOCK_DRAWS // 64
+    peak = _peak(lambda: [block.sum() for block in endpoint_blocks(preset("bm"), grid, npaths, 0)])
+    assert peak <= 2 * 8 * BLOCK_DRAWS + 8 * rows + 2**17
+
+
+def test_counterexample_memory_does_not_grow_with_the_paths():
+    """Ten times the Monte Carlo paths, the same peak to within one block:
+    the premise streams its endpoints and keeps only running moments."""
+    small, large = (_peak(lambda p=p: indistinguishability_check(4, mc_paths=p))
+                    for p in (100_000, 1_000_000))
+    assert abs(large - small) <= 8 * BLOCK_DRAWS
 
 
 def test_grid_antiderivative_holds_its_fft_buffer_and_output():

@@ -1,5 +1,6 @@
-"""Seeded property tests: the derived clock, the two KL routes, and the
-two Fourier-sum routes, each on generated inputs."""
+"""Seeded property tests: the derived clock, the two KL routes, the two
+Fourier-sum routes, Kriging through the knots and the discrete -> path ->
+discrete round trip, each on generated inputs."""
 
 import math
 
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 
 from gmequiv import fourier
 from gmequiv.diagnostics import kl_dense, kl_sequential
+from gmequiv.experiments import path_from_discrete, reconstruct_discrete_from_path
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import make_kernel, preset
+from gmequiv.rkhs import kriging_interpolate, kriging_residual_process
+from gmequiv.samples import DiscreteSample, knot_stride, path_grid
 
 TS = np.linspace(0.0, 1.0, 101)
 
@@ -86,3 +90,43 @@ def test_fft_grid_route_equals_dense_route(K, seed, m, j0, extra, columns):
     # _PROGRESSION_TOL from the given points, where |f'| <= 2 pi K scale
     moved = 2 * np.pi * K * fourier._PROGRESSION_TOL * scale
     np.testing.assert_allclose(fn(t), dense, rtol=0.0, atol=1e-12 * scale + moved)
+
+
+# kernels that Kriging accepts: v(1) != 0, so not the pinned bridge
+KRIGING_KERNELS = st.one_of(st.just(preset("bm")),
+                            st.floats(0.05, 3.0).map(lambda L: preset("ou", L)),
+                            st.just(preset("slepian")))
+
+
+def _knot_data(seed, n, log_scale):
+    """n values of size 10**log_scale, and that scale."""
+    scale = 10.0 ** log_scale
+    return scale * np.random.default_rng(seed).normal(size=n), scale
+
+
+@given(kernel=KRIGING_KERNELS, n=st.integers(1, 64), density=st.integers(1, 24),
+       seed=st.integers(0, 10**6), log_scale=st.floats(-3.0, 3.0))
+def test_kriging_hits_the_knots(kernel, n, density, seed, log_scale):
+    """Through given knot data, and through the knot values of a drawn
+    path, which the residual process then leaves at zero."""
+    y, scale = _knot_data(seed, n, log_scale)
+    grid = path_grid(n, density * n + 1)
+    stride = knot_stride(n, grid.size)
+    fit = kriging_interpolate(kernel, y, grid)
+    assert fit[0] == 0.0
+    np.testing.assert_allclose(fit[stride::stride], y, rtol=0.0, atol=1e-12 * scale)
+    residual = kriging_residual_process(kernel, n, seed, grid_size=grid.size)
+    np.testing.assert_allclose(residual.values[::stride], 0.0, rtol=0.0, atol=1e-12)
+
+
+@given(kernel=KRIGING_KERNELS, n=st.integers(1, 64), density=st.integers(1, 24),
+       seed=st.integers(0, 10**6), residual_seed=st.integers(0, 10**6),
+       log_scale=st.floats(-3.0, 3.0))
+def test_discrete_path_discrete_round_trip_is_the_identity(kernel, n, density, seed,
+                                                            residual_seed, log_scale):
+    values, scale = _knot_data(seed, n, log_scale)
+    sample = DiscreteSample(n=n, values=values, variant="cell_averaged",
+                            kernel_id=kernel.name, function_id="knot-data", seed=seed)
+    path = path_from_discrete(kernel, sample, residual_seed, grid_size=density * n + 1)
+    back = reconstruct_discrete_from_path(path, n)
+    np.testing.assert_allclose(back.values, values, rtol=0.0, atol=1e-10 * scale)

@@ -1,4 +1,4 @@
-"""Tests for the block stream behind sample_paths and sample_endpoints."""
+"""Tests for the block stream behind sample_paths and endpoint_blocks."""
 
 import tracemalloc
 
@@ -9,7 +9,7 @@ from gmequiv import rng, sampling
 from gmequiv.counterexample import indistinguishability_check
 from gmequiv.kernels import preset
 from gmequiv.samples import path_grid
-from gmequiv.sampling import BLOCK_DRAWS, sample_endpoints, sample_paths
+from gmequiv.sampling import BLOCK_DRAWS, endpoint_blocks, sample_paths
 
 
 def _one_shot(kernel, grid, npaths, seed, label):
@@ -42,29 +42,51 @@ def test_block_stream_equals_one_shot_draw(name, grid, npaths):
         assert np.all(paths[:, -1] == 0.0)
 
 
+def _endpoints(kernel, grid, npaths, seed, label):
+    """The streamed endpoints as one array; each block is copied before the
+    next one overwrites it."""
+    return np.concatenate([block.copy()
+                           for block in endpoint_blocks(kernel, grid, npaths, seed, label)])
+
+
 @pytest.mark.parametrize("kernel", [preset("bm"), preset("ou", 1.0), preset("bridge")],
                          ids=lambda k: k.name)
 def test_endpoints_are_the_last_column(kernel):
-    """Also when the last block has one row, which np.add.reduce would sum
-    pairwise, and when the only block is shorter than a full one."""
-    grid = path_grid(64, 65)
-    rows = BLOCK_DRAWS // 64
-    for npaths in (3 * rows + 5, 3 * rows + 1, 5):
-        np.testing.assert_array_equal(sample_endpoints(kernel, grid, npaths, 2, label="end"),
-                                      sample_paths(kernel, grid, npaths, 2, label="end")[:, -1])
+    """Across the four block layouts: rows not a block multiple, a last
+    block of one row, which np.add.reduce would sum pairwise, an only block
+    shorter than a full one, and one path; also on one random column, which
+    is its own Fortran-ordered copy."""
+    for columns in (64, 8, 1):
+        grid = path_grid(columns, columns + 1)
+        rows = BLOCK_DRAWS // columns
+        for npaths in (3 * rows + 5, 3 * rows + 1, 5, 1):
+            np.testing.assert_array_equal(
+                _endpoints(kernel, grid, npaths, 2, "end"),
+                sample_paths(kernel, grid, npaths, 2, label="end")[:, -1])
+
+
+def test_pinned_endpoint_streams_zeros():
+    npaths = BLOCK_DRAWS + 3
+    blocks = list(endpoint_blocks(preset("bridge"), path_grid(8, 9), npaths, 0))
+    assert [block.size for block in blocks] == [BLOCK_DRAWS, 3]
+    assert all(np.all(block == 0.0) for block in blocks)
 
 
 def test_endpoints_share_the_grid_checks():
+    """The checks run when the stream is made, before any block is read."""
     with pytest.raises(ValueError, match="starting at 0"):
-        sampling.sample_endpoints(preset("bm"), [0.5, 1.0], 4, 0)
+        sampling.endpoint_blocks(preset("bm"), [0.5, 1.0], 4, 0)
 
 
 def test_counterexample_monte_carlo_holds_one_block():
-    """100k paths at n = 64 as one array would be 52 MB twice over."""
+    """100k paths at n = 64 as one array would be 52 MB twice over. The
+    premise holds the drawn block and its Fortran-ordered copy, plus
+    256 KiB for the generator's working memory, the block of endpoints and
+    the temporaries of one block of actions."""
     tracemalloc.start()
     try:
         indistinguishability_check(64, mc_paths=100_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak <= 2 * 8 * BLOCK_DRAWS + 2**18
