@@ -35,8 +35,7 @@ _EXPORTS = {
     ),
     "expr": ("KernelExpression", "parse_kernel_expression"),
     "fourier": (
-        "ClassSpec", "FourierFunction", "HoelderReport", "function_from_spec",
-        "hoelder_check", "sample_ellipsoid",
+        "ClassSpec", "FourierFunction", "function_from_spec", "sample_ellipsoid",
     ),
     "kernels": (
         "GaussMarkovKernel", "ValidationReport", "covariance", "gram", "kernel_from_spec",

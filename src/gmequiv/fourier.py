@@ -21,8 +21,9 @@ The antiderivative from 0 is closed-form,
 so cell averages n * (F(i/n) - F((i-1)/n)) are exact, with no quadrature in
 the loop. Smoothness classes are parameterized by ClassSpec: a Sobolev
 ellipsoid sum (1+|k|)^{2 beta} |theta_k|^2 <= L^2, or a Hoelder ball with
-exponent alpha, constant L, and sup-norm bound M. The Hoelder constant
-and sup norm are estimated on a grid, so both estimates are lower bounds.
+exponent alpha in (0, 1], constant L, and sup-norm bound M. Hoelder members
+are scaled by certified upper bounds on the Hoelder constant and the sup
+norm, closed form in the coefficients, so they lie inside the ball.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ _IMAG_TOL = 1e-12
 _PROGRESSION_TOL = 8 * np.finfo(float).eps
 _ELLIPSOID_DECAY_MARGIN = 0.1  # the epsilon in the sampling decay exponent
 _CHUNK = 2048
-HOELDER_GRID = 2001  # points i/2000 of the Hoelder grid check
 # Largest |k| a function spec may name: theta has 2|k| + 1 entries, so this
 # caps one spec at 32 MB of coefficients, far above any K the package builds.
 MAX_FREQUENCY = 2**20
@@ -346,7 +346,8 @@ class ClassSpec:
 
     The asymptotic statements this package probes need beta > 1/2 for the
     Sobolev ellipsoid and 1/2 < alpha <= 1 for the Hoelder ball. Looser
-    parameters are allowed for exploratory runs.
+    parameters are allowed for exploratory runs, except an alpha outside
+    (0, 1], where the Hoelder bounds of scale_into_hoelder_ball fail.
     """
 
     kind: str
@@ -366,6 +367,8 @@ class ClassSpec:
             raise ValueError("class radius L must be positive")
         if math.isnan(self.M):
             raise ValueError("class sup-norm bound M must be a number (inf for none)")
+        if self.kind == "hoelder" and not 0 < self.alpha <= 1:
+            raise ValueError("hoelder exponent must lie in (0, 1]")
 
     @staticmethod
     def sobolev(beta: float, L: float) -> "ClassSpec":
@@ -373,8 +376,6 @@ class ClassSpec:
 
     @staticmethod
     def hoelder(alpha: float, L: float, M: float = math.inf) -> "ClassSpec":
-        if not 0 < alpha <= 1:
-            raise ValueError("hoelder exponent must lie in (0, 1]")
         return ClassSpec(kind="hoelder", alpha=alpha, L=L, M=M)
 
 
@@ -383,7 +384,8 @@ def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
 
     Magnitudes decay like (1+|k|)^(-s - 1/2 - 0.1) where s is beta (or
     alpha), phases are uniform, and the result is rescaled to sit at 95% of
-    the class radius.
+    the class radius (for a Hoelder class, at 95% of a certified upper
+    bound, so at or inside 95% of the radius).
     """
     smooth = spec.beta if spec.kind == "sobolev" else spec.alpha
     gen = rng.stream(seed, "ellipsoid", spec.kind, smooth, spec.L, K)
@@ -403,46 +405,24 @@ def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
 
 
 def scale_into_hoelder_ball(fn: FourierFunction, spec: ClassSpec) -> FourierFunction:
-    """Rescale fn to 95% of the Hoelder constant L, as estimated by
-    hoelder_check, capped at 95% of the sup-norm bound M when M is finite."""
-    report = hoelder_check(fn, spec)
-    scale = 0.95 * spec.L / max(report.estimated_constant, 1e-300)
-    if math.isfinite(spec.M) and report.sup_norm > 0:
-        scale = min(scale, 0.95 * spec.M / report.sup_norm)
-    return fn.scaled(scale, name=fn.name)
+    """Rescale fn to 95% of the Hoelder constant L, capped at 95% of the
+    sup-norm bound M when M is finite, by certified upper bounds.
 
-
-@dataclass(frozen=True)
-class HoelderReport:
-    """Grid estimates of the Hoelder constant and sup norm.
-
-    Both estimates are lower bounds (a grid sees only finitely many pairs):
-    an estimate above a class bound refutes membership, one below it
-    certifies nothing.
+    For 0 < alpha <= 1, |e_k(x) - e_k(y)| <= min(2, 2 pi |k| |x - y|)
+    <= 2^(1-alpha) (2 pi |k|)^alpha |x - y|^alpha, so the Hoelder constant
+    is at most sum_k |theta_k| 2^(1-alpha) (2 pi |k|)^alpha and the sup
+    norm at most sum_k |theta_k|.
     """
-
-    estimated_constant: float
-    sup_norm: float
-
-
-def hoelder_check(fn: FourierFunction, spec: ClassSpec) -> HoelderReport:
-    """Estimate sup |f(x)-f(y)| / |x-y|^alpha over all pairs of the
-    HOELDER_GRID points i/(HOELDER_GRID - 1), a grid the FFT route takes."""
     if spec.kind != "hoelder":
-        raise ValueError("hoelder_check needs a hoelder ClassSpec")
-    xs = path_grid(1, HOELDER_GRID)
-    vals = fn(xs)
-    best = 0.0
-    rows = max(1, _CHUNK // HOELDER_GRID) * 8
-    for lo in range(0, HOELDER_GRID - 1, rows):
-        hi = min(lo + rows, HOELDER_GRID - 1)
-        block = vals[lo:hi, None] - vals[None, lo + 1 :]
-        gaps = np.abs(xs[lo:hi, None] - xs[None, lo + 1 :])
-        mask = gaps > 0
-        ratios = np.abs(block[mask]) / gaps[mask] ** spec.alpha
-        if ratios.size:
-            best = max(best, float(ratios.max()))
-    return HoelderReport(estimated_constant=best, sup_norm=float(np.max(np.abs(vals))))
+        raise ValueError("scale_into_hoelder_ball needs a hoelder ClassSpec")
+    magnitudes = np.abs(fn.theta)
+    constant = 2.0 ** (1.0 - spec.alpha) * float(
+        np.sum(magnitudes * (2.0 * np.pi * np.abs(fn.ks)) ** spec.alpha))
+    scale = 0.95 * spec.L / max(constant, 1e-300)
+    sup_norm = float(np.sum(magnitudes))
+    if math.isfinite(spec.M) and sup_norm > 0:
+        scale = min(scale, 0.95 * spec.M / sup_norm)
+    return fn.scaled(scale, name=fn.name)
 
 
 def function_from_spec(spec: Mapping | str) -> FourierFunction:

@@ -397,16 +397,24 @@ def test_import_loads_no_scipy():
 
 
 def test_every_definition_has_a_reader_outside_the_tests():
-    """Every function, class and method defined under src/gmequiv is read
-    by name somewhere in the package or in bench/: code that only the
-    tests read is not kept."""
+    """Every function, class, method and module-level constant defined
+    under src/gmequiv is read by name somewhere in the package or in
+    bench/: code that only the tests read is not kept. An assignment is
+    not a read, so a constant cannot outlive its last reader."""
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "gmequiv"
     sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     defined, read = set(), set()
     for path in sources + sorted((root / "bench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == package:
+            for stmt in tree.body:
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    defined.update(node.id for target in targets for node in ast.walk(target)
+                                   if isinstance(node, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)

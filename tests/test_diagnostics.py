@@ -339,6 +339,18 @@ class TestRateSweep:
         assert report.slope is not None
         assert -0.7 <= report.slope <= -0.3
 
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_hoelder_extremal_harmonics_are_inside_the_ball(self, n):
+        """At alpha = 1 the Hoelder constant of a cos(2 pi k x) is exactly
+        amplitude * 2 pi k; every scaled harmonic must keep it within L."""
+        spec = ClassSpec.hoelder(1.0, 1.0)
+        harmonics = [fn for fn in class_extremal_family(spec).members(n)
+                     if fn.name.startswith("extremal-k")]
+        assert [fn.K for fn in harmonics] == [1, n // 2, n, 2 * n]
+        for fn in harmonics:
+            amplitude = 2 * abs(fn.coeff(fn.K))
+            assert amplitude * 2 * np.pi * fn.K <= spec.L
+
     def test_random_family_is_seed_stable(self):
         spec = ClassSpec.sobolev(1.0, 1.0)
         fam = random_family(spec, seed=3)

@@ -13,12 +13,34 @@ from gmequiv.fourier import (
     ClassSpec,
     FourierFunction,
     function_from_spec,
-    hoelder_check,
     sample_ellipsoid,
+    scale_into_hoelder_ball,
 )
 from gmequiv.quadrature import _gauss_rule
 from gmequiv.rkhs import projection_distance
 from gmequiv.samples import path_grid
+
+
+def _grid_hoelder_estimate(fn: FourierFunction, alpha: float,
+                           size: int = 2001) -> tuple[float, float]:
+    """max |f(x) - f(y)| / |x - y|^alpha over all pairs of the grid
+    i/(size - 1), and max |f| there: lower bounds on the Hoelder constant
+    and the sup norm, since a grid sees only finitely many pairs."""
+    xs = path_grid(1, size)
+    vals = fn(xs)
+    best = 0.0
+    for i in range(size - 1):
+        ratios = np.abs(vals[i + 1 :] - vals[i]) / (xs[i + 1 :] - xs[i]) ** alpha
+        best = max(best, float(ratios.max()))
+    return best, float(np.max(np.abs(vals)))
+
+
+def _certified_constant(fn: FourierFunction, alpha: float) -> float:
+    """The Hoelder-constant bound scale_into_hoelder_ball divides by,
+    read back from the factor it scales fn by when L = 1 and M = inf."""
+    scaled = scale_into_hoelder_ball(fn, ClassSpec.hoelder(alpha, 1.0))
+    k = int(np.argmax(np.abs(fn.theta)))
+    return 0.95 * abs(fn.theta[k]) / abs(scaled.theta[k])
 
 
 def _random_function(seed: int, K: int = 5) -> FourierFunction:
@@ -341,6 +363,11 @@ class TestClassSpec:
         with pytest.raises(ValueError):
             ClassSpec.hoelder(1.5, 1.0)
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, -2.0])
+    def test_hoelder_exponent_is_checked_on_direct_construction(self, alpha):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            ClassSpec(kind="hoelder", alpha=alpha)
+
     @pytest.mark.parametrize("params, name", [
         ({"beta": math.nan}, "beta"), ({"beta": math.inf}, "beta"),
         ({"alpha": math.nan}, "alpha"), ({"L": math.nan}, "L"), ({"L": math.inf}, "L"),
@@ -368,43 +395,56 @@ class TestEllipsoidSampling:
     def test_hoelder_member_is_consistent(self):
         spec = ClassSpec.hoelder(0.8, 1.0, M=2.0)
         fn = sample_ellipsoid(spec, K=8, seed=3)
-        report = hoelder_check(fn, spec)
-        assert report.estimated_constant <= spec.L
-        assert report.sup_norm <= spec.M
+        constant, sup_norm = _grid_hoelder_estimate(fn, spec.alpha)
+        assert constant <= spec.L
+        assert sup_norm <= spec.M
 
 
 class TestHoelderCheck:
+    """scale_into_hoelder_ball's closed-form bounds against the grid scan,
+    which bounds the same quantities from below."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("K", [8, 64, 512])
+    def test_certified_constant_bounds_the_grid_estimate(self, alpha, K):
+        """A member sits at 95% of its certified constant, so the grid must
+        see no more than 0.95 L."""
+        spec = ClassSpec.hoelder(alpha, 1.0)
+        fn = sample_ellipsoid(spec, K=K, seed=K)
+        constant, _ = _grid_hoelder_estimate(fn, alpha)
+        assert constant <= 0.95 * spec.L * (1 + 1e-12)
+        assert math.isclose(_certified_constant(fn, alpha), 0.95 * spec.L, rel_tol=1e-12)
+
     def test_cosine_slope_estimate(self):
-        """For cos(2 pi x) with alpha = 1 the grid estimate approaches the
-        maximum slope 2 pi from below."""
+        """For cos(2 pi x) with alpha = 1 the certified constant is the
+        maximum slope 2 pi, and the grid estimate approaches it from below."""
         fn = FourierFunction.harmonic(1)
-        report = hoelder_check(fn, ClassSpec.hoelder(1.0, 10.0))
-        assert report.estimated_constant <= 2 * np.pi + 1e-9
-        assert math.isclose(report.estimated_constant, 2 * np.pi, rel_tol=1e-3)
-        assert math.isclose(report.sup_norm, 1.0, rel_tol=1e-9)
+        certified = _certified_constant(fn, 1.0)
+        assert math.isclose(certified, 2 * np.pi, rel_tol=1e-15)
+        constant, sup_norm = _grid_hoelder_estimate(fn, 1.0)
+        assert constant <= certified
+        assert math.isclose(constant, certified, rel_tol=1e-3)
+        assert math.isclose(sup_norm, 1.0, rel_tol=1e-9)
 
     def test_refutation_is_one_sided(self):
         fn = FourierFunction.harmonic(1)
-        # the estimate approaches 2 pi from below: it refutes L = 1 and
-        # cannot refute L = 7
-        assert hoelder_check(fn, ClassSpec.hoelder(1.0, 1.0)).estimated_constant > 1.0
-        assert hoelder_check(fn, ClassSpec.hoelder(1.0, 7.0)).estimated_constant <= 7.0
+        # the grid estimate refutes L = 1, and the certified constant 2 pi
+        # certifies L = 7, which the grid cannot refute
+        constant, _ = _grid_hoelder_estimate(fn, 1.0)
+        assert 1.0 < constant <= _certified_constant(fn, 1.0) <= 7.0
 
     def test_sup_norm_bound_refutes(self):
+        """3 cos(2 pi x) breaks M = 1 and is scaled down to 0.95 M, far
+        inside L = 100."""
         fn = FourierFunction.harmonic(1, 3.0)
-        report = hoelder_check(fn, ClassSpec.hoelder(1.0, 100.0, M=1.0))
-        assert report.estimated_constant <= 100.0
-        assert report.sup_norm > 1.0
-
-    def test_takes_the_grid_route(self, dense_calls):
-        """The check's grid is i/2000 exactly, so even a K = 512 member
-        never takes the dense sum."""
-        spec = ClassSpec.hoelder(0.8, 1.0, M=2.0)
-        fn = sample_ellipsoid(spec, K=512, seed=0)
-        report = hoelder_check(fn, spec)
-        assert report.estimated_constant <= spec.L and report.sup_norm <= spec.M
-        assert dense_calls == []
+        spec = ClassSpec.hoelder(1.0, 100.0, M=1.0)
+        assert _grid_hoelder_estimate(fn, 1.0)[1] > spec.M
+        scaled = scale_into_hoelder_ball(fn, spec)
+        constant, sup_norm = _grid_hoelder_estimate(scaled, 1.0)
+        assert math.isclose(float(np.sum(np.abs(scaled.theta))), 0.95 * spec.M, rel_tol=1e-12)
+        assert sup_norm <= 0.95 * spec.M * (1 + 1e-12)
+        assert constant <= 0.95 * 2 * np.pi * (1 + 1e-12) <= spec.L
 
     def test_needs_hoelder_spec(self):
         with pytest.raises(ValueError):
-            hoelder_check(FourierFunction.zero(), ClassSpec.sobolev(1.0, 1.0))
+            scale_into_hoelder_ball(FourierFunction.zero(), ClassSpec.sobolev(1.0, 1.0))

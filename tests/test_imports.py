@@ -41,8 +41,7 @@ EXPORTS = {
                     "reconstruct_discrete_from_path", "simulate_e1", "simulate_e2",
                     "simulate_increments"),
     "expr": ("KernelExpression", "parse_kernel_expression"),
-    "fourier": ("ClassSpec", "FourierFunction", "HoelderReport", "function_from_spec",
-                "hoelder_check", "sample_ellipsoid"),
+    "fourier": ("ClassSpec", "FourierFunction", "function_from_spec", "sample_ellipsoid"),
     "kernels": ("GaussMarkovKernel", "ValidationReport", "covariance", "gram",
                 "kernel_from_spec", "make_kernel", "preset", "validate_assumption"),
     "rkhs": ("RkhsElement", "g_from_f", "kriging_interpolate", "kriging_interpolate_dense",
