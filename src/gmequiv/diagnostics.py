@@ -56,6 +56,7 @@ from .samples import design_knots
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
 EXTREMAL_RANDOM_MEMBERS = 2  # seeded ellipsoid members of class_extremal_family
 RANDOM_FAMILY_SIZE = 3  # members of random_family
+_DFT_ROWS = 256  # rows of the Parseval check's phase matrix built at once
 
 
 def _gaps(f: FourierFunction, n: int) -> np.ndarray:
@@ -179,10 +180,15 @@ def band_split_decomposition(f: FourierFunction, n: int) -> BandDecomposition:
     B = np.asarray(tail(design_knots(n)))
     C = tail.cell_averages(n)
     d = _gaps(f, n)
-    # direct DFT of the low-band gaps, O(n^2) on purpose (no FFT)
+    # direct DFT of the low-band gaps, O(n^2) on purpose (no FFT), with the
+    # phase matrix built _DFT_ROWS rows at a time, so memory is O(n)
     j = np.arange(1, n + 1)
-    phases = np.exp(-2j * np.pi * np.outer(j, j) / n)
-    F = (phases @ A.astype(complex)) / n
+    gaps = A.astype(complex)
+    F = np.empty(n, dtype=complex)
+    for lo in range(0, n, _DFT_ROWS):
+        phases = np.exp(-2j * np.pi * np.outer(j[lo : lo + _DFT_ROWS], j) / n)
+        F[lo : lo + _DFT_ROWS] = phases @ gaps
+    F /= n
     parseval = abs(float(np.sum(A * A) / n) - float(np.sum(np.abs(F) ** 2)))
     return BandDecomposition(
         n=n,

@@ -3,16 +3,18 @@
 A function is a finite sum f(x) = sum_k theta_k e_k(x) over k in [-K, K]
 with e_k(x) = exp(-2 pi i k x). Real-valuedness is enforced structurally:
 coefficients must satisfy theta_{-k} = conj(theta_k), and every evaluation
-checks that the reconstructed imaginary part stays below 1e-12.
+checks, in O(K), that the weights it sums are conjugate-symmetric to 1e-12
+of their scale, which bounds the imaginary part at every point.
 
 An arithmetic progression of points t = (j0 + frac + r)/m, r = 0, 1, ...,
-is evaluated by one length-m FFT of the coefficients folded k mod m, in
-O(K + m log m). That covers the grid points j/m of the design knots, the
-path grids and the transform's j/(n+1) (frac = 0, evaluated exactly
-there), and each column of the Gauss nodes the quadrature places on
-equal panels (evaluated at the progression within 8 eps of them). Other
-points take the dense O(points * K) sum. The two routes agree to the
-last bits.
+is evaluated by one real inverse FFT of length m of the coefficients
+folded k mod m, of which only the Hermitian half spectrum (entries
+0..m//2) is built, in O(K + m log m). That covers the grid points j/m of
+the design knots, the path grids and the transform's j/(n+1) (frac = 0,
+evaluated exactly there), and each column of the Gauss nodes the
+quadrature places on equal panels (evaluated at the progression within
+8 eps of them). Other points take the dense O(points * K) sum. The two
+routes agree to the last bits.
 
 The antiderivative from 0 is closed-form,
 
@@ -147,29 +149,32 @@ class FourierFunction:
 
         Each column t[:, c] (t itself when 1-d) that is an arithmetic
         progression (j0 + frac + r) / m with at least m - 1 points is
-        evaluated by FFT, one batched length-m FFT for all the columns that
-        share m (_fft_columns). The other columns go through one dense sum,
-        chunked over their points.
+        evaluated by FFT, one batched real inverse FFT for all the columns
+        that share m (_fft_columns). The other columns go through one dense
+        sum, chunked over their points. Both routes keep the real part.
+
+        The imaginary part of the sum is at most
+        sum_k |weights_k - conj(weights_{-k})| / 2 at every t, so one O(K)
+        check of that bound against _IMAG_TOL times the weights' scale
+        covers every point on both routes.
         """
         ks = self.ks
         columns = t.reshape(t.shape[0], math.prod(t.shape[1:]))
         periods, j0, frac = _progressions(columns)
         out = np.empty(columns.shape)
-        worst = 0.0
         for m in set(periods.tolist()) - {0}:
             picked = np.flatnonzero(periods == m)
-            worst = max(worst, _fft_columns(ks, weights, m, j0[picked], frac[picked],
-                                            out, picked))
+            _fft_columns(ks, weights, m, j0[picked], frac[picked], out, picked)
         dense = np.flatnonzero(periods == 0)
         if dense.size:
             points = columns.ravel() if dense.size == periods.size else columns[:, dense].ravel()
             vals = _dense_sum(points, ks, weights)
-            worst = max(worst, float(np.max(np.abs(vals.imag), initial=0.0)))
             out[:, dense] = vals.real.reshape(columns.shape[0], dense.size)
+        residue = 0.5 * float(np.sum(np.abs(weights - np.conj(weights[::-1]))))
         scale = max(float(np.sum(np.abs(weights))), 1.0)
-        if worst > _IMAG_TOL * scale:
+        if residue > _IMAG_TOL * scale:
             raise HermitianViolation(
-                f"evaluation produced imaginary residue {worst:.3e}"
+                f"weights are not conjugate-symmetric: imaginary residue up to {residue:.3e}"
             )
         return out.reshape(t.shape)
 
@@ -280,46 +285,49 @@ def _progressions(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fft_columns(ks: np.ndarray, weights: np.ndarray, m: int, j0: np.ndarray,
-                 frac: np.ndarray, out: np.ndarray, picked: np.ndarray) -> float:
-    """Write sum_k weights_k exp(-2 pi i k (j0[i] + frac[i] + r) / m) into
-    out[r, picked[i]] and return the largest |imaginary part| among the
-    FFT entries used.
+                 frac: np.ndarray, out: np.ndarray, picked: np.ndarray) -> None:
+    """Write the real part of sum_k weights_k exp(-2 pi i k (j0[i] + frac[i] + r) / m)
+    into out[r, picked[i]], for Hermitian weights_{-k} = conj(weights_k).
 
     The phase exp(-2 pi i k (j0 + r) / m) depends on k only mod m, so the
     weights, times exp(-2 pi i k frac / m) when some frac != 0, are folded
-    k mod m into one complex buffer row per column (one row in all when
-    every frac is 0), in k order, and one in-place FFT along the rows
-    evaluates all m residues. Point r reads entry (j0 + r) mod m: the real
-    parts are copied out through two rotation slices, and beyond m points
+    k mod m into one buffer row per column (one row in all when every frac
+    is 0), in k order. The phase keeps the weights Hermitian, so the folded
+    spectrum is too, and only its entries 0..m//2 are kept. Conjugated in
+    place, that half spectrum goes through one real inverse FFT along the
+    rows, which evaluates all m residues as real values (np.fft.hfft,
+    without the conjugated copy hfft makes). Point r reads entry
+    (j0 + r) mod m, copied out through two rotation slices; beyond m points
     the values repeat with period m.
     """
     phase = frac * (-2j * np.pi / m) if np.any(frac) else None
-    spectrum = np.zeros((1 if phase is None else frac.size, m), dtype=complex)
+    half = m // 2 + 1
+    spectrum = np.zeros((1 if phase is None else frac.size, half), dtype=complex)
     position = int(ks[0]) % m
     for lo in range(0, ks.size, m):
         chunk = weights[None, lo : lo + m]
         if phase is not None:
             chunk = chunk * np.exp(np.multiply.outer(phase, ks[lo : lo + m]))
         head = min(m - position, chunk.shape[1])
-        spectrum[:, position : position + head] += chunk[:, :head]
-        spectrum[:, : chunk.shape[1] - head] += chunk[:, head:]
-    np.fft.fft(spectrum, axis=1, out=spectrum)
-    size, worst = out.shape[0], 0.0
+        kept = max(0, min(head, half - position))
+        spectrum[:, position : position + kept] += chunk[:, :kept]
+        kept = min(chunk.shape[1] - head, half)
+        spectrum[:, :kept] += chunk[:, head : head + kept]
+    np.conjugate(spectrum, out=spectrum)
+    values = np.fft.irfft(spectrum, n=m, axis=1, norm="forward")
+    size = out.shape[0]
     first, starts = min(size, m), j0 % m
     for start in set(starts.tolist()):
         here = starts == start
-        rows = spectrum if phase is None or here.all() else spectrum[here]
+        rows = values if phase is None or here.all() else values[here]
         head = min(m - start, first)
-        for lo, hi, used in ((0, head, rows[:, start : start + head]),
-                             (head, first, rows[:, : first - head])):
-            out[lo:hi, picked[here]] = used.real.T
-            worst = max(worst, np.max(used.imag, initial=0.0), -np.min(used.imag, initial=0.0))
+        out[:head, picked[here]] = rows[:, start : start + head].T
+        out[head:first, picked[here]] = rows[:, : first - head].T
     done = first
     while done < size:
         step = min(done, size - done)
         out[done : done + step, picked] = out[:step, picked]
         done += step
-    return float(worst)
 
 
 def _dense_sum(t: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -411,14 +419,15 @@ def scale_into_hoelder_ball(fn: FourierFunction, spec: ClassSpec) -> FourierFunc
     For 0 < alpha <= 1, |e_k(x) - e_k(y)| <= min(2, 2 pi |k| |x - y|)
     <= 2^(1-alpha) (2 pi |k|)^alpha |x - y|^alpha, so the Hoelder constant
     is at most sum_k |theta_k| 2^(1-alpha) (2 pi |k|)^alpha and the sup
-    norm at most sum_k |theta_k|.
+    norm at most sum_k |theta_k|. A constant function has constant 0, so
+    L does not bind and only the M cap can scale it.
     """
     if spec.kind != "hoelder":
         raise ValueError("scale_into_hoelder_ball needs a hoelder ClassSpec")
     magnitudes = np.abs(fn.theta)
     constant = 2.0 ** (1.0 - spec.alpha) * float(
         np.sum(magnitudes * (2.0 * np.pi * np.abs(fn.ks)) ** spec.alpha))
-    scale = 0.95 * spec.L / max(constant, 1e-300)
+    scale = 0.95 * spec.L / constant if constant > 0 else 1.0
     sup_norm = float(np.sum(magnitudes))
     if math.isfinite(spec.M) and sup_norm > 0:
         scale = min(scale, 0.95 * spec.M / sup_norm)

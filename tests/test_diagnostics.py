@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gmequiv import diagnostics
 from gmequiv.diagnostics import (
     DEFAULT_N_GRID,
     STATISTICS,
@@ -203,6 +204,14 @@ class TestBandDecomposition:
                 dec = band_split_decomposition(f, n)
                 assert dec.parseval_residual <= 1e-10, (seed, n)
                 assert dec.bound_holds, (seed, n)
+
+    def test_row_blocks_keep_every_bit(self, monkeypatch):
+        """The direct DFT's phase matrix, built in row blocks with a ragged
+        last block, gives the decomposition of the whole matrix at once."""
+        f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=600, seed=3)
+        blocked = band_split_decomposition(f, 300)
+        monkeypatch.setattr(diagnostics, "_DFT_ROWS", 300)
+        assert band_split_decomposition(f, 300) == blocked
 
     def test_statistic_is_bound_total(self):
         f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=24, seed=2)

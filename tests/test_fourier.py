@@ -268,6 +268,20 @@ class TestGridRoute:
             fn(np.array([0.1, 0.37, 0.5]))
         assert dense_calls == [3]
 
+    @pytest.mark.parametrize("points, dense", [([0.25, 0.75], []), ([0.25, 0.75, 1.75], [3])])
+    def test_residue_that_vanishes_at_the_points_still_raises(self, points, dense, dense_calls):
+        """0.5i added to theta_1 and theta_-1 makes the imaginary part
+        cos(2 pi t), which is 0 at every point asked for: the weights are
+        checked, not the values, on the FFT route (two points) and the
+        dense one (three)."""
+        fn = FourierFunction.harmonic(1)
+        theta = fn.theta.copy()
+        theta[[0, 2]] += 0.5j
+        object.__setattr__(fn, "theta", theta)
+        with pytest.raises(HermitianViolation, match="imaginary residue"):
+            fn(np.array(points))
+        assert dense_calls == dense
+
 
 class TestCalculus:
     def test_antiderivative_of_cosine(self):
@@ -444,6 +458,16 @@ class TestHoelderCheck:
         assert math.isclose(float(np.sum(np.abs(scaled.theta))), 0.95 * spec.M, rel_tol=1e-12)
         assert sup_norm <= 0.95 * spec.M * (1 + 1e-12)
         assert constant <= 0.95 * 2 * np.pi * (1 + 1e-12) <= spec.L
+
+    def test_constant_function_keeps_its_scale(self):
+        """theta_0 alone has Hoelder constant 0, so L does not bind: the
+        member keeps its uniform(-1, 1) draw, and only a finite M caps it."""
+        member = sample_ellipsoid(ClassSpec.hoelder(0.8, 1.0), K=0, seed=0)
+        assert member.K == 0 and 0 < abs(member.theta[0]) <= 1
+        const = FourierFunction.harmonic(0, 0.3)
+        assert scale_into_hoelder_ball(const, ClassSpec.hoelder(0.8, 1.0)).theta[0] == 0.3
+        capped = scale_into_hoelder_ball(const, ClassSpec.hoelder(0.8, 1.0, M=0.1))
+        assert math.isclose(capped.theta[0].real, 0.095, rel_tol=1e-15)
 
     def test_needs_hoelder_spec(self):
         with pytest.raises(ValueError):

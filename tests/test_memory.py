@@ -1,6 +1,6 @@
 """Peak memory of the dense oracles, the path draws, the counterexample's
-Monte Carlo premise and the grid evaluations, in units of the arrays each
-one builds.
+Monte Carlo premise, the Parseval check and the grid evaluations, in units
+of the arrays each one builds.
 
 tracemalloc sees numpy's data buffers, so a routine that holds k full-size
 temporaries at once peaks at about k units. Each routine is called once
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 
 from gmequiv.counterexample import indistinguishability_check
-from gmequiv.diagnostics import kl_dense
+from gmequiv.diagnostics import _DFT_ROWS, band_split_decomposition, kl_dense
 from gmequiv.experiments import simulate_e2
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, preset
@@ -80,9 +80,20 @@ def test_counterexample_memory_does_not_grow_with_the_paths():
     assert abs(large - small) <= 8 * BLOCK_DRAWS
 
 
+def test_parseval_dft_holds_row_blocks_not_the_phase_matrix():
+    """The direct DFT builds its phase matrix _DFT_ROWS rows at a time: the
+    integer products, their complex phases and the exponential, 3 complex
+    blocks of n x _DFT_ROWS here, never the n x n matrix (32 MiB, 8 blocks)."""
+    n = 1024
+    cos = FourierFunction.harmonic(1)
+    block = n * _DFT_ROWS * 16
+    assert _peak(lambda: band_split_decomposition(cos, n)) <= 3.25 * block
+
+
 def test_grid_antiderivative_holds_its_fft_buffer_and_output():
-    """The folded FFT buffer, complex and transformed in place, the output
-    and theta_0 t: no index array, gathered copy or complex output."""
+    """The folded half spectrum, conjugated in place, the real values of its
+    inverse FFT, the output and theta_0 t: no index array, gathered copy
+    or complex output."""
     grid = path_grid(16384)
     cos = FourierFunction.harmonic(1)
     assert _peak(lambda: cos.antiderivative(grid)) <= 4.25 * grid.nbytes
