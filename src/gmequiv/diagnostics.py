@@ -166,11 +166,17 @@ class BandDecomposition:
 
 
 def _split_at(f: FourierFunction, cutoff: int) -> tuple[FourierFunction, FourierFunction]:
-    low = {k: f.coeff(k) for k in range(-min(cutoff, f.K), min(cutoff, f.K) + 1)}
-    tail = {int(k): f.coeff(k) for k in f.ks[np.abs(f.ks) > cutoff]} if f.K > cutoff else {}
-    low_fn = FourierFunction.from_coeffs(low or {0: 0.0}, name=f"{f.name}-low{cutoff}")
-    tail_fn = FourierFunction.from_coeffs(tail or {0: 0.0}, name=f"{f.name}-tail{cutoff}")
-    return low_fn, tail_fn
+    """The band |k| <= cutoff of f and the rest, each on as few frequencies
+    as it needs (the rest is the zero function on K = 0 when f has none).
+    A cutoff below 0 splits as 0 does: the design of n < 1 knots refuses it
+    with its own message."""
+    low = max(0, min(cutoff, f.K))
+    tail = f.theta.copy()
+    tail[f.K - low : f.K + low + 1] = 0.0
+    tail_K = f.K if f.K > cutoff else 0
+    return (FourierFunction(low, f.theta[f.K - low : f.K + low + 1], f"{f.name}-low{cutoff}"),
+            FourierFunction(tail_K, tail[f.K - tail_K : f.K + tail_K + 1],
+                            f"{f.name}-tail{cutoff}"))
 
 
 def band_split_decomposition(f: FourierFunction, n: int) -> BandDecomposition:
@@ -356,10 +362,16 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
     in; non-finite or nonpositive maxima are excluded from the fit and
     reported. A member whose statistic raises a GmequivError is left out of
     the maximum, and the error's class name is recorded in failures and
-    shown on that n's line. An n listed twice raises ValueError.
+    shown on that n's line. An n listed twice, a target that is not finite
+    and a margin that is negative or not finite raise ValueError, before
+    any member is evaluated: such a gate could never fail, or never pass.
     """
     if statistic not in STATISTICS:
         raise KeyError(f"unknown statistic {statistic!r}; choose from {sorted(STATISTICS)}")
+    if target is not None and not math.isfinite(target):
+        raise ValueError(f"rate gate target must be finite, got {target!r}")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"rate gate margin must be finite and nonnegative, got {margin!r}")
     stat_fn = STATISTICS[statistic]
     ns = tuple(int(n) for n in (n_grid if n_grid is not None else DEFAULT_N_GRID))
     repeated = sorted({n for n in ns if ns.count(n) > 1})

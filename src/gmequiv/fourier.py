@@ -11,10 +11,11 @@ is evaluated by one real inverse FFT of length m of the coefficients
 folded k mod m, of which only the Hermitian half spectrum (entries
 0..m//2) is built, in O(K + m log m). That covers the grid points j/m of
 the design knots, the path grids and the transform's j/(n+1) (frac = 0,
-evaluated exactly there), and each column of the Gauss nodes the
-quadrature places on equal panels (evaluated at the progression within
-8 eps of them). Other points take the dense O(points * K) sum. The two
-routes agree to the last bits.
+evaluated exactly there), and the Gauss nodes the quadrature places on
+equal panels, whose columns share m and j0, each with its own frac
+(evaluated at the progressions within 8 eps of them). The route is
+decided once per array: any other array takes the dense O(points * K)
+sum as a whole. The two routes agree to the last bits.
 
 The antiderivative from 0 is closed-form,
 
@@ -147,32 +148,25 @@ class FourierFunction:
     def _reduce(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_k weights_k exp(-2 pi i k t), checked real, in the shape of t.
 
-        Each column t[:, c] (t itself when 1-d) that is an arithmetic
-        progression (j0 + frac + r) / m with at least m - 1 points is
-        evaluated by FFT, one batched real inverse FFT for all the columns
-        that share m (_fft_columns). The other columns go through one dense
-        sum, chunked over their points. Both routes keep the real part.
+        The route is decided once for the whole array. When every column
+        t[:, c] (t itself when 1-d) is the arithmetic progression
+        (j0 + frac_c + r) / m with at least m - 1 points, with one m and one
+        j0 for all the columns (_progression), the array is evaluated by one
+        batched real inverse FFT (_fft_columns). Otherwise the whole array
+        goes through the dense sum, chunked over its points. Both routes
+        keep the real part.
 
         The imaginary part of the sum is at most
         sum_k |weights_k - conj(weights_{-k})| / 2 at every t, so one O(K)
         check of that bound against _IMAG_TOL times the weights' scale
         covers every point on both routes.
         """
-        ks = self.ks
         columns = t.reshape(t.shape[0], math.prod(t.shape[1:]))
-        periods, j0, frac = _progressions(columns)
-        out = np.empty(columns.shape)
-        for m in set(periods.tolist()) - {0}:
-            picked = np.flatnonzero(periods == m)
-            _fft_columns(ks, weights, m, j0[picked], frac[picked], out, picked)
-        dense = np.flatnonzero(periods == 0)
-        if dense.size:
-            points = columns.ravel() if dense.size == periods.size else columns[:, dense].ravel()
-            vals = _dense_sum(points, ks, weights)
-            out[:, dense] = vals.real.reshape(columns.shape[0], dense.size)
+        m, j0, frac = _progression(columns)
+        out = (_fft_columns(self.ks, weights, m, j0, frac, columns.shape[0]) if m
+               else _dense_sum(columns.ravel(), self.ks, weights).real.copy())
         residue = 0.5 * float(np.sum(np.abs(weights - np.conj(weights[::-1]))))
-        scale = max(float(np.sum(np.abs(weights))), 1.0)
-        if residue > _IMAG_TOL * scale:
+        if residue > _IMAG_TOL * max(float(np.sum(np.abs(weights))), 1.0):
             raise HermitianViolation(
                 f"weights are not conjugate-symmetric: imaginary residue up to {residue:.3e}"
             )
@@ -248,46 +242,49 @@ class FourierFunction:
         return json.dumps(self.to_spec(), sort_keys=True)
 
 
-def _progressions(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, j0, frac) per column of t, shape (points, columns), such that
-    t[r, c] lies within _PROGRESSION_TOL of (j0 + frac + r) / m for every
-    r, with points >= m - 1; m is 0 where a column is no such progression.
+def _progression(t: np.ndarray) -> tuple[int, int, np.ndarray | None]:
+    """(m, j0, frac) such that t[r, c], shape (points, columns), lies within
+    _PROGRESSION_TOL of (j0 + frac[c] + r) / m for every r and c, with
+    points >= m - 1; (0, 0, None) when the array is no such progression.
 
-    frac is 0.0 exactly when a column is (j0 + arange(points)) / m bit for
-    bit, the form path_grid and design_knots build. Otherwise the
-    progression is anchored at t[0, c], j0 is the integer part of m t[0, c]
-    and 0 <= frac < 1: on equal panels every column of Gauss nodes is such
-    a progression, panel r's node s sitting at (r + s) / m.
+    m is read from the first column and checked on all of them, and j0 is
+    one integer for the whole array. frac[c] is 0.0 exactly when column c
+    is (j0 + arange(points)) / m bit for bit, the form path_grid and
+    design_knots build. Otherwise the column's progression is anchored at
+    start = m t[0, c] itself, j0 = floor(start) and frac[c] = start - j0 in
+    [0, 1): on equal panels every column of Gauss nodes is such a
+    progression, panel r's node s sitting at (r + s) / m, all with j0 = 0.
     """
-    size, count = t.shape
-    if size < 2:
-        return np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64), np.zeros(count)
+    size = t.shape[0]
+    if size < 2 or not t.size:
+        return 0, 0, None
     with np.errstate(all="ignore"):
-        m = np.rint((size - 1) / (t[-1] - t[0]))
+        m = np.rint((size - 1) / (t[-1, 0] - t[0, 0]))
         start = t[0] * m
-        # 1 <= m <= size + 1 also rules out a span that is not positive and finite
-        ok = (1 <= m) & (m <= size + 1) & (np.abs(start) <= 2.0**52)
-        m = np.where(ok, m, 1.0)
-        start = np.where(ok, start, 0.0)
-    j0 = np.rint(start)
-    ideal = np.add.outer(np.arange(size, dtype=float), j0)
+    # 1 <= m <= size + 1 also rules out a span that is not positive and finite
+    if not (1 <= m <= size + 1 and np.all(np.abs(start) <= 2.0**52)):
+        return 0, 0, None
+    anchor = np.rint(start)
+    ideal = np.add.outer(np.arange(size, dtype=float), anchor)
     ideal /= m
     exact = np.all(t == ideal, axis=0)
-    j0 = np.where(exact, j0, np.floor(start))
-    frac = np.where(exact, 0.0, start - j0)
-    if not np.all(exact):
+    if not exact.all():
+        anchor[~exact] = start[~exact]
         # in place: the distance of each point from its progression
-        ideal = np.add.outer(np.arange(size, dtype=float), j0 + frac, out=ideal)
+        ideal = np.add.outer(np.arange(size, dtype=float), anchor, out=ideal)
         ideal /= m
         ideal -= t
-        exact |= np.max(np.abs(ideal, out=ideal), axis=0) <= _PROGRESSION_TOL
-    return np.where(ok & exact, m, 0.0).astype(np.int64), j0.astype(np.int64), frac
+        if not np.max(np.abs(ideal, out=ideal)) <= _PROGRESSION_TOL:
+            return 0, 0, None
+    j0 = np.floor(anchor)
+    return (int(m), int(j0[0]), anchor - j0) if np.all(j0 == j0[0]) else (0, 0, None)
 
 
-def _fft_columns(ks: np.ndarray, weights: np.ndarray, m: int, j0: np.ndarray,
-                 frac: np.ndarray, out: np.ndarray, picked: np.ndarray) -> None:
-    """Write the real part of sum_k weights_k exp(-2 pi i k (j0[i] + frac[i] + r) / m)
-    into out[r, picked[i]], for Hermitian weights_{-k} = conj(weights_k).
+def _fft_columns(ks: np.ndarray, weights: np.ndarray, m: int, j0: int,
+                 frac: np.ndarray, size: int) -> np.ndarray:
+    """The real part of sum_k weights_k exp(-2 pi i k (j0 + frac[c] + r) / m)
+    at [r, c], shape (size, frac.size), for Hermitian weights_{-k} =
+    conj(weights_k).
 
     The phase exp(-2 pi i k (j0 + r) / m) depends on k only mod m, so the
     weights, times exp(-2 pi i k frac / m) when some frac != 0, are folded
@@ -297,8 +294,8 @@ def _fft_columns(ks: np.ndarray, weights: np.ndarray, m: int, j0: np.ndarray,
     place, that half spectrum goes through one real inverse FFT along the
     rows, which evaluates all m residues as real values (np.fft.hfft,
     without the conjugated copy hfft makes). Point r reads entry
-    (j0 + r) mod m, copied out through two rotation slices; beyond m points
-    the values repeat with period m.
+    (j0 + r) mod m, the same rotation for every column, copied out through
+    two slices; beyond m points the values repeat with period m.
     """
     phase = frac * (-2j * np.pi / m) if np.any(frac) else None
     half = m // 2 + 1
@@ -314,20 +311,17 @@ def _fft_columns(ks: np.ndarray, weights: np.ndarray, m: int, j0: np.ndarray,
         kept = min(chunk.shape[1] - head, half)
         spectrum[:, :kept] += chunk[:, head : head + kept]
     np.conjugate(spectrum, out=spectrum)
-    values = np.fft.irfft(spectrum, n=m, axis=1, norm="forward")
-    size = out.shape[0]
-    first, starts = min(size, m), j0 % m
-    for start in set(starts.tolist()):
-        here = starts == start
-        rows = values if phase is None or here.all() else values[here]
-        head = min(m - start, first)
-        out[:head, picked[here]] = rows[:, start : start + head].T
-        out[head:first, picked[here]] = rows[:, : first - head].T
+    values = np.fft.irfft(spectrum, n=m, axis=1, norm="forward").T
+    out = np.empty((size, frac.size))
+    first, start = min(size, m), j0 % m
+    head = min(m - start, first)
+    out[:head] = values[start : start + head]
+    out[head:first] = values[: first - head]
     done = first
     while done < size:
-        step = min(done, size - done)
-        out[done : done + step, picked] = out[:step, picked]
-        done += step
+        out[done : 2 * done] = out[: min(done, size - done)]
+        done *= 2
+    return out
 
 
 def _dense_sum(t: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -401,10 +395,9 @@ def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
     magnitudes = gen.uniform(0.0, 1.0, size=K) * decay
     phases = gen.uniform(0.0, 2.0 * np.pi, size=K)
     theta0 = gen.uniform(-1.0, 1.0)
-    coeffs = {0: complex(theta0, 0.0)}
-    for k in range(1, K + 1):
-        coeffs[k] = magnitudes[k - 1] * np.exp(1j * phases[k - 1])
-    fn = FourierFunction.from_coeffs(coeffs, name=f"ellipsoid-{spec.kind}-{seed}")
+    positive = magnitudes * np.exp(1j * phases)
+    theta = np.concatenate([np.conj(positive[::-1]), [complex(theta0, 0.0)], positive])
+    fn = FourierFunction(K, theta, f"ellipsoid-{spec.kind}-{seed}")
     if spec.kind == "sobolev":
         current = fn.sobolev_norm_sq(spec.beta)
         target = 0.95 * spec.L**2

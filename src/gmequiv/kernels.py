@@ -156,8 +156,8 @@ def _preset_bm() -> GaussMarkovKernel:
 
 
 def _preset_ou(L: float) -> GaussMarkovKernel:
-    if L <= 0:
-        raise AssumptionViolation(f"ou preset needs L > 0, got {L!r}")
+    if not (math.isfinite(L) and L > 0):
+        raise AssumptionViolation(f"ou preset needs a finite rate L > 0, got L = {L!r}")
     return GaussMarkovKernel(
         name=f"ou(L={L:g})",
         u=lambda t: np.exp(L * np.asarray(t, float)) - np.exp(-L * np.asarray(t, float)),
@@ -286,8 +286,6 @@ class ValidationReport:
     kernel_name: str
     grid_size: int
     checks: tuple[CheckResult, ...]
-    q_prime_min: float
-    q_prime_max: float
     hoelder_estimates: dict = field(default_factory=dict)
 
     @property
@@ -397,8 +395,6 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
         kernel_name=kernel.name,
         grid_size=grid_size,
         checks=tuple(checks),
-        q_prime_min=qp_min,
-        q_prime_max=qp_max,
         hoelder_estimates=hoelder,
     )
 

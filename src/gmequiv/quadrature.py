@@ -41,8 +41,8 @@ def _gauss_panels(fn: Callable, edges: np.ndarray) -> float:
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     # nodes shape (panels, 16), evaluated in one vectorized call; on equal
-    # panels each column is an arithmetic progression, which
-    # FourierFunction evaluates by FFT
+    # panels each column is an arithmetic progression with one period and
+    # one start, so FourierFunction evaluates the whole array by one FFT
     xs = mid[:, None] + half[:, None] * nodes[None, :]
     vals = np.asarray(fn(xs), dtype=float)
     return float(np.sum(half * (vals @ weights)))

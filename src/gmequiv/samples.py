@@ -66,10 +66,6 @@ class DiscreteSample:
         if self.values.shape != (self.n,):
             raise ValueError(f"values must have shape ({self.n},)")
 
-    @property
-    def knots(self) -> np.ndarray:
-        return design_knots(self.n)
-
 
 @dataclass(frozen=True, eq=False)
 class PathSample:

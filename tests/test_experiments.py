@@ -21,7 +21,7 @@ from gmequiv.experiments import (
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, make_kernel, preset
 from gmequiv.rkhs import kriging_residual_process
-from gmequiv.samples import DiscreteSample, PathSample
+from gmequiv.samples import DiscreteSample, PathSample, design_knots
 from gmequiv.sampling import sample_paths
 
 COS = FourierFunction.harmonic(1)
@@ -103,7 +103,7 @@ class TestDiscreteExperiment:
         s = simulate_e1(preset("bm"), COS, 12, seed=0)
         assert s.n == 12 and s.values.shape == (12,)
         assert s.variant == "original"
-        np.testing.assert_allclose(s.knots, np.arange(1, 13) / 12)
+        np.testing.assert_allclose(design_knots(s.n), np.arange(1, 13) / 12)
 
     def test_variants_share_noise_exactly(self):
         """The two variants with one seed differ exactly by the signal

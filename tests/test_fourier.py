@@ -149,9 +149,9 @@ def dense_calls(monkeypatch):
 
 
 class TestGridRoute:
-    """Points (j0 + frac + arange(L)) / m with L >= m - 1 go through one
-    folded FFT, column by column; the result must match the term-by-term
-    sum."""
+    """Arrays whose columns are (j0 + frac_c + arange(L)) / m, with one m
+    and one j0 and L >= m - 1, go through one folded FFT; the result must
+    match the term-by-term sum."""
 
     @pytest.mark.parametrize("K", [0, 1, 7, 64, 300])
     def test_matches_direct_sum(self, K, dense_calls):
@@ -196,8 +196,8 @@ class TestGridRoute:
     @pytest.mark.parametrize("n", [1, 3, 16, 100])
     def test_gauss_node_columns_take_the_fft(self, n, dense_calls):
         """Each column of a halving's node array is a progression with a
-        fractional offset; one perturbed beyond the tolerance goes dense
-        alone."""
+        fractional offset; with one column perturbed beyond the tolerance
+        the whole array goes dense."""
         fn = _hermitian_function(n, 2 * n)
         tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
         xs = _gauss_nodes(n)
@@ -209,11 +209,28 @@ class TestGridRoute:
         xs[xs.shape[0] // 2, 5] += 2 * fourier._PROGRESSION_TOL
         values, _ = _direct_sums(fn, xs.ravel())
         np.testing.assert_allclose(fn(xs), values.reshape(xs.shape), rtol=0, atol=tol)
-        assert dense_calls == [xs.shape[0]]
+        assert dense_calls == [xs.size]
+
+    @pytest.mark.parametrize("j0", [-3, 0, 17])
+    def test_grid_columns_with_one_start_take_the_fft(self, j0, dense_calls):
+        """Columns (j0 + frac + r)/m with one j0, exact (frac = 0) or not,
+        share one FFT and one rotation; each column keeps the bits of its
+        own 1-d evaluation."""
+        fn = _hermitian_function(5, 40)
+        tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
+        t = (j0 + np.array([0.0, 0.25, 0.5])[None, :] + np.arange(20)[:, None]) / 16
+        values, integral = _direct_sums(fn, t.ravel())
+        np.testing.assert_allclose(fn(t), values.reshape(t.shape), rtol=0, atol=tol)
+        np.testing.assert_allclose(fn.antiderivative(t), integral.reshape(t.shape),
+                                   rtol=0, atol=tol)
+        batched = fn(t)
+        for c in range(t.shape[1]):
+            np.testing.assert_array_equal(batched[:, c], fn(t[:, c]))
+        assert dense_calls == []
 
     def test_exact_grid_columns_with_different_starts(self, dense_calls):
-        """Columns j/m with different first j share one unphased FFT and
-        read it through their own rotations."""
+        """Columns j/m with different first j are no single progression:
+        the whole array takes the dense sum."""
         fn = _hermitian_function(5, 40)
         tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
         t = (np.array([-3, 0, 5, 17])[None, :] + np.arange(20)[:, None]) / 16
@@ -221,8 +238,7 @@ class TestGridRoute:
         np.testing.assert_allclose(fn(t), values.reshape(t.shape), rtol=0, atol=tol)
         np.testing.assert_allclose(fn.antiderivative(t), integral.reshape(t.shape),
                                    rtol=0, atol=tol)
-        np.testing.assert_array_equal(fn(t)[:, 1], fn(t[:, 1]))
-        assert dense_calls == []
+        assert dense_calls == [t.size, t.size]
 
     @pytest.mark.parametrize("kernel", ["bm", "ou", "slepian"])
     @pytest.mark.parametrize("n", [16, 64])

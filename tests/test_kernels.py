@@ -86,8 +86,10 @@ class TestPresetValues:
         assert math.isinf(bridge.horizon)
 
     def test_ou_needs_positive_rate(self):
-        with pytest.raises(AssumptionViolation):
-            preset("ou", -1.0)
+        """A rate that is not finite and positive is refused, naming L."""
+        for L in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(AssumptionViolation, match=f"L = {L!r}"):
+                preset("ou", L)
 
     def test_unknown_preset(self):
         with pytest.raises(AssumptionViolation, match="unknown preset"):
@@ -271,7 +273,8 @@ class TestValidationReport:
         report = validate_assumption(preset("bm"))
         assert report.passed
         assert all(c.passed for c in report.checks)
-        assert report.q_prime_min == 1.0 == report.q_prime_max
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["q_prime_positive"].witness == "q' range on grid: [1, 1]"
 
     def test_bridge_passes_with_flag(self):
         """The pinned endpoint is informational, not a failure."""

@@ -67,31 +67,37 @@ def test_kl_sequential_equals_dense(kernel, beta, seed, n):
     columns=st.integers(1, 5),
 )
 def test_fft_grid_route_equals_dense_route(K, seed, m, j0, extra, columns):
-    """Exact grids, then columns at fractional offsets with one column
-    perturbed beyond the progression tolerance, against the dense sum."""
+    """Exact grids, then columns at fractional offsets that share j0, as
+    given and with one column perturbed beyond the progression tolerance,
+    against the dense sum."""
     gen = np.random.default_rng(seed)
     coeffs = {k: complex(*gen.normal(size=2)) for k in range(1, K + 1)}
     coeffs[0] = float(gen.normal())
     fn = FourierFunction.from_coeffs(coeffs)
     scale = max(float(np.sum(np.abs(fn.theta))), 1.0)
     t = (j0 + np.arange(max(m + extra, 2))) / m
-    m_found, _, frac = fourier._progressions(t[:, None])
-    assert (m_found[0], frac[0]) == (m, 0.0)
+    m_found, j0_found, frac = fourier._progression(t[:, None])
+    assert (m_found, j0_found, frac.tolist()) == (m, j0, [0.0])
     # e_k has period 1 and t - floor(t) is exact, so the reference does not
     # lose eps * 2 pi K |t| to a phase taken at |t| in the hundreds
     dense = fourier._dense_sum(t - np.floor(t), fn.ks, fn.theta).real
     np.testing.assert_allclose(fn(t), dense, rtol=0.0, atol=1e-12 * scale)
 
     rows = max(m, 2)
-    offsets = (j0 % m) + gen.uniform(-0.5, 0.5, size=columns)
-    t = (offsets[None, :] + np.arange(rows)[:, None]) / m
-    t[gen.integers(rows), -1] += 4 * fourier._PROGRESSION_TOL
-    assert fourier._progressions(t)[0].tolist() == [m] * (columns - 1) + [0]
-    dense = fourier._dense_sum(t.ravel(), fn.ks, fn.theta).real.reshape(t.shape)
+    fracs = gen.uniform(0.0, 1.0, size=columns)
+    t = ((j0 % m) + fracs[None, :] + np.arange(rows)[:, None]) / m
+    m_found, j0_found, frac = fourier._progression(t)
+    assert (m_found, j0_found) == (m, j0 % m)
+    np.testing.assert_allclose(frac, fracs, rtol=0.0, atol=1e-12)
     # an FFT column is evaluated at its progression, which can sit up to
     # _PROGRESSION_TOL from the given points, where |f'| <= 2 pi K scale
     moved = 2 * np.pi * K * fourier._PROGRESSION_TOL * scale
-    np.testing.assert_allclose(fn(t), dense, rtol=0.0, atol=1e-12 * scale + moved)
+    for perturb in (False, True):
+        if perturb:
+            t[gen.integers(rows), -1] += 4 * fourier._PROGRESSION_TOL
+            assert fourier._progression(t)[0] == 0
+        dense = fourier._dense_sum(t.ravel(), fn.ks, fn.theta).real.reshape(t.shape)
+        np.testing.assert_allclose(fn(t), dense, rtol=0.0, atol=1e-12 * scale + moved)
 
 
 # kernels that Kriging accepts: v(1) != 0, so not the pinned bridge
