@@ -37,14 +37,14 @@ EXIT_GATE = 2
 EXIT_USAGE = 64
 
 DEFAULT_RATE_TARGETS = {
-    # (statistic, family) -> (target slope, margin). The first two
-    # target n^-2, the rate of the unweighted gap (1/n) sum d_i^2; the
-    # weighted statistics swept here decay like n^-1, so a default run
-    # exits 2 and shows that slope. The projection statistic sweeps
-    # sqrt(n D_n), whose expected decay is half the D_n exponent.
-    ("discretization", "single-freq"): (-2.0, 0.3),
-    ("kl", "single-freq"): (-2.0, 0.3),
-    ("projection", "single-freq"): (-0.5, 0.3),
+    # (statistic, family) -> target slope. The first two target n^-2, the
+    # rate of the unweighted gap (1/n) sum d_i^2; the weighted statistics
+    # swept here decay like n^-1, so a default run exits 2 and shows that
+    # slope. The projection statistic sweeps sqrt(n D_n), whose expected
+    # decay is half the D_n exponent.
+    ("discretization", "single-freq"): -2.0,
+    ("kl", "single-freq"): -2.0,
+    ("projection", "single-freq"): -0.5,
 }
 
 # sorted(diagnostics.STATISTICS), written out so that building the parser
@@ -86,22 +86,8 @@ def _parse_n_arg(text: str) -> list[int]:
     return [int(text)]
 
 
-def _kernel_from_text(text: str, validate: bool = True) -> kernels.GaussMarkovKernel:
-    """Accepts a preset name ('bm', 'ou(0.5)'), inline JSON, or a JSON file path."""
-    text = text.strip()
-    if not text.startswith("{") and os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as handle:
-            text = handle.read().strip()
-    if text.startswith("{"):
-        spec = json.loads(text)
-        if "preset" in spec or validate:
-            return kernels.kernel_from_spec(spec)
-        return kernels.make_kernel(*kernels.expression_spec(spec), validate=False)
-    return kernels.parse_preset_arg(text)
-
-
 def _kernel_from_args(args, validate: bool = True) -> kernels.GaussMarkovKernel:
-    return _kernel_from_text(args.kernel or args.preset or "bm", validate=validate)
+    return kernels.kernel_from_spec(args.kernel or args.preset or "bm", validate=validate)
 
 
 def _fn_from_args(args) -> FourierFunction:
@@ -186,17 +172,10 @@ def _cmd_rates(args) -> int:
             family = diagnostics.class_extremal_family(spec, seed=args.seed)
         else:
             family = diagnostics.random_family(spec, seed=args.seed)
-    target, margin = args.target, args.margin
-    if target is None:
-        default = DEFAULT_RATE_TARGETS.get((args.stat, args.family))
-        if default is not None:
-            target, default_margin = default
-            if margin is None:
-                margin = default_margin
+    target = DEFAULT_RATE_TARGETS.get((args.stat, args.family)) if args.target is None else args.target
+    margin = {} if args.margin is None else {"margin": args.margin}
     report = diagnostics.rate_sweep(
-        args.stat, kernel, family,
-        n_grid=_parse_n_arg(args.n), target=target,
-        margin=margin if margin is not None else 0.3,
+        args.stat, kernel, family, n_grid=_parse_n_arg(args.n), target=target, **margin,
     )
     for line in report.lines():
         print(line)

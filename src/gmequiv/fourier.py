@@ -209,27 +209,6 @@ class FourierFunction:
 
     # -- JSON surface ------------------------------------------------------
 
-    @staticmethod
-    def from_spec(spec: Mapping) -> "FourierFunction":
-        """Build from {"coeffs": [[k, re, im], ...]}, Hermitian-completed;
-        ValueError naming 'coeffs' when the key is missing or malformed,
-        including a k that is not an integer, a |k| above MAX_FREQUENCY and
-        a part that is not finite."""
-        try:
-            coeffs = {}
-            for k, re_part, im_part in spec["coeffs"]:
-                index, value = float(k), complex(float(re_part), float(im_part))
-                if not (index.is_integer() and abs(index) <= MAX_FREQUENCY
-                        and cmath.isfinite(value)):
-                    raise ValueError(f"{[k, re_part, im_part]!r} needs an integral k "
-                                     f"with |k| <= {MAX_FREQUENCY} and finite parts")
-                coeffs[int(index)] = value
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"function spec key 'coeffs' needs [k, re, im] number triples ({exc!r})"
-            ) from exc
-        return FourierFunction.from_coeffs(coeffs, name=spec.get("name"))
-
     def to_spec(self) -> dict:
         entries = []
         for k in range(-self.K, self.K + 1):
@@ -428,11 +407,34 @@ def scale_into_hoelder_ball(fn: FourierFunction, spec: ClassSpec) -> FourierFunc
 
 
 def function_from_spec(spec: Mapping | str) -> FourierFunction:
-    """JSON surface: accept a dict, a JSON string, or a path to a JSON file."""
+    """Build a function from its spec {"name": ..., "coeffs": [[k, re, im], ...]},
+    given as a dict, JSON text or the path of a JSON file, Hermitian-completed.
+
+    ValueError names the key at fault: any key but 'name' and 'coeffs', a
+    name that is not text, and a missing or malformed 'coeffs', including a
+    k that is not an integer, a |k| above MAX_FREQUENCY and a part that is
+    not finite.
+    """
     if isinstance(spec, str):
         text = spec.strip()
         if not text.startswith("{"):
             with open(text, "r", encoding="utf-8") as handle:
                 text = handle.read()
         spec = json.loads(text)
-    return FourierFunction.from_spec(spec)
+    unread = ", ".join(repr(key) for key in spec if key not in ("name", "coeffs"))
+    if unread:
+        raise ValueError(f"function spec does not read {unread}; it reads 'name' and 'coeffs'")
+    if not isinstance(spec.get("name", ""), str):
+        raise ValueError(f"function spec key 'name' needs text, got {spec['name']!r}")
+    coeffs = {}
+    try:
+        for k, re_part, im_part in spec["coeffs"]:
+            index, value = float(k), complex(float(re_part), float(im_part))
+            if not (index.is_integer() and abs(index) <= MAX_FREQUENCY and cmath.isfinite(value)):
+                raise ValueError(f"{[k, re_part, im_part]!r} needs an integral k "
+                                 f"with |k| <= {MAX_FREQUENCY} and finite parts")
+            coeffs[int(index)] = value
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"function spec key 'coeffs' needs [k, re, im] number triples ({exc!r})") from exc
+    return FourierFunction.from_coeffs(coeffs, name=spec.get("name"))

@@ -18,7 +18,14 @@ Four presets cover the classical examples:
 
 The bridge has v(1) = 0, so its horizon is infinite, and operations that
 need a finite horizon or a nonsingular design covariance refuse it
-explicitly rather than dividing by zero.
+explicitly rather than dividing by zero. The ou rate is capped where
+v(1) = e^{-L} would read as pinned: L must be positive with e^{-L} above
+PINNED_TOL, that is below 12 ln 10.
+
+kernel_from_spec is the one reader of a kernel: a dict, inline JSON, a
+JSON file path or preset text ('ou(0.5)'). A preset spec reads only
+'preset' and 'params' (a real number 'L'), an expression spec only
+'name', 'u' and 'v', all text; any other key raises AssumptionViolation.
 
 Custom kernels are built from expression text for u and v; u' and v' come
 from central differences (h = 1e-6, second-order one-sided stencils at the
@@ -29,7 +36,9 @@ not certify it.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -156,8 +165,12 @@ def _preset_bm() -> GaussMarkovKernel:
 
 
 def _preset_ou(L: float) -> GaussMarkovKernel:
-    if not (math.isfinite(L) and L > 0):
-        raise AssumptionViolation(f"ou preset needs a finite rate L > 0, got L = {L!r}")
+    # v(1) = e^{-L}; at or below PINNED_TOL the kernel would read as pinned.
+    # Compared in log space, so an integer rate beyond float range is refused too.
+    if not (0 < L < -math.log(PINNED_TOL)):
+        raise AssumptionViolation(
+            f"ou preset needs a rate L > 0 with v(1) = e^-L above {PINNED_TOL:g}, "
+            f"so L below 12 ln 10 (about 27.63), got L = {L!r}")
     return GaussMarkovKernel(
         name=f"ou(L={L:g})",
         u=lambda t: np.exp(L * np.asarray(t, float)) - np.exp(-L * np.asarray(t, float)),
@@ -233,25 +246,6 @@ def _fd_derivative(fn: Callable) -> Callable:
     return deriv
 
 
-def _assemble(name: str, u: Callable, v: Callable, validate: bool) -> GaussMarkovKernel:
-    kernel = GaussMarkovKernel(
-        name=name,
-        u=u,
-        v=v,
-        u_prime=_fd_derivative(u),
-        v_prime=_fd_derivative(v),
-    )
-    if validate:
-        report = validate_assumption(kernel)
-        if not report.passed:
-            failed = ", ".join(c.name for c in report.checks if c.required and not c.passed)
-            raise AssumptionViolation(
-                f"kernel {name!r} fails the shape assumption on a "
-                f"{report.grid_size}-point grid: {failed}"
-            )
-    return kernel
-
-
 def make_kernel(name: str, u_source: str, v_source: str,
                 validate: bool = True) -> GaussMarkovKernel:
     """Build a kernel from expression text for u and v.
@@ -266,7 +260,14 @@ def make_kernel(name: str, u_source: str, v_source: str,
 
     u = parse_kernel_expression(u_source)
     v = parse_kernel_expression(v_source)
-    return _assemble(name, u, v, validate=validate)
+    kernel = GaussMarkovKernel(name, u, v, _fd_derivative(u), _fd_derivative(v))
+    if validate:
+        report = validate_assumption(kernel)
+        if not report.passed:
+            failed = ", ".join(c.name for c in report.checks if c.required and not c.passed)
+            raise AssumptionViolation(f"kernel {name!r} fails the shape assumption on a "
+                                      f"{report.grid_size}-point grid: {failed}")
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -403,33 +404,42 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
 # JSON configuration surface
 
 
-def kernel_from_spec(spec: dict) -> GaussMarkovKernel:
-    """Build a kernel from its JSON object form.
+def kernel_from_spec(spec: dict | str, validate: bool = True) -> GaussMarkovKernel:
+    """Build a kernel from its spec: a dict, inline JSON text, the path of a
+    JSON file, or preset text ('bm', 'ou(0.5)'), a file holding either.
 
-    Either {"preset": "ou", "params": {"L": 0.5}} or
-    {"name": "mykernel", "u": "<expr>", "v": "<expr>"}.
+    A preset spec {"preset": "ou", "params": {"L": 0.5}} reads only those
+    two keys, and an expression spec {"name": "lab", "u": "t", "v": "2 - t"}
+    only its three, the name defaulting to 'custom'. Any other key, a name
+    that is not text, a missing or non-text u or v, and params other than a
+    real number L raise AssumptionViolation naming the key. validate is
+    make_kernel's flag; presets need no check.
     """
+    if isinstance(spec, str):
+        text = spec.strip()
+        if not text.startswith("{") and os.path.exists(text):
+            with open(text, "r", encoding="utf-8") as handle:
+                text = handle.read().strip()
+        if not text.startswith("{"):
+            return parse_preset_arg(text)
+        spec = json.loads(text)
+    reads = ("preset", "params") if "preset" in spec else ("name", "u", "v")
+    unread = ", ".join(repr(key) for key in spec if key not in reads)
+    if unread:
+        raise AssumptionViolation(f"kernel spec does not read {unread}; this kind reads {reads}")
     if "preset" in spec:
         params = spec.get("params", {})
-        if not (isinstance(params, dict) and set(params) <= {"L"}
-                and isinstance(params.get("L", 1.0), (int, float))):
-            raise AssumptionViolation(
-                f"kernel spec key 'params' takes only a number 'L', got {params!r}"
-            )
+        L = params.get("L", 1.0) if isinstance(params, dict) else None
+        if not isinstance(L, (int, float)) or isinstance(L, bool) or set(params) - {"L"}:
+            raise AssumptionViolation(f"kernel spec 'params' takes only a real number 'L', "
+                                      f"got {params!r}")
         return preset(spec["preset"], **params)
-    return make_kernel(*expression_spec(spec))
-
-
-def expression_spec(spec: dict) -> tuple[str, str, str]:
-    """(name, u, v) of an expression kernel spec, the name defaulting to
-    'custom'; raises AssumptionViolation naming a missing or non-text key."""
-    bad = [key for key in ("u", "v") if not isinstance(spec.get(key), str)]
+    spec = {"name": "custom", **spec}
+    bad = ", ".join(repr(key) for key in reads if not isinstance(spec.get(key), str))
     if bad:
-        raise AssumptionViolation(
-            "kernel spec needs either a 'preset' key or 'u' and 'v' expression "
-            f"keys; missing or not text: {', '.join(map(repr, bad))}"
-        )
-    return spec.get("name", "custom"), spec["u"], spec["v"]
+        raise AssumptionViolation("kernel spec needs either a 'preset' key or 'u' and 'v' "
+                                  f"expression keys, each key text; missing or not text: {bad}")
+    return make_kernel(spec["name"], spec["u"], spec["v"], validate=validate)
 
 
 def parse_preset_arg(text: str) -> GaussMarkovKernel:

@@ -94,6 +94,20 @@ class TestExitCodes:
         (("kl", "--kernel", '{"preset": "ou", "params": {"L": NaN}}', "--n", "2"), "L = nan"),
         (("kl", "--kernel", '{"preset": "ou", "params": {"L": Infinity}}', "--n", "2"),
          "L = inf"),
+        (("validate", "--preset", "ou(30)"), "L = 30.0"),
+        (("validate", "--preset", "ou(1e3)"), "L = 1000.0"),
+        (("kl", "--kernel", '{"preset": "ou", "params": {"L": 30}}', "--n", "2"), "L = 30"),
+        (("kl", "--kernel", '{"preset": "ou", "L": 5}', "--n", "2"), "does not read 'L'"),
+        (("kl", "--kernel", '{"preset": "bm", "u": "t*t", "v": "1"}', "--n", "2"),
+         "does not read 'u', 'v'"),
+        (("kl", "--kernel", '{"name": "x", "u": "t", "v": "2 - t", "preset": "bm"}',
+          "--n", "2"), "does not read 'name', 'u', 'v'"),
+        (("kl", "--kernel", '{"preset": "ou", "params": {"L": true}}', "--n", "2"),
+         "'params' takes only a real number 'L'"),
+        (("kl", "--fn", '{"coeffs": [[1, 1.0, 0.0]], "nme": "x"}', "--n", "2"),
+         "does not read 'nme'"),
+        (("kl", "--fn", '{"name": 5, "coeffs": [[1, 1.0, 0.0]]}', "--n", "2"),
+         "'name' needs text, got 5"),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_out_of_range_number_is_a_runtime_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -121,6 +135,12 @@ class TestExitCodes:
         ("--fn", '{"coeffs": [[1048577, 1, 0]]}', "'coeffs'"),
         ("--kernel", '{"u": "t"}', "'v'"),
         ("--kernel", '{"preset": "ou", "params": {"Q": 1}}', "'Q'"),
+        ("--kernel", '{"preset": "ou", "params": {"L": "1"}}', "'params'"),
+        ("--kernel", '{"preset": "ou", "params": [1]}', "'params'"),
+        ("--kernel", '{"preset": "bm", "name": "x"}', "does not read 'name'"),
+        ("--kernel", '{"u": "t", "v": "1", "L": 1}', "does not read 'L'"),
+        ("--kernel", '{"name": null, "u": "t", "v": "1"}', "not text: 'name'"),
+        ("--kernel", '{"name": "x", "u": "t", "v": 2}', "not text: 'v'"),
     ])
     def test_malformed_spec_names_the_bad_key(self, capsys, flag, spec, key):
         command = ("kl", "--n", "2") if flag == "--fn" else ("validate",)

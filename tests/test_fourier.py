@@ -365,7 +365,7 @@ class TestAlgebra:
 class TestJsonSurface:
     def test_round_trip(self):
         fn = _random_function(12)
-        again = FourierFunction.from_spec(json.loads(fn.to_json()))
+        again = function_from_spec(json.loads(fn.to_json()))
         np.testing.assert_array_equal(fn.theta, again.theta)
         assert again.name == fn.name
 

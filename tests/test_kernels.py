@@ -7,6 +7,8 @@ import pytest
 
 from gmequiv.errors import AssumptionViolation, DegenerateCell
 from gmequiv.kernels import (
+    PINNED_TOL,
+    VALIDATION_GRID,
     GaussMarkovKernel,
     covariance,
     design_clock,
@@ -86,14 +88,28 @@ class TestPresetValues:
         assert math.isinf(bridge.horizon)
 
     def test_ou_needs_positive_rate(self):
-        """A rate that is not finite and positive is refused, naming L."""
-        for L in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        """A rate that is not finite and positive is refused, naming L, and
+        so is one too fast for a finite horizon, an integer past float range
+        included."""
+        for L in (-1.0, 0.0, math.nan, math.inf, -math.inf, 30.0, 10**400):
             with pytest.raises(AssumptionViolation, match=f"L = {L!r}"):
                 preset("ou", L)
 
     def test_unknown_preset(self):
         with pytest.raises(AssumptionViolation, match="unknown preset"):
             preset("heat")
+
+    def test_largest_ou_rate_keeps_a_finite_clock(self):
+        """The largest rate accepted is the float just below 12 ln 10, where
+        v(1) = e^-L reaches PINNED_TOL and the endpoint would read as pinned."""
+        L = math.nextafter(-math.log(PINNED_TOL), 0.0)
+        with pytest.raises(AssumptionViolation, match="L = "):
+            preset("ou", math.nextafter(L, math.inf))
+        k = preset("ou", L)
+        assert k.horizon == k.q(1.0)
+        ts = np.linspace(0.0, 1.0, VALIDATION_GRID)
+        for fn in (k.u, k.v, k.q, k.q_prime):
+            assert np.all(np.isfinite(fn(ts)))
 
     def test_ou_rate_defaults_to_one(self):
         assert preset("ou").name == preset("ou", 1.0).name == "ou(L=1)"
@@ -315,6 +331,36 @@ class TestSpecSurface:
     def test_incomplete_spec(self):
         with pytest.raises(AssumptionViolation, match="kernel spec needs"):
             kernel_from_spec({"u": "t"})
+
+    # the name and horizon the command line has always built from each
+    # spelling; ou(0.5)'s q(1) = e - 1 rounds to 1.7182818284590453
+    @pytest.mark.parametrize("spelling, file_text, name, horizon", [
+        ({"preset": "ou", "params": {"L": 0.5}}, None, "ou(L=0.5)", 1.7182818284590453),
+        ('{"preset": "ou", "params": {"L": 0.5}}', None, "ou(L=0.5)", 1.7182818284590453),
+        (" ou(0.5) ", None, "ou(L=0.5)", 1.7182818284590453),
+        ("bm", None, "bm", 1.0),
+        ({"name": "lab", "u": "t", "v": "2 - t"}, None, "lab", 1.0),
+        (' {"u": "t", "v": "2 - t"}', None, "custom", 1.0),
+        (None, '{"name": "lab", "u": "t", "v": "2 - t"}', "lab", 1.0),
+        (None, '{"preset": "slepian"}', "slepian", 1.0),
+        (None, "bridge\n", "bridge", math.inf),
+    ], ids=["dict", "json", "preset-text", "bare-preset", "expression-dict",
+            "expression-json", "expression-file", "preset-spec-file", "preset-text-file"])
+    def test_every_spelling_builds_the_same_kernel(self, tmp_path, spelling, file_text,
+                                                   name, horizon):
+        if file_text is not None:
+            path = tmp_path / "kernel.json"
+            path.write_text(file_text)
+            spelling = str(path)
+        k = kernel_from_spec(spelling)
+        assert (k.name, k.horizon) == (name, horizon)
+
+    def test_unvalidated_spec_builds_a_broken_kernel(self):
+        spec = '{"name": "hump", "u": "t*(1 - t)", "v": "1"}'
+        with pytest.raises(AssumptionViolation, match="fails the shape assumption"):
+            kernel_from_spec(spec)
+        report = validate_assumption(kernel_from_spec(spec, validate=False))
+        assert report.kernel_name == "hump" and not report.passed
 
     def test_preset_arg_plain(self):
         assert parse_preset_arg("bm").name == "bm"
