@@ -30,8 +30,8 @@ _EXPORTS = {
         "KernelDegenerate", "QuadratureFailure", "SingularCovariance", "UnknownIdentifier",
     ),
     "experiments": (
-        "kriging_path_experiment", "path_from_discrete", "reconstruct_discrete_from_path",
-        "simulate_e1", "simulate_e2", "simulate_increments",
+        "kriging_path_experiment", "kriging_residual_process", "path_from_discrete",
+        "reconstruct_discrete_from_path", "simulate_e1", "simulate_e2", "simulate_increments",
     ),
     "expr": ("KernelExpression", "parse_kernel_expression"),
     "fourier": (
@@ -42,9 +42,8 @@ _EXPORTS = {
         "make_kernel", "preset", "validate_assumption",
     ),
     "rkhs": (
-        "RkhsElement", "g_from_f", "kriging_interpolate", "kriging_interpolate_dense",
-        "kriging_residual_process", "projection_distance", "projection_distance_dense",
-        "rkhs_norm",
+        "kriging_interpolate", "kriging_interpolate_dense", "projection_distance",
+        "projection_distance_dense", "rkhs_norm",
     ),
     "samples": ("DiscreteSample", "PathSample"),
     "sampling": ("sample_paths",),

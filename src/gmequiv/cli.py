@@ -87,13 +87,14 @@ def _parse_n_arg(text: str) -> list[int]:
 
 
 def _kernel_from_args(args, validate: bool = True) -> kernels.GaussMarkovKernel:
-    return kernels.kernel_from_spec(args.kernel or args.preset or "bm", validate=validate)
+    spec = next(text for text in (args.kernel, args.preset, "bm") if text is not None)
+    return kernels.kernel_from_spec(spec, validate=validate)
 
 
 def _fn_from_args(args) -> FourierFunction:
     from .fourier import FourierFunction, function_from_spec
 
-    if getattr(args, "fn", None):
+    if args.fn is not None:
         return function_from_spec(args.fn)
     return FourierFunction.harmonic(1, 1.0)
 

@@ -23,6 +23,11 @@ sum_{i<=k} Y'_i onto the grid and adding an independent residual process:
 The rebuilt path agrees with S'_k / n at every knot whatever the residual
 draw, which is what makes the discrete -> path -> discrete round trip the
 identity.
+
+The experiments draw on three streams: the knot increments
+("increments"), the noise of the continuous experiment and of its Kriging
+form, which share it ("path"), and the residual process R ("residual").
+The RKHS layer they call for Kriging draws nothing.
 """
 
 from __future__ import annotations
@@ -64,6 +69,20 @@ def simulate_e1(kernel: GaussMarkovKernel, f: FourierFunction, n: int, seed: int
     )
 
 
+def _path_sample(kernel: GaussMarkovKernel, grid: np.ndarray, values: np.ndarray,
+                 function_id: str, seed: int, scale: float) -> PathSample:
+    """The PathSample of values on grid, with values[0] set to exactly 0."""
+    values[0] = 0.0
+    return PathSample(grid=grid, values=values, kernel_id=kernel.name,
+                      function_id=function_id, seed=seed, scale=scale)
+
+
+def _path_noise(kernel: GaussMarkovKernel, seed: int, grid: np.ndarray) -> np.ndarray:
+    """X on the grid, drawn on the "path" stream: it depends on (seed,
+    kernel, grid) alone, never on the mean it is added to."""
+    return sampling.sample_paths(kernel, grid, 1, seed, label="path")[0]
+
+
 def simulate_e2(kernel: GaussMarkovKernel, f: FourierFunction, n: int, seed: int,
                 grid_size: int | None = None) -> PathSample:
     """Draw the continuous experiment on a knot-containing grid.
@@ -72,17 +91,9 @@ def simulate_e2(kernel: GaussMarkovKernel, f: FourierFunction, n: int, seed: int
     runs with different f but one seed differ exactly by the signal.
     """
     grid = path_grid(n, grid_size)
-    noise = sampling.sample_paths(kernel, grid, 1, seed, label="path")[0]
+    noise = _path_noise(kernel, seed, grid)
     values = np.asarray(f.antiderivative(grid)) + noise / math.sqrt(n)
-    values[0] = 0.0
-    return PathSample(
-        grid=grid,
-        values=values,
-        kernel_id=kernel.name,
-        function_id=f.name,
-        seed=seed,
-        scale=1.0 / math.sqrt(n),
-    )
+    return _path_sample(kernel, grid, values, f.name, seed, 1.0 / math.sqrt(n))
 
 
 def reconstruct_discrete_from_path(path: PathSample, n: int) -> DiscreteSample:
@@ -100,21 +111,28 @@ def reconstruct_discrete_from_path(path: PathSample, n: int) -> DiscreteSample:
 
 def kriging_path_experiment(kernel: GaussMarkovKernel, f: FourierFunction, n: int,
                             seed: int, grid_size: int | None = None) -> PathSample:
-    """Draw the Kriging form of the continuous experiment:
-    interpolate the exact knot means, add a full process at noise scale."""
+    """Draw the Kriging form of the continuous experiment: interpolate the
+    exact knot means, add the noise simulate_e2 adds."""
     grid = path_grid(n, grid_size)
     mean = rkhs.kriging_interpolate(kernel, np.asarray(f.antiderivative(design_knots(n))), grid)
-    noise = sampling.sample_paths(kernel, grid, 1, seed, label="path")[0]
+    noise = _path_noise(kernel, seed, grid)
     values = mean + noise / math.sqrt(n)
-    values[0] = 0.0
-    return PathSample(
-        grid=grid,
-        values=values,
-        kernel_id=kernel.name,
-        function_id=f.name,
-        seed=seed,
-        scale=1.0 / math.sqrt(n),
-    )
+    return _path_sample(kernel, grid, values, f.name, seed, 1.0 / math.sqrt(n))
+
+
+def kriging_residual_process(kernel: GaussMarkovKernel, n: int, seed: int,
+                             grid_size: int | None = None) -> PathSample:
+    """Draw the residual R = X - Krig(X at the knots) on a fine grid.
+
+    R vanishes at the knots and is independent of the knot values; adding
+    an independent Kriging interpolation of fresh knot data reassembles a
+    process with the original law.
+    """
+    grid = path_grid(n, grid_size)
+    stride = knot_stride(n, grid.size)
+    path = sampling.sample_paths(kernel, grid, 1, seed, label="residual")[0]
+    residual = path - rkhs.kriging_interpolate(kernel, path[stride::stride], grid)
+    return _path_sample(kernel, grid, residual, "residual", seed, 1.0)
 
 
 def path_from_discrete(kernel: GaussMarkovKernel, sample: DiscreteSample, seed: int,
@@ -127,16 +145,8 @@ def path_from_discrete(kernel: GaussMarkovKernel, sample: DiscreteSample, seed: 
     """
     n = sample.n
     grid = path_grid(n, grid_size)
-    sums = np.cumsum(sample.values)
-    mean = rkhs.kriging_interpolate(kernel, sums, grid)
-    residual = rkhs.kriging_residual_process(kernel, n, seed, grid_size=grid.size)
+    mean = rkhs.kriging_interpolate(kernel, np.cumsum(sample.values), grid)
+    residual = kriging_residual_process(kernel, n, seed, grid_size=grid.size)
     values = (mean + math.sqrt(n) * residual.values) / n
-    values[0] = 0.0
-    return PathSample(
-        grid=grid,
-        values=values,
-        kernel_id=kernel.name,
-        function_id=sample.function_id,
-        seed=sample.seed,
-        scale=1.0 / math.sqrt(n),
-    )
+    return _path_sample(kernel, grid, values, sample.function_id, sample.seed,
+                        1.0 / math.sqrt(n))

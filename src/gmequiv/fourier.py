@@ -410,17 +410,24 @@ def function_from_spec(spec: Mapping | str) -> FourierFunction:
     """Build a function from its spec {"name": ..., "coeffs": [[k, re, im], ...]},
     given as a dict, JSON text or the path of a JSON file, Hermitian-completed.
 
-    ValueError names the key at fault: any key but 'name' and 'coeffs', a
-    name that is not text, and a missing or malformed 'coeffs', including a
-    k that is not an integer, a |k| above MAX_FREQUENCY and a part that is
-    not finite.
+    Text that is not JSON and does not start with '{' is a file path, so a
+    missing file (the empty path included) raises OSError naming it. A
+    JSON value that is not an object raises ValueError, and so does each
+    key at fault: any key but 'name' and 'coeffs', a name that is not
+    text, and a missing or malformed 'coeffs', including a k that is not
+    an integer, a |k| above MAX_FREQUENCY and a part that is not finite.
     """
     if isinstance(spec, str):
         text = spec.strip()
-        if not text.startswith("{"):
+        try:
+            spec = json.loads(text)
+        except json.JSONDecodeError:
+            if text.startswith("{"):
+                raise
             with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        spec = json.loads(text)
+                spec = json.load(handle)
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"function spec must be a JSON object, got {spec!r}")
     unread = ", ".join(repr(key) for key in spec if key not in ("name", "coeffs"))
     if unread:
         raise ValueError(f"function spec does not read {unread}; it reads 'name' and 'coeffs'")

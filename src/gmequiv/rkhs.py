@@ -14,6 +14,8 @@ in time coordinates is
 obtained by differentiating F/v along the clock. All integrals over the
 clock domain [0, T] are pulled back to [0, 1] with the substitution
 x = q(w), dx = q'(w) dw, so nothing ever needs q explicitly inverted.
+rkhs_norm(kernel, f) and the projection distances take g from f at their
+nodes, together with the q'(w) it was divided by.
 
 The finite-design operations live here too: the least-squares distance
 D_n from g to the span of the design representers, and Kriging
@@ -22,19 +24,21 @@ over a design cell is the increment of F_f/v across it, in closed form;
 only the nonnegative residual integral needs quadrature, one call over
 [0, 1] with the knots as panel edges. The Markov structure reduces Kriging
 to a two-knot rule: in the (q, y/v) plane the conditional expectation is
-linear interpolation anchored at the origin. A dense covariance solve is
-kept alongside as an oracle for both.
+linear interpolation anchored at the origin. Each has a dense oracle
+alongside: weighted least squares on a fixed midpoint grid for D_n, a
+covariance solve for Kriging.
+
+Every function here is deterministic in its arguments; the layer draws
+nothing. Path draws, the Kriging residual process among them, live in
+experiments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from . import sampling
 from .errors import KernelDegenerate, SingularCovariance
 from .fourier import FourierFunction
 from .kernels import (
@@ -46,16 +50,9 @@ from .kernels import (
     gram,
 )
 from .quadrature import adaptive_integral
-from .samples import PathSample, design_knots, knot_stride, path_grid
+from .samples import design_knots, path_grid
 
-
-@dataclass(frozen=True, eq=False)
-class RkhsElement:
-    """An RKHS element F, held as its L2 pre-image g composed with the
-    clock: g_of_time(w) = g(q(w)), defined on [0,1]."""
-
-    kernel: GaussMarkovKernel
-    g_of_time: Callable
+DENSE_GRID_SIZE = 10_000
 
 
 def decoupled_drift(kernel: GaussMarkovKernel, f: FourierFunction, w) -> np.ndarray:
@@ -66,27 +63,24 @@ def decoupled_drift(kernel: GaussMarkovKernel, f: FourierFunction, w) -> np.ndar
     return (np.asarray(f(w)) * v - np.asarray(kernel.v_prime(w)) * np.asarray(f.antiderivative(w))) / (v * v)
 
 
-def g_from_f(kernel: GaussMarkovKernel, f: FourierFunction) -> RkhsElement:
-    """RKHS element of the regression mean F_f(t) = integral_0^t f."""
-
-    def g_of_time(w):
-        with np.errstate(all="ignore"):
-            return decoupled_drift(kernel, f, w) / np.asarray(kernel.q_prime(w))
-
-    return RkhsElement(kernel=kernel, g_of_time=g_of_time)
+def _preimage(kernel: GaussMarkovKernel, f: FourierFunction, w) -> tuple[np.ndarray, np.ndarray]:
+    """g(q(w)) and q'(w) for the regression mean F_f, from one q' call."""
+    q_prime = np.asarray(kernel.q_prime(w))
+    with np.errstate(all="ignore"):
+        return decoupled_drift(kernel, f, w) / q_prime, q_prime
 
 
-def rkhs_norm(element: RkhsElement) -> float:
-    """||F||_H = sqrt(integral_0^T g^2), via the clock substitution.
+def rkhs_norm(kernel: GaussMarkovKernel, f: FourierFunction) -> float:
+    """||F_f||_H = sqrt(integral_0^T g^2), via the clock substitution.
 
     Raises DegenerateCell when the clock is not increasing on the
     VALIDATION_GRID, where q' < 0 would make the integrand meaningless.
     """
-    kernel = element.kernel
     design_clock(kernel, VALIDATION_GRID - 1)
 
     def integrand(w):
-        return np.asarray(element.g_of_time(w)) ** 2 * np.asarray(kernel.q_prime(w))
+        g, q_prime = _preimage(kernel, f, w)
+        return g ** 2 * q_prime
 
     value = adaptive_integral(integrand, 0.0, 1.0)
     return float(np.sqrt(max(value, 0.0)))
@@ -125,30 +119,28 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
     Gauss-Legendre weights are positive, so there is no cancellation.
     """
     v, q = _design_span_clock(kernel, n)
-    g_w = g_from_f(kernel, f).g_of_time
     knots = path_grid(n, n + 1)
     alpha = np.diff(np.asarray(f.antiderivative(knots)) / v) / np.diff(q)
 
     def residual(w):
-        cell = np.searchsorted(knots, w, side="right") - 1
-        return (np.asarray(g_w(w)) - alpha[cell]) ** 2 * np.asarray(kernel.q_prime(w))
+        g, q_prime = _preimage(kernel, f, w)
+        return (g - alpha[np.searchsorted(knots, w, side="right") - 1]) ** 2 * q_prime
 
     return adaptive_integral(residual, 0.0, 1.0, breakpoints=knots)
 
 
-def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction,
-                              n: int, grid_size: int = 10_000) -> float:
+def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """Brute-force oracle for D_n: weighted least squares for the
-    coefficients of the n representers on a dense clock grid. Refuses
-    the kernels projection_distance refuses, with the same errors."""
+    coefficients of the n representers at the DENSE_GRID_SIZE midpoints
+    of [0, 1]. Refuses the kernels projection_distance refuses, with the
+    same errors."""
     _design_span_clock(kernel, n)
-    element = g_from_f(kernel, f)
-    mid = (np.arange(grid_size) + 0.5) / grid_size
-    weights = np.asarray(kernel.q_prime(mid)) / grid_size
+    mid = (np.arange(DENSE_GRID_SIZE) + 0.5) / DENSE_GRID_SIZE
+    g, q_prime = _preimage(kernel, f, mid)
     knots = design_knots(n)
     design = np.asarray(kernel.v(knots))[None, :] * (mid[:, None] <= knots[None, :])
-    sqw = np.sqrt(weights)
-    target = np.asarray(element.g_of_time(mid)) * sqw
+    sqw = np.sqrt(q_prime / DENSE_GRID_SIZE)
+    target = g * sqw
     solution, *_ = np.linalg.lstsq(design * sqw[:, None], target, rcond=None)
     residual = target - (design * sqw[:, None]) @ solution
     return float(residual @ residual)
@@ -202,25 +194,3 @@ def kriging_interpolate_dense(kernel: GaussMarkovKernel, y, t):
     out = np.asarray(kvec) @ alpha
     return float(out[0]) if np.asarray(t).ndim == 0 else out
 
-
-def kriging_residual_process(kernel: GaussMarkovKernel, n: int, seed: int,
-                             grid_size: int | None = None) -> PathSample:
-    """Draw the residual R = X - Krig(X at the knots) on a fine grid.
-
-    R vanishes at the knots and is independent of the knot values; adding
-    an independent Kriging interpolation of fresh knot data reassembles a
-    process with the original law.
-    """
-    grid = path_grid(n, grid_size)
-    stride = knot_stride(n, grid.size)
-    path = sampling.sample_paths(kernel, grid, 1, seed, label="residual")[0]
-    residual = path - kriging_interpolate(kernel, path[stride::stride], grid)
-    residual[0] = 0.0
-    return PathSample(
-        grid=grid,
-        values=residual,
-        kernel_id=kernel.name,
-        function_id="residual",
-        seed=seed,
-        scale=1.0,
-    )

@@ -108,6 +108,15 @@ class TestExitCodes:
          "does not read 'nme'"),
         (("kl", "--fn", '{"name": 5, "coeffs": [[1, 1.0, 0.0]]}', "--n", "2"),
          "'name' needs text, got 5"),
+        (("validate", "--kernel", ""), "unknown preset ''"),
+        (("validate", "--preset", ""), "unknown preset ''"),
+        (("decompose", "--n", "4", "--fn", ""), "No such file or directory: ''"),
+        (("kriging", "--n", "4", "--fn", ""), "No such file or directory: ''"),
+        (("decompose", "--n", "4", "--fn", "[1]"), "function spec must be a JSON object, got [1]"),
+        (("decompose", "--n", "4", "--fn", '"x"'), "function spec must be a JSON object, got 'x'"),
+        (("decompose", "--n", "4", "--fn", "missing.json"),
+         "No such file or directory: 'missing.json'"),
+        (("decompose", "--n", "4", "--fn", '{"coeffs": '), "Expecting value"),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_out_of_range_number_is_a_runtime_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

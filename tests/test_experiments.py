@@ -12,6 +12,7 @@ from gmequiv.cli import main
 from gmequiv.errors import GridMismatch, SingularCovariance
 from gmequiv.experiments import (
     kriging_path_experiment,
+    kriging_residual_process,
     path_from_discrete,
     reconstruct_discrete_from_path,
     simulate_e1,
@@ -20,7 +21,6 @@ from gmequiv.experiments import (
 )
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, make_kernel, preset
-from gmequiv.rkhs import kriging_residual_process
 from gmequiv.samples import DiscreteSample, PathSample, design_knots
 from gmequiv.sampling import sample_paths
 
@@ -245,6 +245,38 @@ class TestDeterminism:
         a = simulate_e1(k, COS, 8, seed=1)
         b = simulate_e1(k, COS, 8, seed=2)
         assert not np.array_equal(a.values, b.values)
+
+
+class TestResidualProcess:
+    def test_vanishes_at_knots(self):
+        for name in ("bm", "ou", "slepian"):
+            k = preset(name)
+            r = kriging_residual_process(k, 4, seed=7)
+            idx = np.arange(1, 5) * ((r.grid.size - 1) // 4)
+            assert np.max(np.abs(r.values[idx])) <= 1e-12, name
+            assert r.values[0] == 0.0
+
+    def test_grid_must_contain_knots(self):
+        with pytest.raises(GridMismatch):
+            kriging_residual_process(preset("bm"), 4, seed=0, grid_size=22)
+
+    def test_midpoint_variance_under_bm(self):
+        """For bm with one knot the residual at t = 1/2 has the pinned
+        variance 1/4; checked by Monte Carlo within a 3.5 sigma band."""
+        draws = np.array([
+            kriging_residual_process(preset("bm"), 1, seed=s, grid_size=21).values[10]
+            for s in range(4000)
+        ])
+        var = float(np.var(draws, ddof=1))
+        band = 3.5 * 0.25 * math.sqrt(2.0 / (draws.size - 1))
+        assert abs(var - 0.25) <= band
+
+    def test_deterministic_in_seed(self):
+        a = kriging_residual_process(preset("slepian"), 4, seed=3)
+        b = kriging_residual_process(preset("slepian"), 4, seed=3)
+        c = kriging_residual_process(preset("slepian"), 4, seed=4)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, c.values)
 
 
 def _zero_path(m: int) -> PathSample:

@@ -381,6 +381,14 @@ class TestJsonSurface:
         assert fn.name == "fromfile"
         assert fn.coeff(1) == 0.5
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "1", "null"])
+    def test_json_that_is_not_an_object_is_refused(self, tmp_path, text):
+        path = tmp_path / "fn.json"
+        path.write_text(text)
+        for spec in (text, str(path)):
+            with pytest.raises(ValueError, match="must be a JSON object"):
+                function_from_spec(spec)
+
 
 class TestClassSpec:
     def test_kinds(self):

@@ -23,7 +23,7 @@ finally:
 
 COMMANDS = {name: (argv, code) for name, argv, code in workloads.cli_commands(0, "smoke")}
 
-# the names `gmequiv` exported when it imported every submodule eagerly
+# the names `gmequiv` exports, by the submodule that defines each
 EXPORTS = {
     "counterexample": ("DecisionProblem", "IndistinguishabilityReport", "build_fn",
                        "endpoint_increment", "indistinguishability_check"),
@@ -37,30 +37,31 @@ EXPORTS = {
                "ExpressionSyntaxError", "GmequivError", "GridMismatch",
                "GridMissingEndpoints", "HermitianViolation", "KernelDegenerate",
                "QuadratureFailure", "SingularCovariance", "UnknownIdentifier"),
-    "experiments": ("kriging_path_experiment", "path_from_discrete",
-                    "reconstruct_discrete_from_path", "simulate_e1", "simulate_e2",
-                    "simulate_increments"),
+    "experiments": ("kriging_path_experiment", "kriging_residual_process",
+                    "path_from_discrete", "reconstruct_discrete_from_path", "simulate_e1",
+                    "simulate_e2", "simulate_increments"),
     "expr": ("KernelExpression", "parse_kernel_expression"),
     "fourier": ("ClassSpec", "FourierFunction", "function_from_spec", "sample_ellipsoid"),
     "kernels": ("GaussMarkovKernel", "ValidationReport", "covariance", "gram",
                 "kernel_from_spec", "make_kernel", "preset", "validate_assumption"),
-    "rkhs": ("RkhsElement", "g_from_f", "kriging_interpolate", "kriging_interpolate_dense",
-             "kriging_residual_process", "projection_distance", "projection_distance_dense",
-             "rkhs_norm"),
+    "rkhs": ("kriging_interpolate", "kriging_interpolate_dense", "projection_distance",
+             "projection_distance_dense", "rkhs_norm"),
     "samples": ("DiscreteSample", "PathSample"),
     "sampling": ("sample_paths",),
 }
 
 # what each command line loads besides gmequiv and gmequiv.cli
-_NUMERICAL = {"errors", "fourier", "kernels", "quadrature", "rkhs", "rng", "samples", "sampling"}
+# the RKHS layer draws nothing, so it loads no sampling
+_RKHS = {"errors", "fourier", "kernels", "quadrature", "rkhs", "rng", "samples"}
+_NUMERICAL = _RKHS | {"sampling"}
 # diagnostics without the RKHS layer, which only two statistics read
 _DIAGNOSTICS = {"diagnostics", "errors", "fourier", "kernels", "rng", "samples"}
 LOADED = {
     "simulate": _NUMERICAL | {"experiments"},
     "rates-discretization": _DIAGNOSTICS,
-    "rates-projection": _NUMERICAL | {"diagnostics", "numpy.polynomial"},
+    "rates-projection": _RKHS | {"diagnostics", "numpy.polynomial"},
     "kl": _DIAGNOSTICS,
-    "kriging": _NUMERICAL,
+    "kriging": _RKHS,
     "decompose": _DIAGNOSTICS,
     "counterexample": _NUMERICAL | {"counterexample", "experiments"},
     "validate": {"errors", "expr", "kernels", "samples"},

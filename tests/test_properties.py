@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 
 from gmequiv import fourier
 from gmequiv.diagnostics import kl_dense, kl_sequential
-from gmequiv.experiments import path_from_discrete, reconstruct_discrete_from_path
+from gmequiv.experiments import (
+    kriging_residual_process,
+    path_from_discrete,
+    reconstruct_discrete_from_path,
+)
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import make_kernel, preset
-from gmequiv.rkhs import kriging_interpolate, kriging_residual_process
+from gmequiv.rkhs import kriging_interpolate
 from gmequiv.samples import DiscreteSample, knot_stride, path_grid
 
 TS = np.linspace(0.0, 1.0, 101)

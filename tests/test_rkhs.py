@@ -5,25 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from gmequiv.errors import (
-    DegenerateCell,
-    GridMismatch,
-    KernelDegenerate,
-    SingularCovariance,
-)
+from gmequiv.diagnostics import kl_sequential
+from gmequiv.errors import DegenerateCell, KernelDegenerate, SingularCovariance
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import make_kernel, preset
 from gmequiv.quadrature import adaptive_integral
 from gmequiv.rkhs import (
-    RkhsElement,
-    g_from_f,
+    _preimage,
     kriging_interpolate,
     kriging_interpolate_dense,
-    kriging_residual_process,
     projection_distance,
     projection_distance_dense,
     rkhs_norm,
 )
+from gmequiv.samples import design_knots
 
 FINITE_PRESETS = ("bm", "ou", "slepian")
 COS = FourierFunction.harmonic(1)
@@ -35,13 +30,13 @@ def _hump():
     return make_kernel("hump", "t*(1-t)", "1", validate=False)
 
 
-def _reproduce_F(element: RkhsElement, ts) -> np.ndarray:
+def _reproduce_F(k, g_of_time, ts) -> np.ndarray:
     """F(t) = v(t) * integral_0^{q(t)} g, pulled back to the time axis:
-    v(t) * integral_0^t g(q(w)) q'(w) dw, one quadrature call per t."""
-    k = element.kernel
+    v(t) * integral_0^t g(q(w)) q'(w) dw, one quadrature call per t, with
+    g_of_time(w) = g(q(w))."""
 
     def integrand(w):
-        return np.asarray(element.g_of_time(w)) * np.asarray(k.q_prime(w))
+        return np.asarray(g_of_time(w)) * np.asarray(k.q_prime(w))
 
     integrals = [adaptive_integral(integrand, 0.0, float(t)) if t > 0 else 0.0 for t in ts]
     return np.asarray(k.v(ts)) * np.array(integrals)
@@ -52,41 +47,42 @@ class TestPreimage:
         """Under bm (v = 1, q = t) the pre-image of the running integral
         is f with no transformation at all."""
         f = FourierFunction.harmonic(2, 1.3)
-        element = g_from_f(preset("bm"), f)
         ws = np.linspace(0, 1, 101)
-        np.testing.assert_allclose(element.g_of_time(ws), f(ws), rtol=0, atol=1e-12)
+        g, _ = _preimage(preset("bm"), f, ws)
+        np.testing.assert_allclose(g, f(ws), rtol=0, atol=1e-12)
 
     def test_ou_constant_f_closed_form(self):
         """For the ou(1) kernel and f = 1: g(q(w)) = e^{-w}(1 + w)/2."""
-        element = g_from_f(preset("ou", 1.0), FourierFunction.harmonic(0, 1.0))
         ws = np.linspace(0, 1, 101)
+        g, _ = _preimage(preset("ou", 1.0), FourierFunction.harmonic(0, 1.0), ws)
         expected = np.exp(-ws) * (1 + ws) / 2
-        np.testing.assert_allclose(element.g_of_time(ws), expected, rtol=1e-10)
+        np.testing.assert_allclose(g, expected, rtol=1e-10)
 
     @pytest.mark.filterwarnings("error")
     def test_reproduce_F_matches_antiderivative(self):
         ts = np.array([0.2, 0.5, 0.77, 1.0])
         for name in FINITE_PRESETS:
             k = preset(name)
-            element = g_from_f(k, COS)
-            np.testing.assert_allclose(_reproduce_F(element, ts), COS.antiderivative(ts),
+            reproduced = _reproduce_F(k, lambda w, k=k: _preimage(k, COS, w)[0], ts)
+            np.testing.assert_allclose(reproduced, COS.antiderivative(ts),
                                        rtol=0, atol=1e-6, err_msg=name)
 
 
 class TestNorm:
     def test_bm_norm_is_l2_norm_of_f(self):
-        element = g_from_f(preset("bm"), COS)
-        assert math.isclose(rkhs_norm(element), math.sqrt(0.5), rel_tol=1e-9)
+        assert math.isclose(rkhs_norm(preset("bm"), COS), math.sqrt(0.5), rel_tol=1e-9)
 
     def test_ou_constant_f_norm(self):
         """Closed form: the squared norm of the f = 1 element under ou(1)
         is integral of (1+w)^2/2, which is 7/6."""
-        element = g_from_f(preset("ou", 1.0), FourierFunction.harmonic(0, 1.0))
-        assert math.isclose(rkhs_norm(element), math.sqrt(7.0 / 6.0), rel_tol=1e-9)
+        norm = rkhs_norm(preset("ou", 1.0), FourierFunction.harmonic(0, 1.0))
+        assert math.isclose(norm, math.sqrt(7.0 / 6.0), rel_tol=1e-9)
 
     def test_step_preimage_norm_is_weighted_sum(self):
         """Isometry on step functions: a piecewise-constant g has squared
-        norm equal to the clock-length-weighted sum of its squared levels."""
+        norm equal to the clock-length-weighted sum of its squared levels,
+        the integral of g^2 over [0, T] pulled back to [0, 1] as rkhs_norm
+        pulls it back: integral_0^1 g(q(w))^2 q'(w) dw."""
         k = preset("ou", 1.0)
         split = float(k.q(0.5))
 
@@ -95,22 +91,23 @@ class TestNorm:
             return np.where(x < split, 3.0, 0.5)
 
         # the jump sits at w = 0.5, a panel edge at every quadrature level
-        element = RkhsElement(k, lambda w: g(k.q(w)))
+        norm_sq = adaptive_integral(lambda w: g(k.q(w)) ** 2 * np.asarray(k.q_prime(w)),
+                                    0.0, 1.0)
         expected_sq = 9.0 * split + 0.25 * (k.horizon - split)
-        assert math.isclose(rkhs_norm(element) ** 2, expected_sq, rel_tol=1e-8)
+        assert math.isclose(norm_sq, expected_sq, rel_tol=1e-8)
 
     def test_element_from_g_constant_reproduces_u(self):
         """g = 1 gives F = v * q = u for any kernel."""
         for name in FINITE_PRESETS:
             k = preset(name)
             ts = np.linspace(0.1, 1.0, 7)
-            np.testing.assert_allclose(_reproduce_F(RkhsElement(k, lambda w: 1), ts),
+            np.testing.assert_allclose(_reproduce_F(k, lambda w: 1, ts),
                                        np.asarray(k.u(ts)),
                                        rtol=1e-9, err_msg=name)
 
     def test_non_monotone_clock_raises_degenerate_cell(self):
         with pytest.raises(DegenerateCell):
-            rkhs_norm(g_from_f(_hump(), COS))
+            rkhs_norm(_hump(), COS)
 
 
 class TestProjectionDistance:
@@ -141,7 +138,7 @@ class TestProjectionDistance:
         with pytest.raises(error):
             projection_distance(kernel, COS, 4)
         with pytest.raises(error):
-            projection_distance_dense(kernel, COS, 4, grid_size=1000)
+            projection_distance_dense(kernel, COS, 4)
 
 
 class TestKriging:
@@ -186,33 +183,40 @@ class TestKriging:
             kriging_interpolate(preset("bridge"), np.ones(4), np.linspace(0, 1, 9))
 
 
-class TestResidualProcess:
-    def test_vanishes_at_knots(self):
-        for name in FINITE_PRESETS:
-            k = preset(name)
-            r = kriging_residual_process(k, 4, seed=7)
-            idx = np.arange(1, 5) * ((r.grid.size - 1) // 4)
-            assert np.max(np.abs(r.values[idx])) <= 1e-12, name
-            assert r.values[0] == 0.0
+def _delta_sq(kernel, f, n: int) -> float:
+    """Delta^2 = n D_n + 2 KL, the squared Mahalanobis distance between the
+    mean of the path rebuilt from discrete data and that of the path
+    experiment, for this f."""
+    return n * projection_distance(kernel, f, n) + 2.0 * kl_sequential(kernel, f, n)
 
-    def test_grid_must_contain_knots(self):
-        with pytest.raises(GridMismatch):
-            kriging_residual_process(preset("bm"), 4, seed=0, grid_size=22)
 
-    def test_midpoint_variance_under_bm(self):
-        """For bm with one knot the residual at t = 1/2 has the pinned
-        variance 1/4; checked by Monte Carlo within a 3.5 sigma band."""
-        draws = np.array([
-            kriging_residual_process(preset("bm"), 1, seed=s, grid_size=21).values[10]
-            for s in range(4000)
-        ])
-        var = float(np.var(draws, ddof=1))
-        band = 3.5 * 0.25 * math.sqrt(2.0 / (draws.size - 1))
-        assert abs(var - 0.25) <= band
+def _riemann_error(f, n: int) -> float:
+    """R_n(f) = (1/n) sum_i f(i/n) - integral_0^1 f."""
+    return float(np.sum(f(design_knots(n)))) / n - f.integral()
 
-    def test_deterministic_in_seed(self):
-        a = kriging_residual_process(preset("slepian"), 4, seed=3)
-        b = kriging_residual_process(preset("slepian"), 4, seed=3)
-        c = kriging_residual_process(preset("slepian"), 4, seed=4)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+
+class TestBmToBridgeLaw:
+    """On the kernels u = t, v = 1 - a t, Delta^2_a = Delta^2_bm + a/(1 - a)
+    n R_n^2 exactly: a check of the projection integrand and the sequential
+    KL on kernels with non-constant v, against an identity rather than
+    the dense oracles."""
+
+    SOBOLEV = [sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=96, seed=s) for s in (0, 1)]
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_slepian_is_half_bm_plus_riemann_error(self, n):
+        """slepian's v = 2 - t is 2 (1 - t/2): its covariance is twice that
+        of a = 1/2, so its Delta^2 is half of a = 1/2's,
+        (Delta^2_bm + n R_n^2) / 2."""
+        for f in self.SOBOLEV:
+            expected = 0.5 * (_delta_sq(preset("bm"), f, n) + n * _riemann_error(f, n) ** 2)
+            assert math.isclose(_delta_sq(preset("slepian"), f, n), expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("a", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_expression_kernel_adds_the_riemann_term(self, a, n):
+        kernel = make_kernel(f"a={a}", "t", f"1 - {a}*t")
+        for f in self.SOBOLEV:
+            expected = (_delta_sq(preset("bm"), f, n)
+                        + a / (1.0 - a) * n * _riemann_error(f, n) ** 2)
+            assert math.isclose(_delta_sq(kernel, f, n), expected, rel_tol=1e-9)
