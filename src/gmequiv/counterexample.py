@@ -4,8 +4,10 @@ The spike function
 
     f_n = c (1 - (e_n + e_{-n}) / 2),    c = sqrt(2/3) L n^{-beta},
 
-(coefficients theta_0 = c, theta_{+-n} = -c/2) vanishes at every design
-knot j/n, yet integrates to c > 0. Against f_0 = 0 this builds a decision
+(coefficients theta_0 = c, theta_{+-n} = -c/2, Sobolev(beta) norm squared
+c^2 (1 + (1+n)^{2 beta}/2), so c is capped at the L-ball's edge where that
+exceeds L^2, which beta = 1 never reaches) vanishes at every design knot
+j/n, yet integrates to c > 0. Against f_0 = 0 this builds a decision
 problem the discrete experiment cannot solve: the point-evaluation
 observations have identical Gaussian laws under either truth, so any rule
 errs with probability at least 1/2 on one of them, giving the classical
@@ -26,6 +28,7 @@ factor placement matters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -46,7 +49,9 @@ MC_PREMISE = "unpinned_statistic_stays_noisy"
 
 def build_fn(n: int, beta: float, L: float) -> FourierFunction:
     """The spike function for design size n: vanishes at every knot,
-    integrates to sqrt(2/3) L n^{-beta}, Sobolev(beta) norm <= L. Raises
+    integrates to c = sqrt(2/3) L n^{-beta}, capped where the Sobolev(beta)
+    norm would exceed L: for every beta <= 0, at small n for large beta,
+    never at beta = 1. Raises
     ValueError for n < 2, for a beta that is not finite and for an L that
     is not positive and finite."""
     if n < 2:
@@ -58,7 +63,15 @@ def build_fn(n: int, beta: float, L: float) -> FourierFunction:
         raise ValueError(f"smoothness beta must be finite, got {beta!r}")
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"class radius L must be positive and finite, got {L!r}")
-    c = math.sqrt(2.0 / 3.0) * L * float(n) ** (-beta)
+    # The norm is c^2 (1 + (1+n)^(2 beta)/2), at most L^2 for c up to the
+    # cap L / sqrt(1 + (1+n)^(2 beta)/2), written with r = (1+n)^-|beta| in
+    # (0, 1] so that no beta overflows it. 4 eps below the cap, the norm as
+    # sobolev_norm_sq rounds it stays inside the ball too. For beta < 0 the
+    # cap is below sqrt(2/3) L n^-beta, which could overflow, so it binds.
+    r = float(1 + n) ** -abs(beta)
+    shrink = r / math.sqrt(r * r + 0.5) if beta >= 0 else 1.0 / math.sqrt(1.0 + 0.5 * r * r)
+    cap = L * shrink * (1.0 - 4.0 * sys.float_info.epsilon)
+    c = cap if beta < 0 else min(math.sqrt(2.0 / 3.0) * L * float(n) ** (-beta), cap)
     return FourierFunction.from_coeffs(
         {0: c, n: -c / 2.0, -n: -c / 2.0},
         name=f"spike-n{n}",

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import GmequivError, KernelDegenerate, SingularCovariance
 from .fourier import ClassSpec, FourierFunction, sample_ellipsoid, scale_into_hoelder_ball
-from .kernels import PINNED_TOL, GaussMarkovKernel, design_clock, gram
+from .kernels import GaussMarkovKernel, design_clock, gram, unpinned_design_clock
 from .samples import design_knots
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
@@ -108,12 +108,7 @@ def _increment_covariance(kernel: GaussMarkovKernel, n: int) -> np.ndarray:
 def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """Oracle: exact KL of the two n-variate Gaussians, (1/2) dm^T C^-1 dm
     with C = n Cov(xi)."""
-    v, _ = design_clock(kernel, n)
-    if np.any(np.abs(v[1:]) <= PINNED_TOL):
-        raise SingularCovariance(
-            f"kernel {kernel.name!r} has v = 0 at a design knot, so the "
-            f"increment covariance is singular at n={n}"
-        )
+    unpinned_design_clock(kernel, n)
     dm = _gaps(f, n)
     C = _increment_covariance(kernel, n)
     C *= n

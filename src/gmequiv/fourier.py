@@ -2,9 +2,12 @@
 
 A function is a finite sum f(x) = sum_k theta_k e_k(x) over k in [-K, K]
 with e_k(x) = exp(-2 pi i k x). Real-valuedness is enforced structurally:
-coefficients must satisfy theta_{-k} = conj(theta_k), and every evaluation
-checks, in O(K), that the weights it sums are conjugate-symmetric to 1e-12
-of their scale, which bounds the imaginary part at every point.
+the constructor alone checks theta_{-k} = conj(theta_k) to 1e-12, theta_0
+included (from_coeffs only fills in the mirrors a sparse map leaves out),
+and every evaluation checks, in O(K), that the weights it sums are
+conjugate-symmetric to 1e-12 of their scale, which bounds the imaginary
+part at every point. function_from_spec reads spec text through
+kernels.read_spec, the rule kernel specs share.
 
 An arithmetic progression of points t = (j0 + frac + r)/m, r = 0, 1, ...,
 is evaluated by one real inverse FFT of length m of the coefficients
@@ -60,6 +63,8 @@ class FourierFunction:
     """Finite Fourier sum with Hermitian coefficients.
 
     theta[i] is the coefficient of e_{i-K}, so the array runs k = -K..K.
+    An empty name becomes 'fourier-' and the first 8 hex digits of
+    content_id().
     """
 
     K: int
@@ -80,41 +85,23 @@ class FourierFunction:
                 f"coefficients are not conjugate-symmetric (worst at k={worst})"
             )
         object.__setattr__(self, "theta", 0.5 * (theta + mirrored))
+        if not self.name:
+            object.__setattr__(self, "name", f"fourier-{self.content_id()[:8]}")
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_coeffs(coeffs: Mapping[int, complex], name: str | None = None) -> "FourierFunction":
-        """Build from a sparse {k: theta_k} map, completing missing mirrors.
-
-        If both k and -k are present they must be conjugates; if only one is
-        present the other is filled in.
-        """
-        if coeffs:
-            K = max(abs(int(k)) for k in coeffs)
-        else:
-            K = 0
+        """Build from a sparse {k: theta_k} map: theta_k as the map gives it,
+        and conj(theta_k) at each -k the map does not give. The constructor
+        checks the pairs the map gives both halves of, theta_0 included."""
+        ks = np.array(list(coeffs), dtype=int)
+        values = np.array(list(coeffs.values()), dtype=complex)
+        K = int(np.max(np.abs(ks), initial=0))
         theta = np.zeros(2 * K + 1, dtype=complex)
-        seen = set()
-        for k, value in coeffs.items():
-            k = int(k)
-            value = complex(value)
-            if -k in seen:
-                expected = np.conj(theta[K - k])
-                if abs(value - expected) > _IMAG_TOL:
-                    raise HermitianViolation(
-                        f"coefficients at k={k} and k={-k} are not conjugate"
-                    )
-            theta[K + k] = value
-            if K - k != K + k and -k not in seen:
-                theta[K - k] = np.conj(value)
-            seen.add(k)
-        if abs(theta[K].imag) > _IMAG_TOL:
-            raise HermitianViolation("theta_0 must be real")
-        fn = FourierFunction(K, theta, name or "")
-        if not name:
-            object.__setattr__(fn, "name", f"fourier-{fn.content_id()[:8]}")
-        return fn
+        theta[K - ks] = np.conj(values)
+        theta[K + ks] = values
+        return FourierFunction(K, theta, name or "")
 
     @staticmethod
     def zero() -> "FourierFunction":
@@ -201,7 +188,14 @@ class FourierFunction:
         return float(self.theta[self.K].real)
 
     def sobolev_norm_sq(self, beta: float) -> float:
-        weights = (1.0 + np.abs(self.ks)) ** (2.0 * beta)
+        """sum_k (1+|k|)^(2 beta) |theta_k|^2. A zero theta_k takes weight 1,
+        so only the weights of nonzero theta_k can overflow, and one that
+        does raises ValueError naming beta and the least such |k|."""
+        with np.errstate(over="ignore"):
+            weights = (1.0 + np.abs(self.ks) * (self.theta != 0)) ** (2.0 * beta)
+        if np.isinf(weights).any():
+            raise ValueError(f"Sobolev weight (1+|k|)^(2 beta) overflows at beta = {beta!r}, "
+                             f"k = {int(np.abs(self.ks)[np.isinf(weights)].min())}")
         return float(np.sum(weights * np.abs(self.theta) ** 2))
 
     def scaled(self, factor: float, name: str | None = None) -> "FourierFunction":
@@ -417,17 +411,9 @@ def function_from_spec(spec: Mapping | str) -> FourierFunction:
     text, and a missing or malformed 'coeffs', including a k that is not
     an integer, a |k| above MAX_FREQUENCY and a part that is not finite.
     """
-    if isinstance(spec, str):
-        text = spec.strip()
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError:
-            if text.startswith("{"):
-                raise
-            with open(text, "r", encoding="utf-8") as handle:
-                spec = json.load(handle)
-    if not isinstance(spec, Mapping):
-        raise ValueError(f"function spec must be a JSON object, got {spec!r}")
+    from .kernels import read_spec  # here, so that only reading a spec loads kernels
+
+    spec = read_spec(spec, "function")
     unread = ", ".join(repr(key) for key in spec if key not in ("name", "coeffs"))
     if unread:
         raise ValueError(f"function spec does not read {unread}; it reads 'name' and 'coeffs'")

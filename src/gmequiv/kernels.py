@@ -16,14 +16,21 @@ Four presets cover the classical examples:
     bridge    u = t,              v = 1 - t,    q = t/(1-t)   (endpoint pinned)
     slepian   u = t,              v = 2 - t,    q = t/(2-t)
 
-The bridge has v(1) = 0, so its horizon is infinite, and operations that
-need a finite horizon or a nonsingular design covariance refuse it
-explicitly rather than dividing by zero. The ou rate is capped where
-v(1) = e^{-L} would read as pinned: L must be positive with e^{-L} above
-PINNED_TOL, that is below 12 ln 10.
+bm, bridge and slepian are one linear family, u = t and v = v0 - slope t,
+built from the (v0, slope) rows of LINEAR_PRESETS by one builder; ou has
+its own, with its rate check. The bridge has v(1) = 0, so its horizon is
+infinite, and operations that need a finite horizon or a nonsingular
+design covariance refuse it explicitly rather than dividing by zero
+(unpinned_design_clock is the one refusal of a pinned design knot). The
+ou rate is capped where v(1) = e^{-L} would read as pinned: L must be
+positive with e^{-L} above PINNED_TOL, that is below 12 ln 10.
 
-kernel_from_spec is the one reader of a kernel: a dict, inline JSON, a
-JSON file path or preset text ('ou(0.5)'). A preset spec reads only
+read_spec is the one reader of spec text, for kernels and functions
+alike: inline JSON, else the file the text names, else (for kernels,
+through kernel_from_spec) preset text, else a path to open, and the
+result must be a JSON object. kernel_from_spec turns preset text such as
+'ou(0.5)' into the preset spec {"preset": "ou", "params": {"L": 0.5}}, so
+every spelling of a kernel takes one dict path. A preset spec reads only
 'preset' and 'params' (a real number 'L'), an expression spec only
 'name', 'u' and 'v', all text; any other key raises AssumptionViolation.
 
@@ -39,12 +46,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import AssumptionViolation, DegenerateCell
+from .errors import AssumptionViolation, DegenerateCell, SingularCovariance
 from .samples import path_grid
 
 _FD_STEP = 1e-6
@@ -142,25 +150,28 @@ def design_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndar
     return v, q
 
 
+def unpinned_design_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """design_clock(kernel, n), refusing with SingularCovariance a kernel
+    with |v| <= PINNED_TOL at a design knot, as at the bridge's pinned
+    endpoint: the covariance of the observations there is singular."""
+    v, q = design_clock(kernel, n)
+    if np.any(np.abs(v[1:]) <= PINNED_TOL):
+        raise SingularCovariance(f"kernel {kernel.name!r} has v = 0 at a design knot (v(1) at a "
+                                 f"pinned endpoint), so its design covariance is singular at n={n}")
+    return v, q
+
+
 # ---------------------------------------------------------------------------
 # presets
 
 
-def _const(value: float) -> Callable:
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, value) if t.ndim else value
-
-    return fn
-
-
-def _preset_bm() -> GaussMarkovKernel:
+def _preset_linear(name: str, v0: float, slope: float) -> GaussMarkovKernel:
     return GaussMarkovKernel(
-        name="bm",
+        name=name,
         u=lambda t: np.asarray(t, dtype=float),
-        v=_const(1.0),
-        u_prime=_const(1.0),
-        v_prime=_const(0.0),
+        v=lambda t: v0 - slope * np.asarray(t, dtype=float),
+        u_prime=lambda t: np.ones(np.shape(t)),
+        v_prime=lambda t: np.full(np.shape(t), 0.0 - slope),  # +0.0 for bm, not -0.0
     )
 
 
@@ -180,26 +191,8 @@ def _preset_ou(L: float) -> GaussMarkovKernel:
     )
 
 
-def _preset_bridge() -> GaussMarkovKernel:
-    return GaussMarkovKernel(
-        name="bridge",
-        u=lambda t: np.asarray(t, dtype=float),
-        v=lambda t: 1.0 - np.asarray(t, dtype=float),
-        u_prime=_const(1.0),
-        v_prime=_const(-1.0),
-    )
-
-
-def _preset_slepian() -> GaussMarkovKernel:
-    return GaussMarkovKernel(
-        name="slepian",
-        u=lambda t: np.asarray(t, dtype=float),
-        v=lambda t: 2.0 - np.asarray(t, dtype=float),
-        u_prime=_const(1.0),
-        v_prime=_const(-1.0),
-    )
-
-
+# (v0, slope) of the presets with u = t and v = v0 - slope t
+LINEAR_PRESETS = {"bm": (1.0, 0.0), "bridge": (1.0, 1.0), "slepian": (2.0, 1.0)}
 PRESETS = ("bm", "ou", "bridge", "slepian")
 
 
@@ -209,12 +202,11 @@ def preset(name: str, L: float | None = None) -> GaussMarkovKernel:
     AssumptionViolation rather than being ignored."""
     if name == "ou":
         return _preset_ou(1.0 if L is None else L)
-    builders = {"bm": _preset_bm, "bridge": _preset_bridge, "slepian": _preset_slepian}
-    if name not in builders:
+    if name not in PRESETS:
         raise AssumptionViolation(f"unknown preset {name!r}; choose from {PRESETS}")
     if L is not None:
         raise AssumptionViolation(f"preset {name!r} takes no rate, got L = {L!r}")
-    return builders[name]()
+    return _preset_linear(name, *LINEAR_PRESETS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +396,64 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
 # JSON configuration surface
 
 
-def kernel_from_spec(spec: dict | str, validate: bool = True) -> GaussMarkovKernel:
-    """Build a kernel from its spec: a dict, inline JSON text, the path of a
-    JSON file, or preset text ('bm', 'ou(0.5)'), a file holding either.
+def read_spec(spec: Mapping | str, kind: str,
+              from_text: Callable[[str], dict | None] = lambda text: None) -> Mapping:
+    """The JSON object of a kernel or function spec: a mapping as it is, or
+    text read in this order.
 
-    A preset spec {"preset": "ou", "params": {"L": 0.5}} reads only those
-    two keys, and an expression spec {"name": "lab", "u": "t", "v": "2 - t"}
-    only its three, the name defaulting to 'custom'. Any other key, a name
-    that is not text, a missing or non-text u or v, and params other than a
-    real number L raise AssumptionViolation naming the key. validate is
-    make_kernel's flag; presets need no check.
+    Inline JSON comes first; text that starts with '{' but is not JSON
+    raises the JSON error. Text naming an existing file is replaced by the
+    file's contents, read the same way. Then from_text(text) may give the
+    object (the kernel reader's preset syntax; None for text it does not
+    read). Any other text is opened as a path, so the OSError names a
+    missing file; in a file's contents it raises the JSON error. A JSON
+    value that is not an object raises ValueError.
     """
     if isinstance(spec, str):
-        text = spec.strip()
-        if not text.startswith("{") and os.path.exists(text):
-            with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read().strip()
-        if not text.startswith("{"):
-            return parse_preset_arg(text)
-        spec = json.loads(text)
+        spec = _read_text(spec, from_text, inline=True)
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"{kind} spec must be a JSON object, got {spec!r}")
+    return spec
+
+
+def _read_text(text: str, from_text: Callable, inline: bool):
+    """read_spec's order on inline text, and on a file's contents
+    (inline=False), where no path is looked up."""
+    text = text.strip()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        # a malformed object, or file contents that from_text does not read either
+        if text.startswith("{") or not inline and from_text(text) is None:
+            raise
+    # an existing file comes before from_text's syntax
+    if not (inline and os.path.exists(text)) and (spec := from_text(text)) is not None:
+        return spec
+    with open(text, "r", encoding="utf-8") as handle:  # a missing file: OSError names it
+        return _read_text(handle.read(), from_text, inline=False)
+
+
+def _preset_text(text: str) -> dict | None:
+    """The preset spec of preset text such as 'bm' or 'ou(0.5)', else None."""
+    match = re.fullmatch(r"(?s)(\w*)\s*(?:\((.*)\))?", text)
+    if match and match[2] is not None:
+        return {"preset": match[1], "params": {"L": float(match[2])}}
+    return {"preset": match[1]} if match else None
+
+
+def kernel_from_spec(spec: Mapping | str, validate: bool = True) -> GaussMarkovKernel:
+    """Build a kernel from its spec: a dict, or text as read_spec reads it,
+    where preset text ('bm', 'ou(0.5)') stands for the preset spec
+    {"preset": "ou", "params": {"L": 0.5}}.
+
+    A preset spec reads only 'preset' and 'params', and an expression spec
+    {"name": "lab", "u": "t", "v": "2 - t"} only its three keys, the name
+    defaulting to 'custom'. Any other key, a name that is not text, a
+    missing or non-text u or v, and params other than a real number L
+    raise AssumptionViolation naming the key. validate is make_kernel's
+    flag; presets need no check.
+    """
+    spec = read_spec(spec, "kernel", _preset_text)
     reads = ("preset", "params") if "preset" in spec else ("name", "u", "v")
     unread = ", ".join(repr(key) for key in spec if key not in reads)
     if unread:
@@ -440,12 +471,3 @@ def kernel_from_spec(spec: dict | str, validate: bool = True) -> GaussMarkovKern
         raise AssumptionViolation("kernel spec needs either a 'preset' key or 'u' and 'v' "
                                   f"expression keys, each key text; missing or not text: {bad}")
     return make_kernel(spec["name"], spec["u"], spec["v"], validate=validate)
-
-
-def parse_preset_arg(text: str) -> GaussMarkovKernel:
-    """Parse CLI preset syntax: 'bm', 'ou', 'ou(0.5)', 'bridge', 'slepian'."""
-    text = text.strip()
-    if "(" in text and text.endswith(")"):
-        base, arg = text[:-1].split("(", 1)
-        return preset(base.strip(), L=float(arg))
-    return preset(text)

@@ -42,12 +42,12 @@ import numpy as np
 from .errors import KernelDegenerate, SingularCovariance
 from .fourier import FourierFunction
 from .kernels import (
-    PINNED_TOL,
     VALIDATION_GRID,
     GaussMarkovKernel,
     covariance,
     design_clock,
     gram,
+    unpinned_design_clock,
 )
 from .quadrature import adaptive_integral
 from .samples import design_knots, path_grid
@@ -160,13 +160,7 @@ def kriging_interpolate(kernel: GaussMarkovKernel, y, t):
     design covariance is singular. A degenerate clock cell raises too.
     """
     y = np.asarray(y, dtype=float)
-    v, q = design_clock(kernel, y.size)
-    if np.any(np.abs(v[1:]) <= PINNED_TOL):
-        raise SingularCovariance(
-            f"kernel {kernel.name!r} has v(1) = 0, so the design covariance at "
-            "the knots is singular; Kriging through the pinned endpoint needs "
-            "v(1) != 0"
-        )
+    v, q = unpinned_design_clock(kernel, y.size)
     zk = np.concatenate([[0.0], y / v[1:]])
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     vt = np.asarray(kernel.v(ts))

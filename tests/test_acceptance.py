@@ -20,7 +20,7 @@ from gmequiv.counterexample import indistinguishability_check
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 
 BM = kernels.preset("bm")
-OU1 = kernels.parse_preset_arg("ou(1)")
+OU1 = kernels.kernel_from_spec("ou(1)")
 BRIDGE = kernels.preset("bridge")
 SLEPIAN = kernels.preset("slepian")
 FINITE = (BM, OU1, SLEPIAN)

@@ -108,6 +108,11 @@ class TestExitCodes:
          "does not read 'nme'"),
         (("kl", "--fn", '{"name": 5, "coeffs": [[1, 1.0, 0.0]]}', "--n", "2"),
          "'name' needs text, got 5"),
+        (("rates", "--stat", "discretization", "--preset", "bm", "--family", "sobolev",
+          "--beta", "60", "--n", "256,512"), "overflows at beta = 60.0, k = 512"),
+        (("rates", "--stat", "discretization", "--preset", "bm", "--family", "random",
+          "--beta", "60", "--n", "256,512"), "overflows at beta = 60.0, k = 370"),
+        (("validate", "--kernel", "missing.json"), "No such file or directory: 'missing.json'"),
         (("validate", "--kernel", ""), "unknown preset ''"),
         (("validate", "--preset", ""), "unknown preset ''"),
         (("decompose", "--n", "4", "--fn", ""), "No such file or directory: ''"),
@@ -121,7 +126,7 @@ class TestExitCodes:
     def test_out_of_range_number_is_a_runtime_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["bm", "bridge", "slepian"])
     @pytest.mark.parametrize("flag, text", [
@@ -150,6 +155,9 @@ class TestExitCodes:
         ("--kernel", '{"u": "t", "v": "1", "L": 1}', "does not read 'L'"),
         ("--kernel", '{"name": null, "u": "t", "v": "1"}', "not text: 'name'"),
         ("--kernel", '{"name": "x", "u": "t", "v": 2}', "not text: 'v'"),
+        ("--kernel", "[1]", "kernel spec must be a JSON object, got [1]"),
+        ("--kernel", '"bm"', "kernel spec must be a JSON object, got 'bm'"),
+        ("--kernel", "1", "kernel spec must be a JSON object, got 1"),
     ])
     def test_malformed_spec_names_the_bad_key(self, capsys, flag, spec, key):
         command = ("kl", "--n", "2") if flag == "--fn" else ("validate",)
@@ -301,13 +309,21 @@ class TestCounterexampleCommand:
         assert "FAIL" not in out
 
     def test_no_bound_when_a_premise_it_rests_on_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "counterexample", "--n", "4", "--beta", "-1",
+        # at beta = 1000 the spike's height c underflows to 0
+        code, out, _ = run_cli(capsys, "counterexample", "--n", "4", "--beta", "1000",
                                "--paths", "1000")
         assert code == 2
-        assert "[FAIL] spike_inside_class" in out
+        assert "[FAIL] integrals_differ" in out
         assert "deficiency lower bound" not in out
         assert out.splitlines()[-1] == (
-            "  => no deficiency bound: premise failed: spike_inside_class")
+            "  => no deficiency bound: premise failed: integrals_differ")
+
+    @pytest.mark.parametrize("n, beta", [("2", "1.5"), ("4", "2.5"), ("4", "-1")])
+    def test_spike_inside_its_ball_at_every_beta(self, capsys, n, beta):
+        code, out, _ = run_cli(capsys, "counterexample", "--n", n, "--beta", beta,
+                               "--paths", "1000")
+        assert code == 0
+        assert out.splitlines()[-1] == "  => deficiency lower bound 0.25"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", "--n", "4",

@@ -33,10 +33,27 @@ class TestSpikeFunction:
         assert math.isclose(f.integral(), math.sqrt(2.0 / 3.0) / 8.0, rel_tol=1e-15)
 
     def test_inside_the_ball(self):
-        for beta, L in ((1.0, 1.0), (1.5, 0.5)):
-            for n in (4, 16):
-                f = build_fn(n, beta, L)
-                assert f.sobolev_norm_sq(beta) <= L * L + 1e-15
+        """c is capped where c^2 (1 + (1+n)^{2 beta}/2) would exceed L^2, as
+        at n = 2, beta = 1.5 (norm^2 1.208 uncapped)."""
+        for n in range(2, 33):
+            for beta in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+                for L in (0.5, 1.0, 2.0):
+                    norm_sq = build_fn(n, beta, L).sobolev_norm_sq(beta)
+                    assert norm_sq <= L * L + 1e-15, (n, beta, L, norm_sq)
+
+    def test_cap_never_binds_at_beta_one(self):
+        for n in range(2, 65):
+            c = build_fn(n, 1.0, 1.0).integral()
+            assert c == math.sqrt(2.0 / 3.0) * 1.0 * float(n) ** -1.0, n
+
+    def test_no_beta_overflows_the_cap(self):
+        """A large beta underflows c to 0; a very negative one leaves it at
+        the cap, just inside L, where n^-beta would overflow."""
+        assert build_fn(2, 1000.0, 1.0).integral() == 0.0
+        for beta in (-500.0, -1e300):
+            f = build_fn(4, beta, 1.0)
+            assert 0.99 < f.integral() < 1.0
+            assert f.sobolev_norm_sq(beta) <= 1.0
 
     def test_norm_closed_form(self):
         # amplitude c at k=0 and -c/2 at +-n gives c^2 (1 + (1+n)^{2b}/2)

@@ -88,7 +88,7 @@ class TestHermitianEnforcement:
             FourierFunction.from_coeffs({1: 1.0 + 0.5j, -1: 1.0 + 0.5j})
 
     def test_complex_constant_term(self):
-        with pytest.raises(HermitianViolation, match="theta_0"):
+        with pytest.raises(HermitianViolation, match="worst at k=0"):
             FourierFunction.from_coeffs({0: 1.0 + 1.0j})
 
     def test_raw_array_symmetry(self):
@@ -353,6 +353,15 @@ class TestAlgebra:
         fn = FourierFunction.from_coeffs({0: c, n: -c / 2, -n: -c / 2})
         expected = c * c * (1.0 + (1.0 + n) ** (2 * beta) / 2.0)
         assert math.isclose(fn.sobolev_norm_sq(beta), expected, rel_tol=1e-12)
+
+    def test_sobolev_weight_overflow_names_beta_and_k(self):
+        with pytest.raises(ValueError, match=r"overflows at beta = 60\.0, k = 512"):
+            FourierFunction.harmonic(512).sobolev_norm_sq(60.0)
+
+    def test_zero_coefficient_takes_no_weight(self):
+        """theta_600 = 0 adds nothing, though (1 + 600)^120 overflows."""
+        fn = FourierFunction.from_coeffs({0: 0.5, 1: 0.25, 600: 0.0})
+        assert fn.sobolev_norm_sq(60.0) == 0.25 + 2.0 * 2.0**120 * 0.0625
 
     def test_content_id_tracks_coefficients(self):
         a = FourierFunction.harmonic(1)

@@ -1,12 +1,14 @@
 """Tests for kernel presets, custom construction, and the shape checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from gmequiv.errors import AssumptionViolation, DegenerateCell
+from gmequiv.errors import AssumptionViolation, DegenerateCell, SingularCovariance
 from gmequiv.kernels import (
+    LINEAR_PRESETS,
     PINNED_TOL,
     VALIDATION_GRID,
     GaussMarkovKernel,
@@ -15,10 +17,11 @@ from gmequiv.kernels import (
     gram,
     kernel_from_spec,
     make_kernel,
-    parse_preset_arg,
     preset,
+    unpinned_design_clock,
     validate_assumption,
 )
+from gmequiv.samples import path_grid
 
 ALL_PRESETS = ("bm", "ou", "bridge", "slepian")
 
@@ -59,6 +62,20 @@ class TestPresetValues:
         ts = np.linspace(0, 1, 11)
         np.testing.assert_allclose(k.q(ts), ts / (2 - ts), rtol=1e-15)
         assert k.horizon == 1.0
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_PRESETS))
+    def test_linear_preset_is_its_expression_kernel(self, name):
+        """bm, bridge and slepian are u = t, v = v0 - slope t, bit for bit
+        the expression kernel of that text; bm keeps v' = +0.0."""
+        v0, slope = LINEAR_PRESETS[name]
+        k = preset(name)
+        lab = make_kernel(name, "t", f"{v0!r} - {slope!r}*t", validate=False)
+        ts = path_grid(64)
+        np.testing.assert_array_equal(k.u(ts), lab.u(ts))
+        np.testing.assert_array_equal(k.v(ts), lab.v(ts))
+        np.testing.assert_array_equal(k.u_prime(ts), np.ones(ts.size))
+        np.testing.assert_array_equal(k.v_prime(ts), np.full(ts.size, -slope))
+        assert not np.any(np.signbit(preset("bm").v_prime(ts)))
 
     def test_quotient_identity(self):
         """q must equal u/v wherever v does not vanish."""
@@ -277,6 +294,15 @@ class TestDesignClock:
         assert v[-1] == 0.0 and q[-1] == math.inf
         assert np.all(np.diff(q) > 0.0)
 
+    def test_pinned_endpoint_is_singular_for_the_observations(self):
+        """unpinned_design_clock refuses what design_clock lets pass, and
+        otherwise returns the same clock."""
+        with pytest.raises(SingularCovariance, match=r"v = 0 at a design knot \(v\(1\)"):
+            unpinned_design_clock(preset("bridge"), 8)
+        for got, want in zip(unpinned_design_clock(preset("slepian"), 8),
+                             design_clock(preset("slepian"), 8)):
+            np.testing.assert_array_equal(got, want)
+
     def test_nonpositive_increment_raises(self):
         k = make_kernel("hump", "t*(1 - t)", "1", validate=False)
         for n in (1, 2, 3, 4, 7):
@@ -363,11 +389,36 @@ class TestSpecSurface:
         assert report.kernel_name == "hump" and not report.passed
 
     def test_preset_arg_plain(self):
-        assert parse_preset_arg("bm").name == "bm"
+        assert kernel_from_spec("bm").name == "bm"
 
     def test_preset_arg_with_rate(self):
-        k = parse_preset_arg("ou(2.5)")
+        k = kernel_from_spec("ou(2.5)")
         assert math.isclose(k.horizon, math.exp(5.0) - 1.0, rel_tol=1e-15)
 
     def test_preset_arg_whitespace(self):
-        assert parse_preset_arg("  slepian ").name == "slepian"
+        assert kernel_from_spec("  slepian ").name == "slepian"
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("missing.json", FileNotFoundError, "missing.json"),
+        ("ou(", FileNotFoundError, "ou("),
+        ("[1]", ValueError, "kernel spec must be a JSON object, got [1]"),
+        ('"bm"', ValueError, "kernel spec must be a JSON object, got 'bm'"),
+        ("1", ValueError, "kernel spec must be a JSON object, got 1"),
+        ("", AssumptionViolation, "unknown preset ''"),
+        ("ou(abc)", ValueError, "could not convert string to float"),
+    ])
+    def test_text_that_is_no_kernel(self, text, error, message):
+        """JSON first, then an existing file, then preset syntax; any other
+        text is opened as a path."""
+        with pytest.raises(error, match=re.escape(message)):
+            kernel_from_spec(text)
+
+    def test_preset_text_is_its_preset_spec(self):
+        """Preset text takes the preset spec's path, rate checks included."""
+        for text, spec in (("ou(2)", {"preset": "ou", "params": {"L": 2.0}}),
+                           ("bm", {"preset": "bm"})):
+            assert repr(kernel_from_spec(text)) == repr(kernel_from_spec(spec))
+        with pytest.raises(AssumptionViolation, match="preset 'bm' takes no rate, got L = 5.0"):
+            kernel_from_spec(" bm ( 5 ) ")
+        with pytest.raises(AssumptionViolation, match="unknown preset \\[1\\]"):
+            kernel_from_spec({"preset": [1]})

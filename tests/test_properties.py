@@ -1,6 +1,6 @@
 """Seeded property tests: the derived clock, the two KL routes, the two
-Fourier-sum routes, Kriging through the knots and the discrete -> path ->
-discrete round trip, each on generated inputs."""
+Fourier-sum routes, Hermitian completion, Kriging through the knots and the
+discrete -> path -> discrete round trip, each on generated inputs."""
 
 import math
 
@@ -102,6 +102,21 @@ def test_fft_grid_route_equals_dense_route(K, seed, m, j0, extra, columns):
             assert fourier._progression(t)[0] == 0
         dense = fourier._dense_sum(t.ravel(), fn.ks, fn.theta).real.reshape(t.shape)
         np.testing.assert_allclose(fn(t), dense, rtol=0.0, atol=1e-12 * scale + moved)
+
+
+@given(K=st.integers(0, 40), seed=st.integers(0, 10**6), size=st.integers(0, 12))
+def test_hermitian_completion_gives_real_values(K, seed, size):
+    """A one-sided map {k: theta_k}, k in 0..K with a real theta_0, becomes
+    an exactly Hermitian theta whose evaluation never raises."""
+    gen = np.random.default_rng(seed)
+    ks = gen.choice(K + 1, size=min(size, K + 1), replace=False)
+    coeffs = {int(k): complex(gen.normal(), gen.normal() if k else 0.0) for k in ks}
+    fn = FourierFunction.from_coeffs(coeffs)
+    np.testing.assert_array_equal(fn.theta, np.conj(fn.theta[::-1]))
+    for k, value in coeffs.items():
+        assert fn.coeff(k) == value and fn.coeff(-k) == value.conjugate()
+    t = np.concatenate([path_grid(8), gen.uniform(-2.0, 2.0, size=7)])
+    assert np.all(np.isfinite(fn(t))) and np.all(np.isfinite(fn.antiderivative(t)))
 
 
 # kernels that Kriging accepts: v(1) != 0, so not the pinned bridge
