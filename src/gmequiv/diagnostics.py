@@ -157,7 +157,9 @@ class BandDecomposition:
 
     @property
     def bound_holds(self) -> bool:
-        return self.total_gap_sq <= 3.0 * self.bound_total + 1e-12
+        """total <= 3 (A + B + C), which is False, not shown, when a sum
+        overflowed to inf or nan: then neither side is known."""
+        return self.total_gap_sq <= 3.0 * self.bound_total + 1e-12 < math.inf
 
 
 def _split_at(f: FourierFunction, cutoff: int) -> tuple[FourierFunction, FourierFunction]:
@@ -175,30 +177,36 @@ def _split_at(f: FourierFunction, cutoff: int) -> tuple[FourierFunction, Fourier
 
 
 def band_split_decomposition(f: FourierFunction, n: int) -> BandDecomposition:
-    """Split f at cutoff n and measure the three grid sums plus Parseval."""
-    low, tail = _split_at(f, n)
-    A = _gaps(low, n)
-    B = np.asarray(tail(design_knots(n)))
-    C = tail.cell_averages(n)
-    d = _gaps(f, n)
-    # direct DFT of the low-band gaps, O(n^2) on purpose (no FFT), with the
-    # phase matrix built _DFT_ROWS rows at a time, so memory is O(n)
-    j = np.arange(1, n + 1)
-    gaps = A.astype(complex)
-    F = np.empty(n, dtype=complex)
-    for lo in range(0, n, _DFT_ROWS):
-        phases = np.exp(-2j * np.pi * np.outer(j[lo : lo + _DFT_ROWS], j) / n)
-        F[lo : lo + _DFT_ROWS] = phases @ gaps
-    F /= n
-    parseval = abs(float(np.sum(A * A) / n) - float(np.sum(np.abs(F) ** 2)))
-    return BandDecomposition(
-        n=n,
-        a_sum=float(np.sum(A * A)),
-        b_sum=float(np.sum(B * B)),
-        c_sum=float(np.sum(C * C)),
-        total_gap_sq=float(np.sum(d * d)),
-        parseval_residual=parseval,
-    )
+    """Split f at cutoff n and measure the three grid sums plus Parseval.
+
+    The sums are of squares, so a function with values past about 1e154
+    overflows them: they read inf and the Parseval residual nan, with
+    numpy's overflow warnings held back, and bound_holds reads False.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, tail = _split_at(f, n)
+        A = _gaps(low, n)
+        B = np.asarray(tail(design_knots(n)))
+        C = tail.cell_averages(n)
+        d = _gaps(f, n)
+        # direct DFT of the low-band gaps, O(n^2) on purpose (no FFT), with the
+        # phase matrix built _DFT_ROWS rows at a time, so memory is O(n)
+        j = np.arange(1, n + 1)
+        gaps = A.astype(complex)
+        F = np.empty(n, dtype=complex)
+        for lo in range(0, n, _DFT_ROWS):
+            phases = np.exp(-2j * np.pi * np.outer(j[lo : lo + _DFT_ROWS], j) / n)
+            F[lo : lo + _DFT_ROWS] = phases @ gaps
+        F /= n
+        parseval = abs(float(np.sum(A * A) / n) - float(np.sum(np.abs(F) ** 2)))
+        return BandDecomposition(
+            n=n,
+            a_sum=float(np.sum(A * A)),
+            b_sum=float(np.sum(B * B)),
+            c_sum=float(np.sum(C * C)),
+            total_gap_sq=float(np.sum(d * d)),
+            parseval_residual=parseval,
+        )
 
 
 def band_terms_statistic(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
@@ -216,23 +224,18 @@ def band_terms_statistic(kernel: GaussMarkovKernel, f: FourierFunction, n: int) 
 
 def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """n sup_j (mu(s_j) - mu_{j,n})^2 + n sup_j (q'(s_j) - sigma2_{j,n})^2,
-    with s_j = j/(n+1)."""
+    with s_j = j/(n+1). The transform divides by v at every knot, so a
+    pinned endpoint raises KernelDegenerate (unpinned_design_clock)."""
     from . import rkhs
 
-    if not math.isfinite(kernel.horizon):
-        raise KernelDegenerate(
-            f"kernel {kernel.name!r} is pinned at the endpoint (v(1) = 0); "
-            "the decoupling transform divides by v at every knot"
-        )
-    v, q = design_clock(kernel, n)
+    v, q = unpinned_design_clock(kernel, n, KernelDegenerate, "the transform divides by zero")
     mu_grid = np.diff(np.cumsum(np.asarray(f(design_knots(n)))) / v[1:], prepend=0.0)
     sigma2_grid = n * np.diff(q)
     s = np.arange(1, n + 1) / (n + 1)
     mu_cont = rkhs.decoupled_drift(kernel, f, s)
     qp_cont = np.asarray(kernel.q_prime(s))
-    return float(
-        n * np.max((mu_cont - mu_grid) ** 2) + n * np.max((qp_cont - sigma2_grid) ** 2)
-    )
+    return float(n * np.max((mu_cont - mu_grid) ** 2)
+                 + n * np.max((qp_cont - sigma2_grid) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +276,7 @@ def class_extremal_family(spec: ClassSpec, seed: int = 0) -> FunctionFamily:
     def scaled_harmonic(k: int) -> FourierFunction:
         fn = FourierFunction.harmonic(k, 1.0, name=f"extremal-k{k}")
         if spec.kind == "sobolev":
-            norm = np.sqrt(fn.sobolev_norm_sq(spec.beta))
-            return fn.scaled(spec.L / norm, name=fn.name)
+            return fn.scaled(spec.L / fn.sobolev_norm(spec.beta), name=fn.name)
         return scale_into_hoelder_ball(fn, spec)
 
     def members(n: int) -> list[FourierFunction]:

@@ -84,7 +84,8 @@ class FourierFunction:
             raise HermitianViolation(
                 f"coefficients are not conjugate-symmetric (worst at k={worst})"
             )
-        object.__setattr__(self, "theta", 0.5 * (theta + mirrored))
+        # halved before the sum, which would overflow past about 9e307
+        object.__setattr__(self, "theta", 0.5 * theta + 0.5 * mirrored)
         if not self.name:
             object.__setattr__(self, "name", f"fourier-{self.content_id()[:8]}")
 
@@ -109,7 +110,10 @@ class FourierFunction:
 
     @staticmethod
     def harmonic(k: int, amplitude: float = 1.0, name: str | None = None) -> "FourierFunction":
-        """amplitude * cos(2 pi k x)."""
+        """amplitude * cos(2 pi k x). A |k| above MAX_FREQUENCY raises
+        ValueError before the 2|k| + 1 coefficients are built."""
+        if abs(k) > MAX_FREQUENCY:
+            raise ValueError(f"harmonic frequency k = {k} is above MAX_FREQUENCY = {MAX_FREQUENCY}")
         if k == 0:
             return FourierFunction.from_coeffs({0: amplitude}, name=name or "const")
         return FourierFunction.from_coeffs(
@@ -187,16 +191,39 @@ class FourierFunction:
         """Integral over [0,1]; equals theta_0."""
         return float(self.theta[self.K].real)
 
+    def sobolev_norm(self, beta: float) -> float:
+        """sqrt(sum_k (1+|k|)^(2 beta) |theta_k|^2), the Sobolev ellipsoid norm.
+
+        A zero theta_k takes weight 1. Where a weight or the sum overflows,
+        the sum is taken again with each term formed as ((1+|k|)^beta
+        |theta_k|)^2, in units of the largest, so any norm below the largest
+        float is returned. One that is not raises ValueError naming beta and
+        a k: the least |k| whose weighted term overflows, else the |k| of
+        the largest term.
+        """
+        return self._sobolev_sum(beta, squared=False)
+
     def sobolev_norm_sq(self, beta: float) -> float:
-        """sum_k (1+|k|)^(2 beta) |theta_k|^2. A zero theta_k takes weight 1,
-        so only the weights of nonzero theta_k can overflow, and one that
-        does raises ValueError naming beta and the least such |k|."""
-        with np.errstate(over="ignore"):
-            weights = (1.0 + np.abs(self.ks) * (self.theta != 0)) ** (2.0 * beta)
-        if np.isinf(weights).any():
-            raise ValueError(f"Sobolev weight (1+|k|)^(2 beta) overflows at beta = {beta!r}, "
-                             f"k = {int(np.abs(self.ks)[np.isinf(weights)].min())}")
-        return float(np.sum(weights * np.abs(self.theta) ** 2))
+        """The square of sobolev_norm, summed the same way: any square
+        below the largest float is returned, and one that is not raises."""
+        return self._sobolev_sum(beta, squared=True)
+
+    def _sobolev_sum(self, beta: float, squared: bool) -> float:
+        base = 1.0 + np.abs(self.ks) * (self.theta != 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(base ** (2.0 * beta) * np.abs(self.theta) ** 2))
+            if math.isfinite(total):
+                return total if squared else math.sqrt(total)
+            terms = base**beta * np.abs(self.theta)
+            top = float(np.max(terms))
+            total = float(np.sum(np.square(terms / top)))
+        value = top * top * total if squared else top * math.sqrt(total)
+        if not math.isfinite(value):
+            over = ~np.isfinite(terms)
+            k = np.abs(self.ks)[over].min() if over.any() else abs(self.ks[np.argmax(terms)])
+            raise ValueError(f"Sobolev norm{'^2' if squared else ''} overflows at "
+                             f"beta = {beta!r}, k = {int(k)}")
+        return value
 
     def scaled(self, factor: float, name: str | None = None) -> "FourierFunction":
         return FourierFunction(self.K, self.theta * factor, name or self.name)

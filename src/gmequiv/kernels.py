@@ -18,12 +18,24 @@ Four presets cover the classical examples:
 
 bm, bridge and slepian are one linear family, u = t and v = v0 - slope t,
 built from the (v0, slope) rows of LINEAR_PRESETS by one builder; ou has
-its own, with its rate check. The bridge has v(1) = 0, so its horizon is
-infinite, and operations that need a finite horizon or a nonsingular
-design covariance refuse it explicitly rather than dividing by zero
-(unpinned_design_clock is the one refusal of a pinned design knot). The
-ou rate is capped where v(1) = e^{-L} would read as pinned: L must be
-positive with e^{-L} above PINNED_TOL, that is below 12 ln 10.
+its own, with its rate check: L must be positive and the clock finite,
+q(1) = e^{2L} - 1 and q'(1) = 2L e^{2L} below the largest float, so L
+below about 351.6.
+
+The pair is fixed only up to the gauge (c u, v / c), c > 0, which leaves
+the covariance, and so the variance Var(X_t) = u(t) v(t), unchanged. So
+every "this point carries no variance" is decided by one gauge-invariant
+rule, no_variance: |u v| at most NO_VARIANCE_TOL times the largest finite
+|u v| on the grid at hand. It sets the horizon once, when the kernel is
+built (the endpoint is pinned when Var(X_1) carries none on the
+VALIDATION_GRID, as for the bridge, and then the horizon is infinite);
+every later reading of the endpoint, the shape check's v(1) != 0 and the
+sampler's last column included, takes that verdict from the horizon. The
+rule also decides the shape check's q(0) = 0 and masks the sampler's
+deterministic zeros. Operations that need a finite horizon or a
+nonsingular design covariance refuse a pinned kernel explicitly rather
+than dividing by zero: unpinned_design_clock is the one refusal, after
+design_clock's check of the clock increments.
 
 read_spec is the one reader of spec text, for kernels and functions
 alike: inline JSON, else the file the text names, else (for kernels,
@@ -52,11 +64,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import AssumptionViolation, DegenerateCell, SingularCovariance
+from .errors import AssumptionViolation, DegenerateCell, GmequivError, SingularCovariance
 from .samples import path_grid
 
 _FD_STEP = 1e-6
-PINNED_TOL = 1e-12  # |v(1)| at or below this pins the endpoint
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# a point whose |u v| is at most this times the grid's largest carries no variance
+NO_VARIANCE_TOL = 1e-12
 VALIDATION_GRID = 1001  # points of the shape-assumption check
 MAX_VALIDATION_GRID = 10**6  # largest grid the shape check accepts
 
@@ -67,7 +81,8 @@ class GaussMarkovKernel:
 
     u, v, u_prime, v_prime are vectorized callables on [0,1]. The clock q,
     its derivative q_prime and horizon are worked out from them; horizon is
-    q(1), or inf when |v(1)| <= PINNED_TOL pins the endpoint (as for the
+    q(1), or inf when Var(X_1) = u(1) v(1) carries no variance on the
+    VALIDATION_GRID (no_variance), which pins the endpoint (as for the
     bridge), or nan when u(1) is 0 as well.
     """
 
@@ -79,9 +94,11 @@ class GaussMarkovKernel:
     horizon: float = field(init=False)
 
     def __post_init__(self):
-        if abs(float(self.v(1.0))) > PINNED_TOL:
-            horizon = float(self.q(1.0))
-        else:
+        ts = np.linspace(0.0, 1.0, VALIDATION_GRID)
+        with np.errstate(all="ignore"):
+            pinned = no_variance(np.asarray(self.u(ts)) * np.asarray(self.v(ts)))[-1]
+        horizon = float(self.q(1.0))
+        if pinned:
             horizon = math.inf if float(self.u(1.0)) != 0.0 else math.nan
         object.__setattr__(self, "horizon", horizon)
 
@@ -103,6 +120,20 @@ class GaussMarkovKernel:
 
     def __repr__(self) -> str:
         return f"GaussMarkovKernel({self.name!r}, horizon={self.horizon!r})"
+
+
+def no_variance(var: np.ndarray) -> np.ndarray:
+    """Where the variances u*v on a grid carry none: |u v| at most
+    NO_VARIANCE_TOL times the largest finite |u v| there.
+
+    A relative rule, so the gauge (c u, v / c) leaves it unchanged. A
+    non-finite point is never counted as carrying none. Only boolean
+    arrays are built beside var.
+    """
+    finite = np.isfinite(var)
+    bound = NO_VARIANCE_TOL * max(float(np.max(var, where=finite, initial=0.0)),
+                                  -float(np.min(var, where=finite, initial=0.0)))
+    return (var <= bound) & (var >= -bound)
 
 
 def covariance(kernel: GaussMarkovKernel, s, t):
@@ -150,14 +181,20 @@ def design_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndar
     return v, q
 
 
-def unpinned_design_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """design_clock(kernel, n), refusing with SingularCovariance a kernel
-    with |v| <= PINNED_TOL at a design knot, as at the bridge's pinned
-    endpoint: the covariance of the observations there is singular."""
+def unpinned_design_clock(kernel: GaussMarkovKernel, n: int,
+                          error: type[GmequivError] = SingularCovariance,
+                          reason: str = "its design covariance is singular"
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """design_clock(kernel, n), then refusing with error a kernel whose
+    endpoint is pinned (an infinite or nan horizon), where v(1) = 0 in
+    effect. The message ends with the caller's reason: by default that
+    the design covariance of the observations is singular
+    (SingularCovariance); the projection says the design span is not
+    closed, and the transform that it divides by zero (KernelDegenerate)."""
     v, q = design_clock(kernel, n)
-    if np.any(np.abs(v[1:]) <= PINNED_TOL):
-        raise SingularCovariance(f"kernel {kernel.name!r} has v = 0 at a design knot (v(1) at a "
-                                 f"pinned endpoint), so its design covariance is singular at n={n}")
+    if not math.isfinite(kernel.horizon):
+        raise error(f"kernel {kernel.name!r} has v = 0 at a design knot (v(1) at a "
+                    f"pinned endpoint), so {reason} at n={n}")
     return v, q
 
 
@@ -176,12 +213,13 @@ def _preset_linear(name: str, v0: float, slope: float) -> GaussMarkovKernel:
 
 
 def _preset_ou(L: float) -> GaussMarkovKernel:
-    # v(1) = e^{-L}; at or below PINNED_TOL the kernel would read as pinned.
-    # Compared in log space, so an integer rate beyond float range is refused too.
-    if not (0 < L < -math.log(PINNED_TOL)):
+    # The clock q(1) = e^{2L} - 1 and its derivative q'(1) = 2L e^{2L} must be
+    # finite; compared in log space, the first test exact for an integer
+    # rate beyond float range.
+    if not (0 < L < _LOG_FLOAT_MAX / 2 and 2 * L + math.log(2 * L) < _LOG_FLOAT_MAX):
         raise AssumptionViolation(
-            f"ou preset needs a rate L > 0 with v(1) = e^-L above {PINNED_TOL:g}, "
-            f"so L below 12 ln 10 (about 27.63), got L = {L!r}")
+            f"ou preset needs a rate L > 0 with a finite clock, q'(1) = 2L e^(2L) "
+            f"below the largest float, so L below about 351.6, got L = {L!r}")
     return GaussMarkovKernel(
         name=f"ou(L={L:g})",
         u=lambda t: np.exp(L * np.asarray(t, float)) - np.exp(-L * np.asarray(t, float)),
@@ -325,10 +363,16 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
     """Check the factor-pair shape assumption on an equispaced grid.
 
     Required checks: u*v >= 0 on [0,1], u*v > 0 on the interior, q strictly
-    increasing, q(0) = 0 (within 1e-10). Informational: v(1) != 0 and the
-    q' range, plus rough Hoelder index estimates for v' and q'. The grid
-    needs an interior point, so grid_size < 3 raises ValueError, and so
-    does grid_size > MAX_VALIDATION_GRID, before any array is built.
+    increasing, q(0) = 0. Informational: v(1) != 0 and the q' range, plus
+    rough Hoelder index estimates for v' and q'. A point that carries no
+    variance by no_variance on this grid passes u*v >= 0 even when slightly
+    negative, and at the origin it makes q(0) = 0. The interior check reads
+    the sign of u*v alone, which no gauge (c u, v / c) changes, so a valid
+    kernel whose variance spans many decades passes. v(1) != 0 is the
+    kernel's own verdict, a finite horizon, so it reads the same on every
+    grid. The grid needs an interior point, so grid_size < 3 raises
+    ValueError, and so does grid_size > MAX_VALIDATION_GRID, before any
+    array is built.
     """
     if grid_size < 3:
         raise ValueError(
@@ -345,10 +389,11 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
         qp = np.asarray(kernel.q_prime(ts))
         vp = np.asarray(kernel.v_prime(ts))
 
+    none = no_variance(uv)
     checks = []
     min_uv = float(np.nanmin(uv))
     checks.append(CheckResult(
-        "uv_nonnegative", bool(np.all(uv >= -1e-12)), True,
+        "uv_nonnegative", bool(np.all((uv >= 0.0) | none)), True,
         f"min u*v = {min_uv:.3e}",
     ))
     interior = uv[1:-1]
@@ -364,10 +409,10 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
     ))
     q0 = float(qs[0])
     checks.append(CheckResult(
-        "q_zero_at_origin", bool(abs(q0) <= 1e-10), True, f"q(0) = {q0:.3e}",
+        "q_zero_at_origin", bool(none[0]), True, f"q(0) = {q0:.3e}",
     ))
     v1 = float(np.asarray(kernel.v(1.0)))
-    v1_nonzero = abs(v1) > PINNED_TOL
+    v1_nonzero = math.isfinite(kernel.horizon)
     checks.append(CheckResult(
         "v1_nonzero", v1_nonzero, False,
         f"v(1) = {v1:.6g}" + ("" if v1_nonzero else " (pinned endpoint; time-change horizon is infinite)"),

@@ -35,8 +35,6 @@ experiments.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import KernelDegenerate, SingularCovariance
@@ -90,19 +88,6 @@ def rkhs_norm(kernel: GaussMarkovKernel, f: FourierFunction) -> float:
 # projection distance onto the design span
 
 
-def _design_span_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """design_clock(kernel, n), after refusing an infinite clock horizon.
-
-    The preconditions of D_n, shared by the fast route and its oracle.
-    """
-    if not math.isfinite(kernel.horizon):
-        raise KernelDegenerate(
-            f"kernel {kernel.name!r} has an infinite clock horizon; "
-            "the design span is not closed in L2 of the clock domain"
-        )
-    return design_clock(kernel, n)
-
-
 def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """Squared L2 distance D_n from g to the span of the design representers.
 
@@ -116,9 +101,11 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
 
     with j(w) the cell holding w. D_n is one quadrature call with the
     knots as panel edges; the integrand is nonnegative and the
-    Gauss-Legendre weights are positive, so there is no cancellation.
+    Gauss-Legendre weights are positive, so there is no cancellation. A
+    degenerate clock cell raises DegenerateCell, and a pinned endpoint
+    KernelDegenerate (unpinned_design_clock).
     """
-    v, q = _design_span_clock(kernel, n)
+    v, q = unpinned_design_clock(kernel, n, KernelDegenerate, "the design span is not closed in L2")
     knots = path_grid(n, n + 1)
     alpha = np.diff(np.asarray(f.antiderivative(knots)) / v) / np.diff(q)
 
@@ -134,7 +121,7 @@ def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: 
     coefficients of the n representers at the DENSE_GRID_SIZE midpoints
     of [0, 1]. Refuses the kernels projection_distance refuses, with the
     same errors."""
-    _design_span_clock(kernel, n)
+    unpinned_design_clock(kernel, n, KernelDegenerate, "the design span is not closed in L2")
     mid = (np.arange(DENSE_GRID_SIZE) + 0.5) / DENSE_GRID_SIZE
     g, q_prime = _preimage(kernel, f, mid)
     knots = design_knots(n)

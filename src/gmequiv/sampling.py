@@ -8,9 +8,15 @@ consecutive q-cells are independent normals with variance dq, and a
 cumulative sum plus scaling is an exact draw in O(grid) work per path. No
 factorization, no jitter, no truncation.
 
-Grid points whose variance u*v vanishes are deterministic zeros: t = 0 on
-every kernel, and t = 1 on pinned kernels such as the bridge, where v(1) = 0
-makes the horizon q(1) infinite but leaves no randomness at that point.
+Grid points that carry no variance, by the kernels' one rule no_variance
+(|u v| at most a relative tolerance times the grid's largest), are
+deterministic zeros: t = 0 on every kernel, and t = 1 on pinned kernels
+such as the bridge, where v(1) = 0 makes the horizon q(1) infinite but
+leaves no randomness at that point. Whether t = 1 is pinned is the
+kernel's own verdict, read from its horizon, not decided again on the
+path grid. The rule is relative, so a kernel
+written in another gauge (c u, v / c), or with a tiny variance everywhere,
+is drawn the same way, scaled.
 
 Draws are streamed in blocks of whole paths, at most BLOCK_DRAWS normals
 each (at least one path). Every block is drawn into one reused buffer and
@@ -42,7 +48,7 @@ import numpy as np
 
 from . import rng
 from .errors import SingularCovariance
-from .kernels import GaussMarkovKernel
+from .kernels import GaussMarkovKernel, no_variance
 
 BLOCK_DRAWS = 1 << 16  # normals per streamed block: 512 KB of float64
 # Widest block whose running sums are built by one np.add per column. On a
@@ -83,9 +89,11 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int, label:
         us, vs = np.asarray(kernel.u(grid)), np.asarray(kernel.v(grid))
         var = us * vs
     _require(kernel, grid, ~np.isfinite(var), "the variance u*v is not finite")
-    alive = var > 1e-14 * max(float(var.max()), 1.0)
+    alive = ~no_variance(var)
     del var
     alive[0] = False
+    if grid[-1] == 1.0:  # the endpoint is pinned or not by the kernel's own verdict
+        alive[-1] = np.isfinite(kernel.horizon)
     lo = int(np.argmax(alive))
     if not alive[lo]:
         return grid.size, 0, vs[:0], iter(())
@@ -120,12 +128,13 @@ def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     """Draw npaths exact samples of the process on the given grid.
 
     Returns an (npaths, len(grid)) array. The grid must be increasing and
-    start at 0. The points of positive variance u*v get v W_q through the
-    time change in O(grid) work per path; every other point, the first
-    column included, is exactly 0. Raises SingularCovariance, naming the
-    kernel and the first bad grid point, unless those points form one
-    contiguous run on which q is finite and strictly increasing from
-    q(0) = 0. Deterministic in (seed, label, kernel, grid size).
+    start at 0. The points that carry variance (kernels.no_variance; at
+    t = 1, a finite horizon) get v W_q through the time change in O(grid)
+    work per path; every other point, the first column included, is
+    exactly 0. Raises SingularCovariance, naming the kernel and the first
+    bad grid point, unless those points form one contiguous run on which q
+    is finite and strictly increasing from q(0) = 0. Deterministic in
+    (seed, label, kernel, grid size).
     """
     size, lo, v, blocks = _path_blocks(kernel, grid, npaths, seed, label)
     out = np.zeros((npaths, size))

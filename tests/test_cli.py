@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -94,9 +95,9 @@ class TestExitCodes:
         (("kl", "--kernel", '{"preset": "ou", "params": {"L": NaN}}', "--n", "2"), "L = nan"),
         (("kl", "--kernel", '{"preset": "ou", "params": {"L": Infinity}}', "--n", "2"),
          "L = inf"),
-        (("validate", "--preset", "ou(30)"), "L = 30.0"),
+        (("validate", "--preset", "ou(352)"), "L = 352.0"),
         (("validate", "--preset", "ou(1e3)"), "L = 1000.0"),
-        (("kl", "--kernel", '{"preset": "ou", "params": {"L": 30}}', "--n", "2"), "L = 30"),
+        (("kl", "--kernel", '{"preset": "ou", "params": {"L": 352}}', "--n", "2"), "L = 352"),
         (("kl", "--kernel", '{"preset": "ou", "L": 5}', "--n", "2"), "does not read 'L'"),
         (("kl", "--kernel", '{"preset": "bm", "u": "t*t", "v": "1"}', "--n", "2"),
          "does not read 'u', 'v'"),
@@ -108,10 +109,8 @@ class TestExitCodes:
          "does not read 'nme'"),
         (("kl", "--fn", '{"name": 5, "coeffs": [[1, 1.0, 0.0]]}', "--n", "2"),
          "'name' needs text, got 5"),
-        (("rates", "--stat", "discretization", "--preset", "bm", "--family", "sobolev",
-          "--beta", "60", "--n", "256,512"), "overflows at beta = 60.0, k = 512"),
-        (("rates", "--stat", "discretization", "--preset", "bm", "--family", "random",
-          "--beta", "60", "--n", "256,512"), "overflows at beta = 60.0, k = 370"),
+        (("rates", "--stat", "discretization", "--family", "single-freq", "--k", "1048577",
+          "--n", "8,16"), "k = 1048577 is above MAX_FREQUENCY = 1048576"),
         (("validate", "--kernel", "missing.json"), "No such file or directory: 'missing.json'"),
         (("validate", "--kernel", ""), "unknown preset ''"),
         (("validate", "--preset", ""), "unknown preset ''"),
@@ -213,6 +212,18 @@ class TestExitCodes:
         assert code == 2
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("family", ["sobolev", "random"])
+    def test_large_beta_sweeps_run(self, capsys, family):
+        """At beta = 60 every member's norm is finite, though the squared
+        norm of an extremal harmonic (about 1e361 at k = 1024) is not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "rates", "--stat", "discretization",
+                                     "--preset", "bm", "--family", family, "--beta", "60",
+                                     "--n", "256,512")
+        assert (code, err) == (0, "")
+        assert re.search(r"n=512 +max=[0-9.e+-]+\n", out)
+
     def test_rate_gate_pass_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "rates", "--stat", "discretization",
                                "--preset", "bm", "--n", "16..128",
@@ -292,6 +303,16 @@ class TestOutputs:
         path.write_text(spec)
         _, file_out, _ = run_cli(capsys, "decompose", "--n", "8", "--fn", str(path))
         assert inline_out == file_out
+
+    def test_overflowing_sums_do_not_pass_the_bound(self, capsys):
+        """f = 2e308 cos(2 pi x) is beyond float range: its sums of squares
+        read inf, with no warning, and the bound is not reported as holding."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "decompose", "--n", "4", "--fn",
+                                     '{"coeffs": [[1, 1e308, 0], [-1, 1e308, 0]]}')
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "4,inf,0.0,0.0,inf,nan,False"
 
     def test_kernel_inline_preset_json(self, capsys):
         code, out, _ = run_cli(capsys, "kl", "--n", "2",

@@ -66,6 +66,18 @@ class TestDiscretizationStatistic:
             value = discretization_statistic(k, COS, n)
             assert math.isclose(value, oracle, rel_tol=1e-10), name
 
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 5.0, 30.0, 100.0, 300.0])
+    def test_ou_is_bm_scaled_exactly(self, rate):
+        """On ou(L), v_i^2 dq_i = 1 - e^{-2L/n} in every cell, so the
+        statistic is bm's over n (1 - e^{-2L/n}) for every f and n, far
+        past the rates a pinned reading of v(1) = e^{-L} used to refuse."""
+        f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=40, seed=3)
+        for n in (1, 2, 7, 64, 1024):
+            bm = discretization_statistic(preset("bm"), f, n)
+            law = bm / (n * -math.expm1(-2.0 * rate / n))
+            value = discretization_statistic(preset("ou", rate), f, n)
+            assert math.isclose(value, law, rel_tol=1e-12), (rate, n, value, law)
+
     def test_constant_signal_is_exactly_zero(self):
         """Constant f has identical point values and cell averages, so the
         per-cell statistics are 0.0 exactly (not merely small) for every

@@ -20,7 +20,7 @@ from gmequiv.experiments import (
     simulate_increments,
 )
 from gmequiv.fourier import FourierFunction
-from gmequiv.kernels import gram, make_kernel, preset
+from gmequiv.kernels import gram, make_kernel, no_variance, preset
 from gmequiv.samples import DiscreteSample, PathSample, design_knots
 from gmequiv.sampling import sample_paths
 
@@ -40,7 +40,7 @@ class TestSampling:
         grid = np.linspace(0.0, 1.0, m)
         npaths, seed, label = 40, 3, "oracle"
         var = np.diag(gram(kernel, grid))
-        alive = var > 1e-14 * max(float(var.max()), 1.0)
+        alive = ~no_variance(var)
         chol = np.linalg.cholesky(gram(kernel, grid[alive]))
         z = rng.stream(seed, label, kernel.name, grid.size, npaths).standard_normal(
             (npaths, int(alive.sum())))
@@ -48,6 +48,15 @@ class TestSampling:
         np.testing.assert_allclose(draws[:, alive], z @ chol.T, rtol=0.0, atol=1e-12)
         assert np.all(draws[:, ~alive] == 0.0)
         assert alive[-1] == math.isfinite(kernel.horizon)
+
+    def test_tiny_variance_is_drawn_not_zeroed(self):
+        """u = 1e-20 t is Brownian motion times 1e-10: its draws are those
+        of u = t (same name, so the same stream) times 1e-10."""
+        grid = np.linspace(0.0, 1.0, 65)
+        tiny = sample_paths(make_kernel("w", "1e-20*t", "1"), grid, 3, seed=5)
+        unit = sample_paths(make_kernel("w", "t", "1"), grid, 3, seed=5)
+        assert np.all(tiny[:, 1:] != 0.0)
+        np.testing.assert_allclose(tiny, 1e-10 * unit, rtol=1e-12, atol=0.0)
 
     def test_bridge_without_interior_points_is_zero(self):
         draws = sample_paths(preset("bridge"), np.array([0.0, 1.0]), 5, seed=0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ class TestHermitianEnforcement:
     def test_mirror_completion(self):
         fn = FourierFunction.from_coeffs({2: 1.0 - 2.0j})
         assert fn.coeff(-2) == 1.0 + 2.0j
+
+    def test_largest_coefficients_stay_symmetric(self):
+        """Coefficients near the float limit are averaged with their mirrors
+        without overflow, so no warning and no false asymmetry."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn = function_from_spec('{"coeffs": [[1, 1e308, 0], [-1, 1e308, 0]]}')
+        assert fn.coeff(1) == fn.coeff(-1) == 1e308
+
+    def test_harmonic_frequency_is_bounded(self):
+        with pytest.raises(ValueError, match="above MAX_FREQUENCY"):
+            FourierFunction.harmonic(fourier.MAX_FREQUENCY + 1)
+        assert FourierFunction.harmonic(-fourier.MAX_FREQUENCY).K == fourier.MAX_FREQUENCY
 
 
 def _hermitian_function(seed: int, K: int) -> FourierFunction:
@@ -357,6 +371,21 @@ class TestAlgebra:
     def test_sobolev_weight_overflow_names_beta_and_k(self):
         with pytest.raises(ValueError, match=r"overflows at beta = 60\.0, k = 512"):
             FourierFunction.harmonic(512).sobolev_norm_sq(60.0)
+
+    def test_finite_norm_whose_square_overflows(self):
+        """cos(2 pi 1024 x) at beta = 60 has norm 1025^60 / sqrt(2), about
+        4e180, though its square is beyond the largest float."""
+        fn = FourierFunction.harmonic(1024)
+        assert math.isclose(fn.sobolev_norm(60.0), 1025.0**60 / math.sqrt(2.0), rel_tol=1e-14)
+        with pytest.raises(ValueError, match=r"norm\^2 overflows at beta = 60\.0, k = 1024"):
+            fn.sobolev_norm_sq(60.0)
+
+    def test_small_coefficient_under_an_overflowing_weight(self):
+        """(1 + 1000)^120 overflows, but the weighted term
+        (1 + 1000)^60 |theta_1000| = 1e180 * 1e-200 does not."""
+        fn = FourierFunction.from_coeffs({0: 1.0, 1000: 1e-200})
+        expected = 1.0 + 2.0 * (1001.0**60 * 1e-200) ** 2
+        assert math.isclose(fn.sobolev_norm_sq(60.0), expected, rel_tol=1e-12)
 
     def test_zero_coefficient_takes_no_weight(self):
         """theta_600 = 0 adds nothing, though (1 + 600)^120 overflows."""

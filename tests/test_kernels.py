@@ -2,14 +2,26 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from gmequiv.errors import AssumptionViolation, DegenerateCell, SingularCovariance
+from gmequiv.diagnostics import (
+    kl_dense,
+    kl_sequential,
+    projection_statistic,
+    transformation_discrepancy,
+)
+from gmequiv.errors import (
+    AssumptionViolation,
+    DegenerateCell,
+    KernelDegenerate,
+    SingularCovariance,
+)
+from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import (
     LINEAR_PRESETS,
-    PINNED_TOL,
     VALIDATION_GRID,
     GaussMarkovKernel,
     covariance,
@@ -17,10 +29,12 @@ from gmequiv.kernels import (
     gram,
     kernel_from_spec,
     make_kernel,
+    no_variance,
     preset,
     unpinned_design_clock,
     validate_assumption,
 )
+from gmequiv.rkhs import projection_distance, projection_distance_dense
 from gmequiv.samples import path_grid
 
 ALL_PRESETS = ("bm", "ou", "bridge", "slepian")
@@ -106,9 +120,9 @@ class TestPresetValues:
 
     def test_ou_needs_positive_rate(self):
         """A rate that is not finite and positive is refused, naming L, and
-        so is one too fast for a finite horizon, an integer past float range
+        so is one too fast for a finite clock, an integer past float range
         included."""
-        for L in (-1.0, 0.0, math.nan, math.inf, -math.inf, 30.0, 10**400):
+        for L in (-1.0, 0.0, math.nan, math.inf, -math.inf, 352.0, 10**400):
             with pytest.raises(AssumptionViolation, match=f"L = {L!r}"):
                 preset("ou", L)
 
@@ -117,9 +131,10 @@ class TestPresetValues:
             preset("heat")
 
     def test_largest_ou_rate_keeps_a_finite_clock(self):
-        """The largest rate accepted is the float just below 12 ln 10, where
-        v(1) = e^-L reaches PINNED_TOL and the endpoint would read as pinned."""
-        L = math.nextafter(-math.log(PINNED_TOL), 0.0)
+        """The largest rate accepted is the last float at which the clock's
+        derivative q'(1) = 2L e^{2L} stays below the largest float."""
+        L = 351.613516552385
+        assert 2 * L + math.log(2 * L) < math.log(sys.float_info.max)
         with pytest.raises(AssumptionViolation, match="L = "):
             preset("ou", math.nextafter(L, math.inf))
         k = preset("ou", L)
@@ -134,7 +149,8 @@ class TestPresetValues:
 
 class TestHorizon:
     """The horizon is worked out from u and v: q(1), or inf once
-    |v(1)| <= PINNED_TOL pins the endpoint."""
+    Var(X_1) = u(1) v(1) carries no variance (kernels.no_variance) and
+    pins the endpoint."""
 
     def test_not_settable(self):
         bm = preset("bm")
@@ -154,6 +170,55 @@ class TestHorizon:
     ], ids=lambda k: k.name)
     def test_pinned_endpoint_gives_infinite_horizon(self, kernel):
         assert math.isinf(kernel.horizon)
+
+
+class TestGauge:
+    """(c u, v / c) has the covariance of (u, v) for every c > 0, so one
+    relative rule, no_variance, decides where a point carries no variance."""
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_bridge_is_pinned_at_every_c(self, c):
+        k = make_kernel("bridge", f"{c!r}*t", f"(1 - t)/{c!r}")
+        assert math.isinf(k.horizon)
+        by_name = {check.name: check.passed for check in validate_assumption(k).checks}
+        assert by_name["v1_nonzero"] is False and by_name["q_zero_at_origin"] is True
+        with pytest.raises(SingularCovariance, match=r"v\(1\)"):
+            unpinned_design_clock(k, 4)
+
+    def test_slepian_far_from_its_gauge_is_not_pinned(self):
+        """v(1) = 1e-12 here, yet Var(X_1) = 1: the KL routes and the
+        projection statistic give slepian's values."""
+        k = make_kernel("slepian", "1e12*t", "1e-12*(2 - t)")
+        assert math.isclose(k.horizon, 1e24, rel_tol=1e-12)
+        for got, want in zip(unpinned_design_clock(k, 8), design_clock(preset("slepian"), 8)):
+            np.testing.assert_allclose(got / got[-1], want / want[-1], rtol=1e-12)
+        f = FourierFunction.harmonic(1)
+        for stat in (kl_dense, kl_sequential, projection_statistic):
+            for n in (4, 16):
+                assert math.isclose(stat(k, f, n), stat(preset("slepian"), f, n),
+                                    rel_tol=1e-9), (stat.__name__, n)
+
+    @pytest.mark.parametrize("u, v", [("1e-6 + t", "1"), ("1e-9 + 1e-3*t", "1e3")])
+    def test_variance_at_the_origin_is_refused_in_every_gauge(self, u, v):
+        with pytest.raises(AssumptionViolation, match="q_zero_at_origin"):
+            make_kernel("offset", u, v)
+
+    @pytest.mark.parametrize("u", ["t^5", "t*exp(30*t)"])
+    def test_variance_over_many_decades_is_valid(self, u):
+        """Var(X_t) = t^5 is 1e-15 at t = 0.001, and t e^{30 t} spans 16
+        decades: both are positive in the interior, so both pass the shape
+        check, on the default grid and a finer one, and keep q(1)."""
+        k = make_kernel("wide", u, "1")
+        assert k.horizon == k.q(1.0) and math.isfinite(k.horizon)
+        assert validate_assumption(k, 10**5).passed
+
+    def test_no_variance_is_relative_to_the_grid(self):
+        var = np.array([0.0, -1e-13, 1e-13, 1e-11, 0.5, 1.0, np.inf, np.nan])
+        np.testing.assert_array_equal(
+            no_variance(var), [True, True, True, False, False, False, False, False])
+        np.testing.assert_array_equal(no_variance(1e-30 * var), no_variance(var))
+        assert no_variance(np.zeros(3)).all()
+        assert no_variance(np.array([0.0, 1e-300])).tolist() == [True, False]
 
 
 class TestCovariance:
@@ -302,6 +367,17 @@ class TestDesignClock:
         for got, want in zip(unpinned_design_clock(preset("slepian"), 8),
                              design_clock(preset("slepian"), 8)):
             np.testing.assert_array_equal(got, want)
+
+    def test_each_refusal_of_a_pinned_endpoint_names_its_reason(self):
+        """One refusal, three reasons: the observations' covariance, the
+        projection's design span and the transform's division by v."""
+        bridge, f = preset("bridge"), FourierFunction.harmonic(1)
+        with pytest.raises(KernelDegenerate, match=r"v\(1\).*design span is not closed"):
+            projection_distance(bridge, f, 8)
+        with pytest.raises(KernelDegenerate, match=r"v\(1\).*design span is not closed"):
+            projection_distance_dense(bridge, f, 8)
+        with pytest.raises(KernelDegenerate, match=r"v\(1\).*transform divides by zero"):
+            transformation_discrepancy(bridge, f, 8)
 
     def test_nonpositive_increment_raises(self):
         k = make_kernel("hump", "t*(1 - t)", "1", validate=False)

@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmequiv import fourier
+from gmequiv import diagnostics, fourier
 from gmequiv.diagnostics import kl_dense, kl_sequential
 from gmequiv.experiments import (
     kriging_residual_process,
@@ -19,9 +19,10 @@ from gmequiv.experiments import (
     reconstruct_discrete_from_path,
 )
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
-from gmequiv.kernels import make_kernel, preset
+from gmequiv.kernels import make_kernel, preset, validate_assumption
 from gmequiv.rkhs import kriging_interpolate
 from gmequiv.samples import DiscreteSample, knot_stride, path_grid
+from gmequiv.sampling import sample_paths
 
 TS = np.linspace(0.0, 1.0, 101)
 
@@ -157,3 +158,38 @@ def test_discrete_path_discrete_round_trip_is_the_identity(kernel, n, density, s
     path = path_from_discrete(kernel, sample, residual_seed, grid_size=density * n + 1)
     back = reconstruct_discrete_from_path(path, n)
     np.testing.assert_allclose(back.values, values, rtol=0.0, atol=1e-10 * scale)
+
+
+# (name, u, v) of kernels written as expressions in the gauge (c u, v / c)
+GAUGED = (("bm", "{c}*t", "1/{c}"), ("slepian", "{c}*t", "(2 - t)/{c}"),
+          ("ou", "{c}*(exp(t) - exp(-t))", "exp(-t)/{c}"), ("lab", "{c}*t", "(2 - t)/{c}"))
+
+
+def _gauge_readings(name, u, v, c, f, n):
+    """Every statistic, Kriging, one seeded draw and the validate verdicts
+    of the kernel (c u, v / c), named name whatever c, so the draw reads
+    one stream. The transformation statistic is left out: it measures the
+    decoupled process X / v, whose drift scales by c and clock rate by c^2."""
+    kernel = make_kernel(name, u.format(c=repr(c)), v.format(c=repr(c)))
+    grid = path_grid(n, 4 * n + 1)
+    values = [stat(kernel, f, n) for stat_name, stat in diagnostics.STATISTICS.items()
+              if stat_name != "transformation"]
+    values += [kl_dense(kernel, f, n), kl_sequential(kernel, f, n)]
+    arrays = [kriging_interpolate(kernel, f.antiderivative(path_grid(n, n + 1)[1:]), grid),
+              sample_paths(kernel, grid, 1, seed=7)[0]]
+    verdicts = [check.passed for check in validate_assumption(kernel).checks]
+    return values, arrays, verdicts
+
+
+@given(log_c=st.floats(-8.0, 8.0), kernel=st.sampled_from(GAUGED), n=st.integers(2, 16),
+       seed=st.integers(0, 10**6))
+def test_every_reading_is_gauge_invariant(log_c, kernel, n, seed):
+    """(c u, v / c) has the covariance of (u, v), so every number agrees
+    with c = 1 to 1e-9 relative, and every verdict is the same."""
+    f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=2 * n, seed=seed)
+    values, arrays, verdicts = _gauge_readings(*kernel, 10.0 ** log_c, f, n)
+    ref_values, ref_arrays, ref_verdicts = _gauge_readings(*kernel, 1.0, f, n)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=0.0)
+    for got, want in zip(arrays, ref_arrays):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
+    assert verdicts == ref_verdicts
