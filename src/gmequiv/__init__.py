@@ -30,7 +30,7 @@ _EXPORTS = {
         "KernelDegenerate", "QuadratureFailure", "SingularCovariance", "UnknownIdentifier",
     ),
     "experiments": (
-        "kriging_path_experiment", "kriging_residual_process", "path_from_discrete",
+        "kriging_path_experiment", "path_from_discrete",
         "reconstruct_discrete_from_path", "simulate_e1", "simulate_e2", "simulate_increments",
     ),
     "expr": ("KernelExpression", "parse_kernel_expression"),

@@ -218,8 +218,10 @@ def _cmd_kl(args) -> int:
 
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
+    ns = _parse_n_arg(args.n)
+    diagnostics.check_dense_kl_n(max(ns, default=0))  # the whole list, before the first n runs
     rows = []
-    for n in _parse_n_arg(args.n):
+    for n in ns:
         chain = diagnostics.kl_chain(kernel, fn, n)
         dense = diagnostics.kl_dense(kernel, fn, n)
         seq = diagnostics.kl_sequential(kernel, fn, n)

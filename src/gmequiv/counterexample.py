@@ -89,11 +89,10 @@ def endpoint_increment(path: PathSample) -> float:
 
 @dataclass(frozen=True)
 class DecisionProblem:
-    """Decide between two candidate regression functions from one sample,
-    scoring an action a by the 0-1 loss 1{ |a - integral(f)| > tolerance }."""
+    """Report integral(f) from one sample, scoring an action a under the
+    truth f by the 0-1 loss 1{ |a - integral(f)| > tolerance }. The
+    counterexample asks it of two truths, the zero function and the spike."""
 
-    null: FourierFunction
-    alternative: FourierFunction
     tolerance: float = RECOVERY_TOL
 
     def target(self, f: FourierFunction) -> float:
@@ -231,7 +230,7 @@ def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
     pinned, unpinned = preset("bridge"), preset("bm")
     spike = build_fn(n, beta, L)
     zero = FourierFunction.zero()
-    problem = DecisionProblem(null=zero, alternative=spike)
+    problem = DecisionProblem()
     premises = []
 
     grid = path_grid(n, n + 1)

@@ -56,6 +56,8 @@ from .samples import design_knots
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
 EXTREMAL_RANDOM_MEMBERS = 2  # seeded ellipsoid members of class_extremal_family
 RANDOM_FAMILY_SIZE = 3  # members of random_family
+# largest n kl_dense accepts: it holds about 2 n^2 doubles, 256 MiB at this n
+MAX_DENSE_KL_N = 4096
 _DFT_ROWS = 256  # rows of the Parseval check's phase matrix built at once
 
 
@@ -105,9 +107,17 @@ def _increment_covariance(kernel: GaussMarkovKernel, n: int) -> np.ndarray:
     return G
 
 
+def check_dense_kl_n(n: int) -> None:
+    """Refuse an n above MAX_DENSE_KL_N with ValueError, naming the limit."""
+    if n > MAX_DENSE_KL_N:
+        raise ValueError(f"kl_dense takes n up to MAX_DENSE_KL_N = {MAX_DENSE_KL_N}, got n = {n}")
+
+
 def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """Oracle: exact KL of the two n-variate Gaussians, (1/2) dm^T C^-1 dm
-    with C = n Cov(xi)."""
+    with C = n Cov(xi). An n above MAX_DENSE_KL_N raises ValueError before
+    any array is built."""
+    check_dense_kl_n(n)
     unpinned_design_clock(kernel, n)
     dm = _gaps(f, n)
     C = _increment_covariance(kernel, n)
@@ -224,8 +234,17 @@ def band_terms_statistic(kernel: GaussMarkovKernel, f: FourierFunction, n: int) 
 
 def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """n sup_j (mu(s_j) - mu_{j,n})^2 + n sup_j (q'(s_j) - sigma2_{j,n})^2,
-    with s_j = j/(n+1). The transform divides by v at every knot, so a
-    pinned endpoint raises KernelDegenerate (unpinned_design_clock)."""
+    with s_j = j/(n+1).
+
+    It measures the decoupled process X / v = W_q, not X, so it depends on
+    the gauge (c u, v / c) of the factor pair, which leaves the covariance
+    and the process unchanged: the drift part scales by c^2 and the
+    clock-rate part by c^4. bm written as u = 10 t, v = 1/10 reads 450.0
+    where bm reads 4.5 (cos(2 pi x), n = 2). Its n^-1 rate comes from the
+    evaluation points: s_j = j/(n+1) sits O(1/n) off the knot j/n, and on
+    bm, where mu_{j,n} = f(j/n) and sigma2_{j,n} = q' = 1, that offset is
+    the whole gap. The transform divides by v at every knot, so a pinned
+    endpoint raises KernelDegenerate (unpinned_design_clock)."""
     from . import rkhs
 
     v, q = unpinned_design_clock(kernel, n, KernelDegenerate, "the transform divides by zero")

@@ -16,18 +16,25 @@ Continuous experiment on a grid containing every knot:
 The cell-averaged discrete data is a deterministic function of the path:
 Y'_i = n (Y_{t_i} - Y_{t_{i-1}}), and conversely a path with the continuous
 law is rebuilt from discrete data by Kriging the running sums S'_k =
-sum_{i<=k} Y'_i onto the grid and adding an independent residual process:
+sum_{i<=k} Y'_i onto the grid and adding an independent residual process
+R = X - Krig(X at the knots), a fresh draw X with its own knot values
+Kriged away:
 
     path(t) = ( Krig(t | S') + sqrt(n) R_t ) / n.
 
-The rebuilt path agrees with S'_k / n at every knot whatever the residual
-draw, which is what makes the discrete -> path -> discrete round trip the
-identity.
+Kriging is linear, so the two interpolations fold into one, of the knot
+data minus the draw's knot values, and the path is built as
+
+    path(t) = Krig(t | S'/n - X(t_k)/sqrt(n)) + X_t / sqrt(n),
+
+which is the residual form up to rounding. At a knot the Kriging returns
+its datum, so the rebuilt path is S'_k / n there whatever X is, which is
+what makes the discrete -> path -> discrete round trip the identity.
 
 The experiments draw on three streams: the knot increments
 ("increments"), the noise of the continuous experiment and of its Kriging
-form, which share it ("path"), and the residual process R ("residual").
-The RKHS layer they call for Kriging draws nothing.
+form, which share it ("path"), and the draw X of the rebuilt path
+("residual"). The RKHS layer they call for Kriging draws nothing.
 """
 
 from __future__ import annotations
@@ -69,12 +76,14 @@ def simulate_e1(kernel: GaussMarkovKernel, f: FourierFunction, n: int, seed: int
     )
 
 
-def _path_sample(kernel: GaussMarkovKernel, grid: np.ndarray, values: np.ndarray,
-                 function_id: str, seed: int, scale: float) -> PathSample:
-    """The PathSample of values on grid, with values[0] set to exactly 0."""
+def _path_sample(kernel: GaussMarkovKernel, grid: np.ndarray, mean: np.ndarray,
+                 noise: np.ndarray, n: int, function_id: str, seed: int) -> PathSample:
+    """The PathSample mean + noise / sqrt(n) on grid, its value at t = 0
+    set to exactly 0: every path this module builds has that form."""
+    values = mean + noise / math.sqrt(n)
     values[0] = 0.0
     return PathSample(grid=grid, values=values, kernel_id=kernel.name,
-                      function_id=function_id, seed=seed, scale=scale)
+                      function_id=function_id, seed=seed, scale=1.0 / math.sqrt(n))
 
 
 def _path_noise(kernel: GaussMarkovKernel, seed: int, grid: np.ndarray) -> np.ndarray:
@@ -92,8 +101,7 @@ def simulate_e2(kernel: GaussMarkovKernel, f: FourierFunction, n: int, seed: int
     """
     grid = path_grid(n, grid_size)
     noise = _path_noise(kernel, seed, grid)
-    values = np.asarray(f.antiderivative(grid)) + noise / math.sqrt(n)
-    return _path_sample(kernel, grid, values, f.name, seed, 1.0 / math.sqrt(n))
+    return _path_sample(kernel, grid, np.asarray(f.antiderivative(grid)), noise, n, f.name, seed)
 
 
 def reconstruct_discrete_from_path(path: PathSample, n: int) -> DiscreteSample:
@@ -116,37 +124,21 @@ def kriging_path_experiment(kernel: GaussMarkovKernel, f: FourierFunction, n: in
     grid = path_grid(n, grid_size)
     mean = rkhs.kriging_interpolate(kernel, np.asarray(f.antiderivative(design_knots(n))), grid)
     noise = _path_noise(kernel, seed, grid)
-    values = mean + noise / math.sqrt(n)
-    return _path_sample(kernel, grid, values, f.name, seed, 1.0 / math.sqrt(n))
-
-
-def kriging_residual_process(kernel: GaussMarkovKernel, n: int, seed: int,
-                             grid_size: int | None = None) -> PathSample:
-    """Draw the residual R = X - Krig(X at the knots) on a fine grid.
-
-    R vanishes at the knots and is independent of the knot values; adding
-    an independent Kriging interpolation of fresh knot data reassembles a
-    process with the original law.
-    """
-    grid = path_grid(n, grid_size)
-    stride = knot_stride(n, grid.size)
-    path = sampling.sample_paths(kernel, grid, 1, seed, label="residual")[0]
-    residual = path - rkhs.kriging_interpolate(kernel, path[stride::stride], grid)
-    return _path_sample(kernel, grid, residual, "residual", seed, 1.0)
+    return _path_sample(kernel, grid, mean, noise, n, f.name, seed)
 
 
 def path_from_discrete(kernel: GaussMarkovKernel, sample: DiscreteSample, seed: int,
                        grid_size: int | None = None) -> PathSample:
     """Rebuild a continuous-experiment path from discrete data.
 
-    Kriging of the running sums plus an independent residual draw, scaled
-    by 1/n. At the knots the result is S'_k / n exactly, independent of the
-    residual realization.
+    One draw X on the "residual" stream and one Kriging:
+    Krig(S'/n - X(t_k)/sqrt(n)) + X/sqrt(n). At the knots the result is
+    S'_k / n, to rounding, whatever X is.
     """
     n = sample.n
     grid = path_grid(n, grid_size)
-    mean = rkhs.kriging_interpolate(kernel, np.cumsum(sample.values), grid)
-    residual = kriging_residual_process(kernel, n, seed, grid_size=grid.size)
-    values = (mean + math.sqrt(n) * residual.values) / n
-    return _path_sample(kernel, grid, values, sample.function_id, sample.seed,
-                        1.0 / math.sqrt(n))
+    stride = knot_stride(n, grid.size)
+    noise = sampling.sample_paths(kernel, grid, 1, seed, label="residual")[0]
+    knots = np.cumsum(sample.values) / n - noise[stride::stride] / math.sqrt(n)
+    mean = rkhs.kriging_interpolate(kernel, knots, grid)
+    return _path_sample(kernel, grid, mean, noise, n, sample.function_id, sample.seed)

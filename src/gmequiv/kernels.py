@@ -31,8 +31,9 @@ built (the endpoint is pinned when Var(X_1) carries none on the
 VALIDATION_GRID, as for the bridge, and then the horizon is infinite);
 every later reading of the endpoint, the shape check's v(1) != 0 and the
 sampler's last column included, takes that verdict from the horizon. The
-rule also decides the shape check's q(0) = 0 and masks the sampler's
-deterministic zeros. Operations that need a finite horizon or a
+rule also decides the shape check's q(0) = 0. The sampler zeroes an
+interior point only where u v is exactly 0, so it draws every variance,
+however small. Operations that need a finite horizon or a
 nonsingular design covariance refuse a pinned kernel explicitly rather
 than dividing by zero: unpinned_design_clock is the one refusal, after
 design_clock's check of the clock increments.

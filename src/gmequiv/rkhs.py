@@ -29,8 +29,8 @@ alongside: weighted least squares on a fixed midpoint grid for D_n, a
 covariance solve for Kriging.
 
 Every function here is deterministic in its arguments; the layer draws
-nothing. Path draws, the Kriging residual process among them, live in
-experiments.
+nothing. Path draws, the one that path_from_discrete adds to its Kriging
+among them, live in experiments.
 """
 
 from __future__ import annotations

@@ -8,15 +8,16 @@ consecutive q-cells are independent normals with variance dq, and a
 cumulative sum plus scaling is an exact draw in O(grid) work per path. No
 factorization, no jitter, no truncation.
 
-Grid points that carry no variance, by the kernels' one rule no_variance
-(|u v| at most a relative tolerance times the grid's largest), are
-deterministic zeros: t = 0 on every kernel, and t = 1 on pinned kernels
-such as the bridge, where v(1) = 0 makes the horizon q(1) infinite but
-leaves no randomness at that point. Whether t = 1 is pinned is the
-kernel's own verdict, read from its horizon, not decided again on the
-path grid. The rule is relative, so a kernel
-written in another gauge (c u, v / c), or with a tiny variance everywhere,
-is drawn the same way, scaled.
+Grid points that carry no variance are deterministic zeros: t = 0 on
+every kernel; t = 1 on pinned kernels such as the bridge, where v(1) = 0
+makes the horizon q(1) infinite but leaves no randomness at that point;
+and an interior point only where u v is exactly 0. Whether t = 1 is
+pinned is the kernel's own verdict, read from its horizon, not decided
+again on the path grid. Every other point is drawn, however small its
+variance, so a kernel written in another gauge (c u, v / c), with a tiny
+variance everywhere, or with a variance that spans many decades (u = t^5)
+is drawn by its own law. A negative u v is not zeroed either: the clock
+check refuses it.
 
 Draws are streamed in blocks of whole paths, at most BLOCK_DRAWS normals
 each (at least one path). Every block is drawn into one reused buffer and
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import rng
 from .errors import SingularCovariance
-from .kernels import GaussMarkovKernel, no_variance
+from .kernels import GaussMarkovKernel
 
 BLOCK_DRAWS = 1 << 16  # normals per streamed block: 512 KB of float64
 # Widest block whose running sums are built by one np.add per column. On a
@@ -89,7 +90,7 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int, label:
         us, vs = np.asarray(kernel.u(grid)), np.asarray(kernel.v(grid))
         var = us * vs
     _require(kernel, grid, ~np.isfinite(var), "the variance u*v is not finite")
-    alive = ~no_variance(var)
+    alive = var != 0.0
     del var
     alive[0] = False
     if grid[-1] == 1.0:  # the endpoint is pinned or not by the kernel's own verdict
@@ -128,8 +129,8 @@ def sample_paths(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     """Draw npaths exact samples of the process on the given grid.
 
     Returns an (npaths, len(grid)) array. The grid must be increasing and
-    start at 0. The points that carry variance (kernels.no_variance; at
-    t = 1, a finite horizon) get v W_q through the time change in O(grid)
+    start at 0. The interior points where u v is not exactly 0, and t = 1
+    when the horizon is finite, get v W_q through the time change in O(grid)
     work per path; every other point, the first column included, is
     exactly 0. Raises SingularCovariance, naming the kernel and the first
     bad grid point, unless those points form one contiguous run on which q

@@ -111,6 +111,8 @@ class TestExitCodes:
          "'name' needs text, got 5"),
         (("rates", "--stat", "discretization", "--family", "single-freq", "--k", "1048577",
           "--n", "8,16"), "k = 1048577 is above MAX_FREQUENCY = 1048576"),
+        (("kl", "--preset", "slepian", "--n", "2..65536"),
+         "n up to MAX_DENSE_KL_N = 4096, got n = 65536"),
         (("validate", "--kernel", "missing.json"), "No such file or directory: 'missing.json'"),
         (("validate", "--kernel", ""), "unknown preset ''"),
         (("validate", "--preset", ""), "unknown preset ''"),
@@ -479,16 +481,16 @@ def test_import_loads_no_scipy():
 
 
 def test_every_definition_has_a_reader_outside_the_tests():
-    """Every function, class, method and module-level constant defined
-    under src/gmequiv is read by name somewhere in the package or in
-    bench/: code that only the tests read is not kept. An assignment is
-    not a read, so a constant cannot outlive its last reader, and a method
-    is read only as an attribute, so a local variable of the same name
-    does not keep it."""
+    """Every function, class, method, dataclass field and module-level
+    constant defined under src/gmequiv is read by name somewhere in the
+    package or in bench/: code that only the tests read is not kept. An
+    assignment is not a read, so a constant cannot outlive its last reader,
+    and a method or a field is read only as an attribute, so a local
+    variable or a keyword argument of the same name does not keep it."""
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "gmequiv"
     sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    defined, methods, read, attributes = set(), set(), set(), set()
+    defined, members, read, attributes = set(), set(), set(), set()
     for path in sources + sorted((root / "bench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.parent == package:
@@ -507,11 +509,22 @@ def test_every_definition_has_a_reader_outside_the_tests():
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path.parent == package:
                 defined.add(node.name)
                 if isinstance(node, ast.ClassDef):
-                    methods.update(stmt.name for stmt in node.body
+                    members.update(stmt.name for stmt in node.body
                                    if isinstance(stmt, ast.FunctionDef))
-    unread = (defined - methods - read - attributes) | (methods - attributes)
+                    if any(_is_dataclass_decorator(d) for d in node.decorator_list):
+                        members.update(stmt.target.id for stmt in node.body
+                                       if isinstance(stmt, ast.AnnAssign)
+                                       and isinstance(stmt.target, ast.Name))
+    unread = (defined - members - read - attributes) | (members - attributes)
     # rkhs_norm is the RKHS isometry that ROADMAP item 7 reads; ClassSpec.hoelder
     # builds the Hoelder class that ROADMAP item 12's command-line reader takes
     unread = sorted(name for name in unread - {"rkhs_norm", "hoelder"}
                     if not (name.startswith("__") and name.endswith("__")))
     assert unread == []
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    """@dataclass, @dataclass(...) and their dataclasses.-qualified forms."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return (target.id if isinstance(target, ast.Name)
+            else getattr(target, "attr", None)) == "dataclass"

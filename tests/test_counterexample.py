@@ -100,14 +100,13 @@ class TestEndpointIncrement:
 
 class TestDecisionProblem:
     def test_loss_and_risk(self):
-        problem = DecisionProblem(null=FourierFunction.zero(),
-                                  alternative=build_fn(4, 1.0, 1.0),
-                                  tolerance=0.01)
-        target = problem.target(problem.alternative)
-        assert problem.loss(problem.alternative, target) == 0.0
-        assert problem.loss(problem.alternative, target + 0.02) == 1.0
+        problem = DecisionProblem(tolerance=0.01)
+        spike = build_fn(4, 1.0, 1.0)
+        target = problem.target(spike)
+        assert problem.loss(spike, target) == 0.0
+        assert problem.loss(spike, target + 0.02) == 1.0
         actions = np.array([target, target + 0.02, target - 0.005])
-        assert problem.misses(problem.alternative, actions) == 1
+        assert problem.misses(spike, actions) == 1
 
 
 class TestIndistinguishabilityCheck:
@@ -184,8 +183,7 @@ class TestStreamedPremise:
         count over N is the plug-in risk of all actions, bit for bit."""
         n, spike = 4, build_fn(4, 1.0, 1.0)
         actions = self._actions(n, mc_paths, 5)
-        problem = DecisionProblem(null=FourierFunction.zero(), alternative=spike,
-                                  tolerance=float(np.median(np.abs(actions - spike.integral()))))
+        problem = DecisionProblem(tolerance=float(np.median(np.abs(actions - spike.integral()))))
         risk = float(np.mean(np.abs(actions - spike.integral()) > problem.tolerance))
         stream = endpoint_blocks(preset("bm"), path_grid(n, n + 1), mc_paths, 5,
                                  label="endpoint-mc")
@@ -198,7 +196,7 @@ class TestStreamedPremise:
         """The merge starts from empty moments without rounding, and any
         partition of the same endpoints moves only the last bits."""
         n, spike = 8, build_fn(8, 1.0, 1.0)
-        problem = DecisionProblem(null=FourierFunction.zero(), alternative=spike)
+        problem = DecisionProblem()
         endpoints = np.random.default_rng(0).standard_normal(1_000)
         whole = _streamed_actions(problem, spike, n, iter([endpoints.copy()]))
         actions = spike.antiderivative(1.0) + endpoints / math.sqrt(n)

@@ -12,7 +12,6 @@ from gmequiv.cli import main
 from gmequiv.errors import GridMismatch, SingularCovariance
 from gmequiv.experiments import (
     kriging_path_experiment,
-    kriging_residual_process,
     path_from_discrete,
     reconstruct_discrete_from_path,
     simulate_e1,
@@ -20,8 +19,9 @@ from gmequiv.experiments import (
     simulate_increments,
 )
 from gmequiv.fourier import FourierFunction
-from gmequiv.kernels import gram, make_kernel, no_variance, preset
-from gmequiv.samples import DiscreteSample, PathSample, design_knots
+from gmequiv.kernels import gram, make_kernel, preset
+from gmequiv.rkhs import kriging_interpolate
+from gmequiv.samples import DiscreteSample, PathSample, design_knots, knot_stride, path_grid
 from gmequiv.sampling import sample_paths
 
 COS = FourierFunction.harmonic(1)
@@ -31,7 +31,7 @@ ZERO = FourierFunction.zero()
 class TestSampling:
     ORACLE_KERNELS = (
         preset("bm"), preset("ou", 1.0), preset("bridge"), preset("slepian"),
-        make_kernel("lab", "t", "2 - t"),
+        make_kernel("lab", "t", "2 - t"), make_kernel("p5", "t^5", "1"),
     )
 
     @pytest.mark.parametrize("m", [9, 257])
@@ -39,8 +39,7 @@ class TestSampling:
     def test_time_change_matches_dense_cholesky(self, kernel, m):
         grid = np.linspace(0.0, 1.0, m)
         npaths, seed, label = 40, 3, "oracle"
-        var = np.diag(gram(kernel, grid))
-        alive = ~no_variance(var)
+        alive = np.diag(gram(kernel, grid)) != 0.0
         chol = np.linalg.cholesky(gram(kernel, grid[alive]))
         z = rng.stream(seed, label, kernel.name, grid.size, npaths).standard_normal(
             (npaths, int(alive.sum())))
@@ -256,34 +255,57 @@ class TestDeterminism:
         assert not np.array_equal(a.values, b.values)
 
 
-class TestResidualProcess:
-    def test_vanishes_at_knots(self):
+def _residual(kernel, n: int, seed: int, grid_size: int | None = None) -> np.ndarray:
+    """R = X - Krig(X at the knots) on the path grid, X drawn on the stream
+    path_from_discrete reads."""
+    grid = path_grid(n, grid_size)
+    stride = knot_stride(n, grid.size)
+    path = sample_paths(kernel, grid, 1, seed, label="residual")[0]
+    return path - kriging_interpolate(kernel, path[stride::stride], grid)
+
+
+KRIGING_KERNELS = (preset("bm"), preset("ou", 1.0), preset("slepian"),
+                   make_kernel("lab", "t", "2 - t"))
+
+
+class TestRebuiltPath:
+    def test_residual_vanishes_at_knots(self):
         for name in ("bm", "ou", "slepian"):
-            k = preset(name)
-            r = kriging_residual_process(k, 4, seed=7)
-            idx = np.arange(1, 5) * ((r.grid.size - 1) // 4)
-            assert np.max(np.abs(r.values[idx])) <= 1e-12, name
-            assert r.values[0] == 0.0
+            r = _residual(preset(name), 4, seed=7)
+            idx = np.arange(1, 5) * ((r.size - 1) // 4)
+            assert np.max(np.abs(r[idx])) <= 1e-12, name
+            assert r[0] == 0.0
 
-    def test_grid_must_contain_knots(self):
-        with pytest.raises(GridMismatch):
-            kriging_residual_process(preset("bm"), 4, seed=0, grid_size=22)
-
-    def test_midpoint_variance_under_bm(self):
+    def test_residual_midpoint_variance_under_bm(self):
         """For bm with one knot the residual at t = 1/2 has the pinned
         variance 1/4; checked by Monte Carlo within a 3.5 sigma band."""
-        draws = np.array([
-            kriging_residual_process(preset("bm"), 1, seed=s, grid_size=21).values[10]
-            for s in range(4000)
-        ])
+        draws = np.array([_residual(preset("bm"), 1, seed=s, grid_size=21)[10]
+                          for s in range(4000)])
         var = float(np.var(draws, ddof=1))
         band = 3.5 * 0.25 * math.sqrt(2.0 / (draws.size - 1))
         assert abs(var - 0.25) <= band
 
+    @pytest.mark.parametrize("n", [1, 4, 64, 1024])
+    @pytest.mark.parametrize("kernel", KRIGING_KERNELS, ids=lambda k: k.name)
+    def test_one_kriging_is_the_residual_form(self, kernel, n):
+        """Kriging is linear: Krig(S'/n - X(t_k)/sqrt(n)) + X/sqrt(n) is
+        (Krig(S') + sqrt(n) R) / n, and S'_k / n at every knot."""
+        sample = simulate_e1(kernel, COS, n, seed=3, variant="cell_averaged")
+        path = path_from_discrete(kernel, sample, seed=11)
+        sums = np.cumsum(sample.values)
+        residual = _residual(kernel, n, seed=11)
+        expected = (kriging_interpolate(kernel, sums, path.grid) + math.sqrt(n) * residual) / n
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(path.values, expected, rtol=0.0, atol=1e-12 * scale)
+        stride = knot_stride(n, path.grid.size)
+        np.testing.assert_allclose(path.values[stride::stride], sums / n, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(sums / n)))
+
     def test_deterministic_in_seed(self):
-        a = kriging_residual_process(preset("slepian"), 4, seed=3)
-        b = kriging_residual_process(preset("slepian"), 4, seed=3)
-        c = kriging_residual_process(preset("slepian"), 4, seed=4)
+        sample = simulate_e1(preset("slepian"), COS, 4, seed=0, variant="cell_averaged")
+        a = path_from_discrete(preset("slepian"), sample, seed=3)
+        b = path_from_discrete(preset("slepian"), sample, seed=3)
+        c = path_from_discrete(preset("slepian"), sample, seed=4)
         np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
@@ -301,14 +323,11 @@ GRID_ENTRY_POINTS = {
         lambda m: kriging_path_experiment(preset("bm"), COS, 4, seed=0, grid_size=m),
     "path_from_discrete": lambda m: path_from_discrete(
         preset("bm"), simulate_e1(preset("bm"), COS, 4, seed=0), seed=1, grid_size=m),
-    "kriging_residual_process":
-        lambda m: kriging_residual_process(preset("bm"), 4, seed=0, grid_size=m),
     "reconstruct_discrete_from_path": lambda m: reconstruct_discrete_from_path(_zero_path(m), 4),
     "cli kriging --grid-density": lambda d: main(
         ["kriging", "--n", "4", "--preset", "bm", "--grid-density", str(d)]),
 }
-SIZED_ENTRY_POINTS = ("simulate_e2", "kriging_path_experiment", "path_from_discrete",
-                      "kriging_residual_process")
+SIZED_ENTRY_POINTS = ("simulate_e2", "kriging_path_experiment", "path_from_discrete")
 GRID_RULE_CASES = (
     [(entry, m) for entry in SIZED_ENTRY_POINTS for m in (1, 4, 6)]
     + [("reconstruct_discrete_from_path", 1), ("reconstruct_discrete_from_path", 6)]

@@ -37,9 +37,9 @@ EXPORTS = {
                "ExpressionSyntaxError", "GmequivError", "GridMismatch",
                "GridMissingEndpoints", "HermitianViolation", "KernelDegenerate",
                "QuadratureFailure", "SingularCovariance", "UnknownIdentifier"),
-    "experiments": ("kriging_path_experiment", "kriging_residual_process",
-                    "path_from_discrete", "reconstruct_discrete_from_path", "simulate_e1",
-                    "simulate_e2", "simulate_increments"),
+    "experiments": ("kriging_path_experiment", "path_from_discrete",
+                    "reconstruct_discrete_from_path", "simulate_e1", "simulate_e2",
+                    "simulate_increments"),
     "expr": ("KernelExpression", "parse_kernel_expression"),
     "fourier": ("ClassSpec", "FourierFunction", "function_from_spec", "sample_ellipsoid"),
     "kernels": ("GaussMarkovKernel", "ValidationReport", "covariance", "gram",

@@ -11,9 +11,10 @@ import tracemalloc
 
 import numpy as np
 
+from gmequiv.cli import main
 from gmequiv.counterexample import indistinguishability_check
-from gmequiv.diagnostics import _DFT_ROWS, band_split_decomposition, kl_dense
-from gmequiv.experiments import simulate_e2
+from gmequiv.diagnostics import MAX_DENSE_KL_N, _DFT_ROWS, band_split_decomposition, kl_dense
+from gmequiv.experiments import path_from_discrete, simulate_e1, simulate_e2
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, preset
 from gmequiv.rkhs import kriging_interpolate_dense
@@ -45,6 +46,25 @@ def test_kl_dense_holds_two_matrices():
     """The increment covariance and the copy np.linalg.solve takes."""
     cos = FourierFunction.harmonic(1)
     assert _peak(lambda: kl_dense(preset("slepian"), cos, N)) <= 2.25 * UNIT
+
+
+def test_refused_dense_kl_builds_no_array():
+    """n above MAX_DENSE_KL_N is refused before any matrix is built (2 n^2
+    doubles, 1 GiB here); the command checks its whole n list first, so
+    n = 1024 (16 MiB) does not run before 8192 is refused."""
+    cos = FourierFunction.harmonic(1)
+
+    def refused():
+        try:
+            kl_dense(preset("slepian"), cos, 2 * MAX_DENSE_KL_N)
+        except ValueError:
+            return
+        raise AssertionError("kl_dense ran above MAX_DENSE_KL_N")
+
+    assert _peak(refused) <= 2**20
+    argv = ["kl", "--preset", "slepian", "--n", f"1024,{2 * MAX_DENSE_KL_N}"]
+    assert main(argv) == 1
+    assert _peak(lambda: main(argv)) <= 2**20
 
 
 def test_dense_kriging_holds_its_cross_covariance_and_a_mask():
@@ -105,3 +125,14 @@ def test_continuous_experiment_holds_the_noise_beside_one_evaluation():
     grid = path_grid(16384)
     cos = FourierFunction.harmonic(1)
     assert _peak(lambda: simulate_e2(preset("ou", 1.0), cos, 16384, 0)) <= 6.25 * grid.nbytes
+
+
+def test_rebuilt_path_holds_one_draw_beside_one_kriging():
+    """The draw X, the grid, and the Kriging's factor values, clock and
+    output: one draw and one interpolation, not a second Kriging of the
+    draw's knot values beside the first (8.15 grid arrays)."""
+    n = 16384
+    grid = path_grid(n)
+    kernel = preset("ou", 1.0)
+    sample = simulate_e1(kernel, FourierFunction.harmonic(1), n, 0, variant="cell_averaged")
+    assert _peak(lambda: path_from_discrete(kernel, sample, 1)) <= 6.5 * grid.nbytes
