@@ -68,7 +68,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_n_arg(text: str) -> list[int]:
-    """'64' -> [64]; '16..512' -> doubling grid; '4,8,12' -> the list."""
+    """'64' -> [64]; '16..512' -> doubling grid; '4,8,12' -> the list. A
+    list with an empty item (',', '4,,8', '') names no n there and raises
+    ValueError."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
@@ -81,9 +83,10 @@ def _parse_n_arg(text: str) -> list[int]:
             out.append(n)
             n *= 2
         return out
-    if "," in text:
-        return [int(part) for part in text.split(",") if part.strip()]
-    return [int(text)]
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"--n {text!r} has an empty item")
+    return [int(part) for part in parts]
 
 
 def _kernel_from_args(args, validate: bool = True) -> kernels.GaussMarkovKernel:
@@ -165,9 +168,11 @@ def _cmd_rates(args) -> int:
     from .fourier import ClassSpec
 
     kernel = _kernel_from_args(args)
+    ns = _parse_n_arg(args.n)
     if args.family == "single-freq":
         family = diagnostics.single_frequency_family(k=args.k)
     else:
+        diagnostics.check_family_n(max(ns))  # the whole list, before the first n runs
         spec = ClassSpec.sobolev(args.beta, args.L)
         if args.family == "sobolev":
             family = diagnostics.class_extremal_family(spec, seed=args.seed)
@@ -176,7 +181,7 @@ def _cmd_rates(args) -> int:
     target = DEFAULT_RATE_TARGETS.get((args.stat, args.family)) if args.target is None else args.target
     margin = {} if args.margin is None else {"margin": args.margin}
     report = diagnostics.rate_sweep(
-        args.stat, kernel, family, n_grid=_parse_n_arg(args.n), target=target, **margin,
+        args.stat, kernel, family, n_grid=ns, target=target, **margin,
     )
     for line in report.lines():
         print(line)
@@ -219,7 +224,7 @@ def _cmd_kl(args) -> int:
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
     ns = _parse_n_arg(args.n)
-    diagnostics.check_dense_kl_n(max(ns, default=0))  # the whole list, before the first n runs
+    diagnostics.check_dense_kl_n(max(ns))  # the whole list, before the first n runs
     rows = []
     for n in ns:
         chain = diagnostics.kl_chain(kernel, fn, n)

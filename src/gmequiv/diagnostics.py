@@ -49,15 +49,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GmequivError, KernelDegenerate, SingularCovariance
-from .fourier import ClassSpec, FourierFunction, sample_ellipsoid, scale_into_hoelder_ball
+from .fourier import (
+    MAX_FREQUENCY,
+    ClassSpec,
+    FourierFunction,
+    sample_ellipsoid,
+    scale_into_hoelder_ball,
+)
 from .kernels import GaussMarkovKernel, design_clock, gram, unpinned_design_clock
 from .samples import design_knots
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
 EXTREMAL_RANDOM_MEMBERS = 2  # seeded ellipsoid members of class_extremal_family
 RANDOM_FAMILY_SIZE = 3  # members of random_family
-# largest n kl_dense accepts: it holds about 2 n^2 doubles, 256 MiB at this n
+# largest n of class_extremal_family and random_family: their members reach
+# frequency 2n, and a function holds |k| up to MAX_FREQUENCY
+MAX_FAMILY_N = MAX_FREQUENCY // 2
+# largest n kl_dense accepts: it holds one n x n matrix of doubles and
+# panel-sized temporaries, about 128 MiB at this n
 MAX_DENSE_KL_N = 4096
+_PANEL = 128  # columns per panel of kl_dense's blocked Cholesky factor
 _DFT_ROWS = 256  # rows of the Parseval check's phase matrix built at once
 
 
@@ -94,17 +105,39 @@ def kl_chain(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     return 0.5 * discretization_statistic(kernel, f, n)
 
 
-def _increment_covariance(kernel: GaussMarkovKernel, n: int) -> np.ndarray:
-    """Cov(xi) = D G D^T with D the first-difference matrix, formed by
-    differencing the rows of the knot Gram matrix G into one scratch matrix
-    and its columns back into G; row and column 0 are copied, as x - 0.0."""
-    G = gram(kernel, design_knots(n))
-    rows = np.empty_like(G)
-    rows[0] = G[0]
-    np.subtract(G[1:], G[:-1], out=rows[1:])
-    G[:, 0] = rows[:, 0]
-    np.subtract(rows[:, 1:], rows[:, :-1], out=G[:, 1:])
-    return G
+def _cholesky_in_place(A: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle of the symmetric positive definite A
+    with its Cholesky factor L (A = L L^T) and return A; the strict upper
+    triangle is left as it was, outside the diagonal panels.
+
+    Right-looking and blocked by _PANEL columns (Golub and Van Loan,
+    Matrix Computations, 4th ed., section 4.2): factor the diagonal panel,
+    solve for the block below it, then subtract its outer product from the
+    lower trailing blocks one row panel at a time, so no temporary is
+    larger than _PANEL rows of A. A matrix that is not positive definite
+    raises np.linalg.LinAlgError."""
+    n = A.shape[0]
+    for k in range(0, n, _PANEL):
+        e = min(k + _PANEL, n)
+        A[k:e, k:e] = np.linalg.cholesky(A[k:e, k:e])
+        A[e:, k:e] = np.linalg.solve(A[k:e, k:e], A[e:, k:e].T).T
+        for i in range(e, n, _PANEL):
+            j = min(i + _PANEL, n)
+            A[i:j, e:j] -= A[i:j, k:e] @ A[e:j, k:e].T
+    return A
+
+
+def _forward_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y with L y = b for a _cholesky_in_place result L, by panels: solve
+    the diagonal block (zero above its diagonal), then take its share out
+    of the entries below."""
+    y = np.array(b, dtype=float)
+    n = y.size
+    for k in range(0, n, _PANEL):
+        e = min(k + _PANEL, n)
+        y[k:e] = np.linalg.solve(L[k:e, k:e], y[k:e])
+        y[e:] -= L[e:, k:e] @ y[k:e]
+    return y
 
 
 def check_dense_kl_n(n: int) -> None:
@@ -115,20 +148,28 @@ def check_dense_kl_n(n: int) -> None:
 
 def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     """Oracle: exact KL of the two n-variate Gaussians, (1/2) dm^T C^-1 dm
-    with C = n Cov(xi). An n above MAX_DENSE_KL_N raises ValueError before
-    any array is built."""
+    with C = n Cov(xi), computed on the running sums.
+
+    xi = D X with D the first-difference matrix, so C = n D G D^T with G
+    the knot Gram matrix, and s = cumsum(dm) = D^-1 dm turns the form into
+    (1/2) s^T (n G)^-1 s: KL is invariant under the invertible map cumsum.
+    n G is factored in place, n G = L L^T, and the result is (1/2) |y|^2
+    with L y = s, so the oracle holds one n x n matrix and panel-sized
+    temporaries. A factor that fails (G not positive definite in floating
+    point) raises SingularCovariance. An n above MAX_DENSE_KL_N raises
+    ValueError before any array is built."""
     check_dense_kl_n(n)
     unpinned_design_clock(kernel, n)
-    dm = _gaps(f, n)
-    C = _increment_covariance(kernel, n)
-    C *= n
+    s = np.cumsum(_gaps(f, n))
+    G = gram(kernel, design_knots(n))
+    G *= n
     try:
-        solved = np.linalg.solve(C, dm)
+        y = _forward_solve(_cholesky_in_place(G), s)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(
-            f"increment covariance for kernel {kernel.name!r} is singular at n={n}"
+            f"design covariance for kernel {kernel.name!r} is not positive definite at n={n}"
         ) from exc
-    return float(0.5 * dm @ solved)
+    return float(0.5 * y @ y)
 
 
 def kl_sequential(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
@@ -288,9 +329,17 @@ def single_frequency_family(k: int = 1) -> FunctionFamily:
     return fixed_family(f"single-freq(k={k})", [FourierFunction.harmonic(k)])
 
 
+def check_family_n(n: int) -> None:
+    """Refuse an n above MAX_FAMILY_N with ValueError, naming the limit."""
+    if n > MAX_FAMILY_N:
+        raise ValueError(f"the sobolev and random families take n up to "
+                         f"MAX_FAMILY_N = {MAX_FAMILY_N}, got n = {n}")
+
+
 def class_extremal_family(spec: ClassSpec, seed: int = 0) -> FunctionFamily:
     """Extremal single frequencies at k in {1, n//2, n, 2n} scaled to the
-    class radius, plus seeded random ellipsoid members with K = 2n."""
+    class radius, plus seeded random ellipsoid members with K = 2n. An n
+    above MAX_FAMILY_N raises ValueError before any member is built."""
 
     def scaled_harmonic(k: int) -> FourierFunction:
         fn = FourierFunction.harmonic(k, 1.0, name=f"extremal-k{k}")
@@ -299,6 +348,7 @@ def class_extremal_family(spec: ClassSpec, seed: int = 0) -> FunctionFamily:
         return scale_into_hoelder_ball(fn, spec)
 
     def members(n: int) -> list[FourierFunction]:
+        check_family_n(n)
         ks = sorted({1, max(1, n // 2), n, 2 * n})
         out = [scaled_harmonic(k) for k in ks]
         for idx in range(EXTREMAL_RANDOM_MEMBERS):
@@ -309,7 +359,11 @@ def class_extremal_family(spec: ClassSpec, seed: int = 0) -> FunctionFamily:
 
 
 def random_family(spec: ClassSpec, seed: int = 0) -> FunctionFamily:
+    """Seeded random ellipsoid members with K = 2n. An n above
+    MAX_FAMILY_N raises ValueError before any member is built."""
+
     def members(n: int) -> list[FourierFunction]:
+        check_family_n(n)
         return [sample_ellipsoid(spec, K=2 * n, seed=seed * 1000 + idx)
                 for idx in range(RANDOM_FAMILY_SIZE)]
 

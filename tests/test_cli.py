@@ -113,6 +113,14 @@ class TestExitCodes:
           "--n", "8,16"), "k = 1048577 is above MAX_FREQUENCY = 1048576"),
         (("kl", "--preset", "slepian", "--n", "2..65536"),
          "n up to MAX_DENSE_KL_N = 4096, got n = 65536"),
+        (("rates", "--stat", "discretization", "--family", "sobolev", "--n", "16..1048576"),
+         "n up to MAX_FAMILY_N = 524288, got n = 1048576"),
+        (("rates", "--stat", "kl", "--family", "random", "--n", "524289"),
+         "n up to MAX_FAMILY_N = 524288, got n = 524289"),
+        (("kl", "--preset", "slepian", "--n", ","), "--n ',' has an empty item"),
+        (("kl", "--n", "4,,8"), "--n '4,,8' has an empty item"),
+        (("decompose", "--n", ","), "--n ',' has an empty item"),
+        (("rates", "--stat", "kl", "--preset", "bm", "--n", ","), "--n ',' has an empty item"),
         (("validate", "--kernel", "missing.json"), "No such file or directory: 'missing.json'"),
         (("validate", "--kernel", ""), "unknown preset ''"),
         (("validate", "--preset", ""), "unknown preset ''"),

@@ -30,9 +30,10 @@ from gmequiv.errors import (
     QuadratureFailure,
     SingularCovariance,
 )
-from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
-from gmequiv.kernels import make_kernel, preset
+from gmequiv.fourier import MAX_FREQUENCY, ClassSpec, FourierFunction, sample_ellipsoid
+from gmequiv.kernels import gram, make_kernel, preset
 from gmequiv.rkhs import kriging_interpolate, projection_distance
+from gmequiv.samples import design_knots
 
 COS = FourierFunction.harmonic(1)
 KERNELS = ("bm", "ou", "slepian")
@@ -148,6 +149,41 @@ class TestKlRoutes:
         for n in range(2, 17):
             with pytest.raises(SingularCovariance):
                 kl_dense(preset("bridge"), COS, n)
+
+    @pytest.mark.parametrize("kernel", [
+        preset("bm"), preset("ou", 1.0), preset("slepian"),
+        make_kernel("lab", "t", "2 - t"), make_kernel("tilt", "t", "1 - 0.9*t"),
+    ], ids=lambda k: k.name)
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    def test_dense_equals_the_increment_form(self, kernel, n):
+        """The increment form (1/2) dm^T C^-1 dm with C = n D G D^T, built
+        here from the knot Gram matrix G and the first-difference matrix D,
+        is the KL that kl_dense computes on the running sums of dm."""
+        dm = np.asarray(COS(design_knots(n))) - COS.cell_averages(n)
+        D = np.eye(n) - np.eye(n, k=-1)
+        C = n * D @ gram(kernel, design_knots(n)) @ D.T
+        reference = 0.5 * dm @ np.linalg.solve(C, dm)
+        assert math.isclose(kl_dense(kernel, COS, n), reference, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, diagnostics._PANEL - 1, diagnostics._PANEL,
+                                   diagnostics._PANEL + 1, 3 * diagnostics._PANEL + 5])
+    def test_in_place_factor_is_the_cholesky_factor(self, n):
+        A = n * gram(preset("slepian"), design_knots(n))
+        expected = np.linalg.cholesky(A)
+        factor = np.tril(diagnostics._cholesky_in_place(A))
+        np.testing.assert_allclose(factor, expected, rtol=0.0, atol=1e-12)
+
+    def test_indefinite_matrix_raises_the_mapped_error(self, monkeypatch):
+        """A panel past the first that is not positive definite stops the
+        factor, and kl_dense reports it as SingularCovariance."""
+        n = diagnostics._PANEL + 4
+        indefinite = np.eye(n)
+        indefinite[n - 2, n - 2] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            diagnostics._cholesky_in_place(indefinite.copy())
+        monkeypatch.setattr(diagnostics, "gram", lambda kernel, ts: indefinite.copy())
+        with pytest.raises(SingularCovariance, match="not positive definite"):
+            kl_dense(preset("bm"), COS, n)
 
     def test_nonmonotone_clock_is_a_degenerate_cell(self):
         """q = t(1 - t) turns back at t = 1/2, so the design cells past it
@@ -378,3 +414,12 @@ class TestRateSweep:
         ids_a = [f.content_id() for f in fam.members(8)]
         ids_b = [f.content_id() for f in fam.members(8)]
         assert ids_a == ids_b
+
+    @pytest.mark.parametrize("build", [class_extremal_family, random_family])
+    def test_fourier_family_refuses_n_past_its_frequency_limit(self, build):
+        """Members reach frequency 2n, so n above MAX_FREQUENCY // 2 is
+        refused naming n, not the frequency of some member."""
+        assert diagnostics.MAX_FAMILY_N == MAX_FREQUENCY // 2
+        n = diagnostics.MAX_FAMILY_N + 1
+        with pytest.raises(ValueError, match=f"MAX_FAMILY_N = {n - 1}, got n = {n}$"):
+            build(ClassSpec.sobolev(1.0, 1.0)).members(n)

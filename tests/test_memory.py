@@ -13,7 +13,7 @@ import numpy as np
 
 from gmequiv.cli import main
 from gmequiv.counterexample import indistinguishability_check
-from gmequiv.diagnostics import MAX_DENSE_KL_N, _DFT_ROWS, band_split_decomposition, kl_dense
+from gmequiv.diagnostics import MAX_DENSE_KL_N, MAX_FAMILY_N, _DFT_ROWS, band_split_decomposition, kl_dense
 from gmequiv.experiments import path_from_discrete, simulate_e1, simulate_e2
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, preset
@@ -42,16 +42,18 @@ def test_gram_holds_its_result_and_a_mask():
     assert _peak(lambda: gram(preset("ou", 1.0), ts)) <= 1.25 * UNIT
 
 
-def test_kl_dense_holds_two_matrices():
-    """The increment covariance and the copy np.linalg.solve takes."""
+def test_kl_dense_holds_one_matrix():
+    """The knot Gram matrix, factored in place, and panel-sized temporaries
+    (1.25 units here, Gram's mask included): not the increment covariance
+    beside the copy a dense solve takes (2.03 units)."""
     cos = FourierFunction.harmonic(1)
-    assert _peak(lambda: kl_dense(preset("slepian"), cos, N)) <= 2.25 * UNIT
+    assert _peak(lambda: kl_dense(preset("slepian"), cos, N)) <= 1.5 * UNIT
 
 
 def test_refused_dense_kl_builds_no_array():
-    """n above MAX_DENSE_KL_N is refused before any matrix is built (2 n^2
-    doubles, 1 GiB here); the command checks its whole n list first, so
-    n = 1024 (16 MiB) does not run before 8192 is refused."""
+    """n above MAX_DENSE_KL_N is refused before any matrix is built (n^2
+    doubles, 512 MiB here); the command checks its whole n list first, so
+    n = 1024 (8 MiB) does not run before 8192 is refused."""
     cos = FourierFunction.harmonic(1)
 
     def refused():
@@ -63,6 +65,16 @@ def test_refused_dense_kl_builds_no_array():
 
     assert _peak(refused) <= 2**20
     argv = ["kl", "--preset", "slepian", "--n", f"1024,{2 * MAX_DENSE_KL_N}"]
+    assert main(argv) == 1
+    assert _peak(lambda: main(argv)) <= 2**20
+
+
+def test_refused_fourier_family_runs_no_n():
+    """rates checks its whole n list against MAX_FAMILY_N first, so the n
+    up to the limit (members up to K = 2^20, 32 MiB of coefficients each)
+    do not run before 2^20 is refused."""
+    argv = ["rates", "--stat", "discretization", "--family", "sobolev",
+            "--n", f"16..{2 * MAX_FAMILY_N}"]
     assert main(argv) == 1
     assert _peak(lambda: main(argv)) <= 2**20
 
