@@ -68,25 +68,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_n_arg(text: str) -> list[int]:
-    """'64' -> [64]; '16..512' -> doubling grid; '4,8,12' -> the list. A
-    list with an empty item (',', '4,,8', '') names no n there and raises
-    ValueError."""
+    """'64' -> [64]; '16..512' -> doubling grid; '4,8,12' -> the list.
+    Any other text raises one ValueError quoting it: an empty item (',',
+    '4,,8', '' or the bound of '16..'), an item that is not an integer
+    ('4.5', '4,x') or a range that starts below 1 or runs down."""
     text = text.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad range {text!r}")
-        out = []
-        n = lo
-        while n <= hi:
-            out.append(n)
-            n *= 2
+    ranged = ".." in text
+    try:
+        ns = [int(item) for item in (text.split("..", 1) if ranged else text.split(","))]
+    except ValueError:
+        ns = []
+    if ns and not ranged:
+        return ns
+    if ns and 1 <= ns[0] <= ns[1]:
+        out = [ns[0]]
+        while 2 * out[-1] <= ns[1]:
+            out.append(2 * out[-1])
         return out
-    parts = text.split(",")
-    if not all(part.strip() for part in parts):
-        raise ValueError(f"--n {text!r} has an empty item")
-    return [int(part) for part in parts]
+    raise ValueError(f"--n {text!r} is not an n, a list a,b,c or a range lo..hi "
+                     f"with 1 <= lo <= hi")
 
 
 def _kernel_from_args(args, validate: bool = True) -> kernels.GaussMarkovKernel:
@@ -412,10 +412,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except GmequivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (GmequivError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -292,8 +292,7 @@ def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n:
     mu_grid = np.diff(np.cumsum(np.asarray(f(design_knots(n)))) / v[1:], prepend=0.0)
     sigma2_grid = n * np.diff(q)
     s = np.arange(1, n + 1) / (n + 1)
-    mu_cont = rkhs.decoupled_drift(kernel, f, s)
-    qp_cont = np.asarray(kernel.q_prime(s))
+    mu_cont, qp_cont = rkhs.decoupled_drift(kernel, f, s)
     return float(n * np.max((mu_cont - mu_grid) ** 2)
                  + n * np.max((qp_cont - sigma2_grid) ** 2))
 

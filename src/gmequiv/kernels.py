@@ -5,9 +5,13 @@ s <= t, given together with the derivatives u' and v'. The quotient q = u/v
 carries the whole geometry: the process is the deterministic scaling v(t) of
 a standard Brownian motion run on the clock q(t), so q must increase
 strictly from q(0) = 0, and u*v (the variance) must be nonnegative, positive
-away from the endpoints. The clock q, its derivative q' = (u'v - uv')/v^2
-and the time-change horizon q(1) are derived from (u, v, u', v') in one
-place, GaussMarkovKernel, and nowhere else.
+away from the endpoints. The clock, its derivative and the time-change
+horizon q(1) are derived from (u, v, u', v') in one place and nowhere
+else: GaussMarkovKernel.clock(t) evaluates u and v once at the points t
+and returns (u, v, q), and clock_rate(t) adds v' and
+q' = (u'v - uv')/v^2, each factor again evaluated once. A factor may
+return its input array itself, as the linear presets' u does, so the
+arrays they return are read and never written into.
 
 Four presets cover the classical examples:
 
@@ -80,11 +84,11 @@ MAX_VALIDATION_GRID = 10**6  # largest grid the shape check accepts
 class GaussMarkovKernel:
     """Immutable kernel given by its factor pair and the pair's derivatives.
 
-    u, v, u_prime, v_prime are vectorized callables on [0,1]. The clock q,
-    its derivative q_prime and horizon are worked out from them; horizon is
-    q(1), or inf when Var(X_1) = u(1) v(1) carries no variance on the
-    VALIDATION_GRID (no_variance), which pins the endpoint (as for the
-    bridge), or nan when u(1) is 0 as well.
+    u, v, u_prime, v_prime are vectorized callables on [0,1]. clock and
+    clock_rate give the clock q and its derivative at a set of points.
+    horizon is q(1), read from clock on the VALIDATION_GRID, or inf when
+    Var(X_1) = u(1) v(1) carries no variance there (no_variance), which
+    pins the endpoint (as for the bridge), or nan when u(1) is 0 as well.
     """
 
     name: str
@@ -95,29 +99,33 @@ class GaussMarkovKernel:
     horizon: float = field(init=False)
 
     def __post_init__(self):
-        ts = np.linspace(0.0, 1.0, VALIDATION_GRID)
         with np.errstate(all="ignore"):
-            pinned = no_variance(np.asarray(self.u(ts)) * np.asarray(self.v(ts)))[-1]
-        horizon = float(self.q(1.0))
+            u, v, q = self.clock(np.linspace(0.0, 1.0, VALIDATION_GRID))
+            pinned = no_variance(u * v)[-1]
+        horizon = float(q[-1])
         if pinned:
-            horizon = math.inf if float(self.u(1.0)) != 0.0 else math.nan
+            horizon = math.inf if u[-1] != 0.0 else math.nan
         object.__setattr__(self, "horizon", horizon)
 
-    def q(self, t):
-        """The clock u/v; inf where v vanishes, as at a pinned endpoint."""
+    def clock(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, q) at the points t: u and v each evaluated once, as float
+        arrays, and the clock q = u/v, inf where v vanishes, as at a pinned
+        endpoint. A factor may return t itself, so u and v are read, never
+        written into."""
         t = np.asarray(t, dtype=float)
+        u = np.asarray(self.u(t), dtype=float)
+        v = np.asarray(self.v(t), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.asarray(self.u(t)) / np.asarray(self.v(t))
-        return out if out.ndim else float(out)
+            return u, v, u / v
 
-    def q_prime(self, t):
-        """The clock's derivative (u'v - uv')/v^2."""
-        t = np.asarray(t, dtype=float)
-        v = np.asarray(self.v(t))
+    def clock_rate(self, t) -> tuple[np.ndarray, ...]:
+        """(u, v, q, v', q') at the points t: clock(t), v' and the clock's
+        derivative q' = (u'v - uv')/v^2, each of u, v, u', v' evaluated once."""
+        u, v, q = self.clock(t)
+        v_prime = np.asarray(self.v_prime(t), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (np.asarray(self.u_prime(t)) * v
-                   - np.asarray(self.u(t)) * np.asarray(self.v_prime(t))) / (v * v)
-        return out if out.ndim else float(out)
+            q_prime = (np.asarray(self.u_prime(t), dtype=float) * v - u * v_prime) / (v * v)
+        return u, v, q, v_prime, q_prime
 
     def __repr__(self) -> str:
         return f"GaussMarkovKernel({self.name!r}, horizon={self.horizon!r})"
@@ -170,10 +178,8 @@ def design_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndar
     Raises DegenerateCell unless every clock increment is positive; an
     infinite last increment (a pinned endpoint) passes.
     """
-    ts = path_grid(n, n + 1)
-    v = np.asarray(kernel.v(ts))
     with np.errstate(all="ignore"):
-        q = np.asarray(kernel.q(ts))
+        v, q = kernel.clock(path_grid(n, n + 1))[1:]
     dq = np.diff(q)
     if np.any(np.isnan(dq)) or np.any(dq <= 0.0):
         raise DegenerateCell(
@@ -385,10 +391,10 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
         )
     ts = np.linspace(0.0, 1.0, grid_size)
     with np.errstate(all="ignore"):
-        uv = np.asarray(kernel.u(ts)) * np.asarray(kernel.v(ts))
-        qs = np.asarray(kernel.q(ts))
-        qp = np.asarray(kernel.q_prime(ts))
-        vp = np.asarray(kernel.v_prime(ts))
+        u, v, qs, vp, qp = kernel.clock_rate(ts)
+        uv = u * v
+    v1 = float(v[-1])
+    del u, v
 
     none = no_variance(uv)
     checks = []
@@ -412,7 +418,6 @@ def validate_assumption(kernel: GaussMarkovKernel, grid_size: int = VALIDATION_G
     checks.append(CheckResult(
         "q_zero_at_origin", bool(none[0]), True, f"q(0) = {q0:.3e}",
     ))
-    v1 = float(np.asarray(kernel.v(1.0)))
     v1_nonzero = math.isfinite(kernel.horizon)
     checks.append(CheckResult(
         "v1_nonzero", v1_nonzero, False,

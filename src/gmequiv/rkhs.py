@@ -15,7 +15,9 @@ obtained by differentiating F/v along the clock. All integrals over the
 clock domain [0, T] are pulled back to [0, 1] with the substitution
 x = q(w), dx = q'(w) dw, so nothing ever needs q explicitly inverted.
 rkhs_norm(kernel, f) and the projection distances take g from f at their
-nodes, together with the q'(w) it was divided by.
+nodes, together with the q'(w) it was divided by; v, v' and q' there come
+from one kernel.clock_rate call, and Kriging reads v and q at its points
+from kernel.clock.
 
 The finite-design operations live here too: the least-squares distance
 D_n from g to the span of the design representers, and Kriging
@@ -53,19 +55,21 @@ from .samples import design_knots, path_grid
 DENSE_GRID_SIZE = 10_000
 
 
-def decoupled_drift(kernel: GaussMarkovKernel, f: FourierFunction, w) -> np.ndarray:
+def decoupled_drift(kernel: GaussMarkovKernel, f: FourierFunction, w
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """(F_f / v)'(w) = (f v - v' F_f) / v^2, the drift of the decoupled
-    process X/v with regression mean F_f."""
+    process X/v with regression mean F_f, and the clock rate q'(w), from
+    one kernel.clock_rate call."""
     w = np.asarray(w, dtype=float)
-    v = np.asarray(kernel.v(w))
-    return (np.asarray(f(w)) * v - np.asarray(kernel.v_prime(w)) * np.asarray(f.antiderivative(w))) / (v * v)
+    _, v, _, v_prime, q_prime = kernel.clock_rate(w)
+    return (np.asarray(f(w)) * v - v_prime * np.asarray(f.antiderivative(w))) / (v * v), q_prime
 
 
 def _preimage(kernel: GaussMarkovKernel, f: FourierFunction, w) -> tuple[np.ndarray, np.ndarray]:
-    """g(q(w)) and q'(w) for the regression mean F_f, from one q' call."""
-    q_prime = np.asarray(kernel.q_prime(w))
+    """g(q(w)) and q'(w) for the regression mean F_f."""
     with np.errstate(all="ignore"):
-        return decoupled_drift(kernel, f, w) / q_prime, q_prime
+        drift, q_prime = decoupled_drift(kernel, f, w)
+        return drift / q_prime, q_prime
 
 
 def rkhs_norm(kernel: GaussMarkovKernel, f: FourierFunction) -> float:
@@ -121,11 +125,11 @@ def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: 
     coefficients of the n representers at the DENSE_GRID_SIZE midpoints
     of [0, 1]. Refuses the kernels projection_distance refuses, with the
     same errors."""
-    unpinned_design_clock(kernel, n, KernelDegenerate, "the design span is not closed in L2")
+    v, _ = unpinned_design_clock(kernel, n, KernelDegenerate, "the design span is not closed in L2")
     mid = (np.arange(DENSE_GRID_SIZE) + 0.5) / DENSE_GRID_SIZE
     g, q_prime = _preimage(kernel, f, mid)
     knots = design_knots(n)
-    design = np.asarray(kernel.v(knots))[None, :] * (mid[:, None] <= knots[None, :])
+    design = v[None, 1:] * (mid[:, None] <= knots[None, :])
     sqw = np.sqrt(q_prime / DENSE_GRID_SIZE)
     target = g * sqw
     solution, *_ = np.linalg.lstsq(design * sqw[:, None], target, rcond=None)
@@ -149,10 +153,7 @@ def kriging_interpolate(kernel: GaussMarkovKernel, y, t):
     y = np.asarray(y, dtype=float)
     v, q = unpinned_design_clock(kernel, y.size)
     zk = np.concatenate([[0.0], y / v[1:]])
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    vt = np.asarray(kernel.v(ts))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qt = np.asarray(kernel.u(ts)) / vt  # the clock u/v, as kernel.q gives it
+    vt, qt = kernel.clock(np.atleast_1d(t))[1:]
     out = np.interp(qt, q, zk)
     out *= vt
     return float(out[0]) if np.asarray(t).ndim == 0 else out

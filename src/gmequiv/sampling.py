@@ -1,7 +1,8 @@
 """Exact Gaussian path simulation for triangular kernels.
 
 Every kernel rides the time change. With q = u/v increasing from q(0) = 0,
-the process is v(t) W_{q(t)} for a standard Brownian motion W, so the lower
+read with u and v from one kernel.clock call on the grid, the process is
+v(t) W_{q(t)} for a standard Brownian motion W, so the lower
 Cholesky factor of the grid covariance is known in closed form,
 diag(v) (lower-triangular ones) diag(sqrt(dq)): increments of W over
 consecutive q-cells are independent normals with variance dq, and a
@@ -87,8 +88,9 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int, label:
         raise ValueError("grid must be strictly increasing")
     gen = rng.stream(seed, label, kernel.name, grid.size, npaths)
     with np.errstate(all="ignore"):
-        us, vs = np.asarray(kernel.u(grid)), np.asarray(kernel.v(grid))
+        us, vs, q = kernel.clock(grid)
         var = us * vs
+    del us
     _require(kernel, grid, ~np.isfinite(var), "the variance u*v is not finite")
     alive = var != 0.0
     del var
@@ -101,13 +103,11 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int, label:
     hi = alive.size - int(np.argmax(alive[::-1]))
     _require(kernel, grid[lo:hi], ~alive[lo:hi],
              "the positive-variance points are not one contiguous run")
-    with np.errstate(all="ignore"):  # increments of the clock u/v, as kernel.q gives it
-        q = us[lo:hi] / vs[lo:hi]
-        del us
-        dq = np.empty_like(q)
-        dq[0] = q[0]  # the clock is 0 at the zero-variance point before the run
-        np.subtract(q[1:], q[:-1], out=dq[1:])
-        del q
+    dq = np.empty(hi - lo)
+    dq[0] = q[lo]  # the clock is 0 at the zero-variance point before the run
+    with np.errstate(all="ignore"):
+        np.subtract(q[lo + 1:hi], q[lo:hi - 1], out=dq[1:])
+    del q
     _require(kernel, grid[lo:hi], ~(np.isfinite(dq) & (dq > 0.0)),
              "q is not finite and strictly increasing from q(0) = 0")
     scale = np.sqrt(dq, out=dq)

@@ -117,10 +117,16 @@ class TestExitCodes:
          "n up to MAX_FAMILY_N = 524288, got n = 1048576"),
         (("rates", "--stat", "kl", "--family", "random", "--n", "524289"),
          "n up to MAX_FAMILY_N = 524288, got n = 524289"),
-        (("kl", "--preset", "slepian", "--n", ","), "--n ',' has an empty item"),
-        (("kl", "--n", "4,,8"), "--n '4,,8' has an empty item"),
-        (("decompose", "--n", ","), "--n ',' has an empty item"),
-        (("rates", "--stat", "kl", "--preset", "bm", "--n", ","), "--n ',' has an empty item"),
+        (("kl", "--preset", "slepian", "--n", ","), "--n ',' is not an n"),
+        (("kl", "--n", "4,,8"), "--n '4,,8' is not an n"),
+        (("decompose", "--n", ","), "--n ',' is not an n"),
+        (("rates", "--stat", "kl", "--preset", "bm", "--n", ","), "--n ',' is not an n"),
+        (("kl", "--n", "16.."), "--n '16..' is not an n"),
+        (("kl", "--n", "..16"), "--n '..16' is not an n"),
+        (("kl", "--n", "4,x"), "--n '4,x' is not an n"),
+        (("kl", "--n", "4.5"), "--n '4.5' is not an n"),
+        (("kl", "--n", "16..8"), "--n '16..8' is not an n"),
+        (("kl", "--n", "0..4"), "--n '0..4' is not an n"),
         (("validate", "--kernel", "missing.json"), "No such file or directory: 'missing.json'"),
         (("validate", "--kernel", ""), "unknown preset ''"),
         (("validate", "--preset", ""), "unknown preset ''"),

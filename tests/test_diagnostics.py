@@ -61,7 +61,7 @@ class TestDiscretizationStatistic:
                 cell_avg = n * quad(lambda x: math.cos(2 * math.pi * x),
                                     (i - 1) / n, t, epsabs=1e-14)[0]
                 d = math.cos(2 * math.pi * t) - cell_avg
-                dq = float(k.q(t)) - float(k.q((i - 1) / n))
+                dq = float(k.clock(t)[2]) - float(k.clock((i - 1) / n)[2])
                 total += d * d / (float(k.v(t)) ** 2 * dq)
             oracle = total / n
             value = discretization_statistic(k, COS, n)
@@ -203,6 +203,64 @@ class TestKlRoutes:
             k = _kernel(name)
             assert kl_dense(k, COS, 6) >= 0.0
             assert kl_chain(k, COS, 6) >= 0.0
+
+
+def _gauss_rule(panels: int = 50, order: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a composite Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    half = np.diff(edges)[:, None] / 2
+    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+
+
+def _derivative(f: FourierFunction) -> FourierFunction:
+    """f': FourierFunction sums theta_k e^{-2 pi i k x}, so f' has the
+    coefficients -2 pi i k theta_k."""
+    return FourierFunction.from_coeffs({int(k): -2j * np.pi * k * f.coeff(int(k)) for k in f.ks})
+
+
+def _leading_constants(kernel, f) -> tuple[float, float, float]:
+    """C_disc = (1/4) int f'^2 / W and C_KL = (1/8) int (f' - (v'/v)(f - f(0)))^2 / W
+    with the Wronskian W = u'v - uv' = v^2 q', and the kernel's rate
+    max |v'/v|, all read at the Gauss nodes from clock_rate."""
+    x, w = _gauss_rule()
+    _, v, _, v_prime, q_prime = kernel.clock_rate(x)
+    wronskian = v * v * q_prime
+    f_prime = np.asarray(_derivative(f)(x))
+    drift = f_prime - v_prime / v * (np.asarray(f(x)) - float(f(0.0)))
+    return (float(w @ (f_prime ** 2 / wronskian)) / 4, float(w @ (drift ** 2 / wronskian)) / 8,
+            float(np.max(np.abs(v_prime / v))))
+
+
+SOBOLEV_MEMBER = sample_ellipsoid(ClassSpec.sobolev(2.0, 1.0), K=16, seed=3)
+AFFINE_KERNELS = [preset("bm"), preset("slepian"), make_kernel("lab", "t", "2 - t"),
+                  make_kernel("affine", "t", "1 - 0.9*t")]
+
+
+class TestLeadingConstants:
+    """n discretization_statistic -> C_disc and n kl_sequential -> C_KL on
+    smooth periodic f, with |ratio - 1| <= LEADING_C max(1, rate) / n, the
+    rate max |v'/v| (L on ou(L), 9 on 1 - 0.9 t)."""
+
+    LEADING_C = 1.1  # worst measured: 1.005, ou(5) discretization with cos(2 pi x) at n = 256
+
+    @pytest.mark.parametrize("kernel", [preset("ou", 1.0), preset("ou", 5.0)] + AFFINE_KERNELS,
+                             ids=lambda k: k.name)
+    @pytest.mark.parametrize("f", [COS, SOBOLEV_MEMBER], ids=["cos", "sobolev"])
+    def test_n_times_statistic_tends_to_its_constant(self, kernel, f):
+        c_disc, c_kl, rate = _leading_constants(kernel, f)
+        for n in (256, 1024):
+            bound = self.LEADING_C * max(1.0, rate) / n
+            assert abs(n * discretization_statistic(kernel, f, n) / c_disc - 1) <= bound, n
+            assert abs(n * kl_sequential(kernel, f, n) / c_kl - 1) <= bound, n
+
+    @pytest.mark.parametrize("kernel", AFFINE_KERNELS, ids=lambda k: k.name)
+    def test_kl_constant_is_half_the_discretization_constant_on_affine_v(self, kernel):
+        """W is constant when v is affine, and the cross terms of C_KL
+        integrate to (f(1) - f(0))^2 s / v(1), which is 0 for periodic f."""
+        for f in (COS, SOBOLEV_MEMBER):
+            c_disc, c_kl, _ = _leading_constants(kernel, f)
+            assert math.isclose(c_kl, c_disc / 2, rel_tol=1e-10), f.name
 
 
 class TestProjectionStatistic:

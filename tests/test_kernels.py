@@ -34,14 +34,30 @@ from gmequiv.kernels import (
     unpinned_design_clock,
     validate_assumption,
 )
-from gmequiv.rkhs import projection_distance, projection_distance_dense
+from gmequiv.rkhs import (
+    decoupled_drift,
+    kriging_interpolate,
+    projection_distance,
+    projection_distance_dense,
+)
 from gmequiv.samples import path_grid
+from gmequiv.sampling import sample_paths
 
 ALL_PRESETS = ("bm", "ou", "bridge", "slepian")
 
 
 def _fd(fn, t, h=1e-6):
     return (np.asarray(fn(t + h)) - np.asarray(fn(t - h))) / (2 * h)
+
+
+def _q(k, t):
+    """The clock of kernel k at t, as k.clock gives it."""
+    return k.clock(t)[2]
+
+
+def _q_prime(k, t):
+    """The clock's derivative of kernel k at t, as k.clock_rate gives it."""
+    return k.clock_rate(t)[4]
 
 
 class TestPresetValues:
@@ -52,7 +68,7 @@ class TestPresetValues:
         ts = np.linspace(0, 1, 11)
         np.testing.assert_array_equal(k.u(ts), ts)
         np.testing.assert_array_equal(k.v(ts), np.ones(11))
-        np.testing.assert_array_equal(k.q(ts), ts)
+        np.testing.assert_array_equal(_q(k, ts), ts)
         assert k.horizon == 1.0
 
     def test_ou(self):
@@ -61,20 +77,20 @@ class TestPresetValues:
         ts = np.linspace(0, 1, 11)
         np.testing.assert_allclose(k.u(ts), np.exp(L * ts) - np.exp(-L * ts), rtol=1e-15)
         np.testing.assert_allclose(k.v(ts), np.exp(-L * ts), rtol=1e-15)
-        np.testing.assert_allclose(k.q(ts), np.exp(2 * L * ts) - 1, rtol=1e-14)
+        np.testing.assert_allclose(_q(k, ts), np.exp(2 * L * ts) - 1, rtol=1e-14)
         assert math.isclose(k.horizon, math.exp(2 * L) - 1, rel_tol=1e-15)
 
     def test_bridge(self):
         k = preset("bridge")
         ts = np.linspace(0, 0.9, 10)
-        np.testing.assert_allclose(k.q(ts), ts / (1 - ts), rtol=1e-15)
+        np.testing.assert_allclose(_q(k, ts), ts / (1 - ts), rtol=1e-15)
         assert math.isinf(k.horizon)
         assert float(k.v(1.0)) == 0.0
 
     def test_slepian(self):
         k = preset("slepian")
         ts = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(k.q(ts), ts / (2 - ts), rtol=1e-15)
+        np.testing.assert_allclose(_q(k, ts), ts / (2 - ts), rtol=1e-15)
         assert k.horizon == 1.0
 
     @pytest.mark.parametrize("name", sorted(LINEAR_PRESETS))
@@ -97,7 +113,7 @@ class TestPresetValues:
         for name in ALL_PRESETS:
             k = preset(name)
             np.testing.assert_allclose(
-                k.q(ts), np.asarray(k.u(ts)) / np.asarray(k.v(ts)),
+                _q(k, ts), np.asarray(k.u(ts)) / np.asarray(k.v(ts)),
                 rtol=1e-12, err_msg=name,
             )
 
@@ -105,7 +121,7 @@ class TestPresetValues:
         ts = np.linspace(0.05, 0.9, 30)
         for name in ALL_PRESETS:
             k = preset(name)
-            np.testing.assert_allclose(k.q_prime(ts), _fd(k.q, ts), rtol=1e-5,
+            np.testing.assert_allclose(_q_prime(k, ts), _fd(lambda t: _q(k, t), ts), rtol=1e-5,
                                        err_msg=name)
             np.testing.assert_allclose(k.v_prime(ts), _fd(k.v, ts), rtol=1e-5,
                                        atol=1e-9, err_msg=name)
@@ -138,10 +154,9 @@ class TestPresetValues:
         with pytest.raises(AssumptionViolation, match="L = "):
             preset("ou", math.nextafter(L, math.inf))
         k = preset("ou", L)
-        assert k.horizon == k.q(1.0)
+        assert k.horizon == _q(k, 1.0)
         ts = np.linspace(0.0, 1.0, VALIDATION_GRID)
-        for fn in (k.u, k.v, k.q, k.q_prime):
-            assert np.all(np.isfinite(fn(ts)))
+        assert all(np.all(np.isfinite(part)) for part in k.clock_rate(ts))
 
     def test_ou_rate_defaults_to_one(self):
         assert preset("ou").name == preset("ou", 1.0).name == "ou(L=1)"
@@ -162,7 +177,7 @@ class TestHorizon:
         make_kernel("lab", "t", "2 - t"),
     ], ids=lambda k: k.name)
     def test_finite_horizon_is_q_at_one(self, kernel):
-        assert kernel.horizon == float(kernel.q(1.0))
+        assert kernel.horizon == float(_q(kernel, 1.0))
 
     @pytest.mark.parametrize("kernel", [
         preset("bridge"), make_kernel("pin", "t", "1 - t"),
@@ -170,6 +185,58 @@ class TestHorizon:
     ], ids=lambda k: k.name)
     def test_pinned_endpoint_gives_infinite_horizon(self, kernel):
         assert math.isinf(kernel.horizon)
+
+
+class TestClock:
+    """clock and clock_rate evaluate each factor once per point set, and
+    every reader takes u, v, q, v' and q' from them."""
+
+    @pytest.mark.parametrize("kernel", [preset(name) for name in ALL_PRESETS] + [
+        make_kernel("lab", "t", "2 - t"), make_kernel("affine", "t", "1 - 0.9*t"),
+    ], ids=lambda k: k.name)
+    def test_clock_is_u_over_v_bit_for_bit(self, kernel):
+        ts = path_grid(64)
+        u, v = np.asarray(kernel.u(ts)), np.asarray(kernel.v(ts))
+        u_prime, v_prime = np.asarray(kernel.u_prime(ts)), np.asarray(kernel.v_prime(ts))
+        with np.errstate(divide="ignore"):  # the bridge's v(1) = 0
+            expected = (u, v, u / v, v_prime, (u_prime * v - u * v_prime) / (v * v))
+        for name, got, want in zip(("u", "v", "q"), kernel.clock(ts), expected):
+            assert got.dtype == float
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        for name, got, want in zip(("u", "v", "q", "v'", "q'"), kernel.clock_rate(ts), expected):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @staticmethod
+    def _counted(calls: list) -> GaussMarkovKernel:
+        """ou(1) with every factor call logged as (factor, points)."""
+        ou = preset("ou", 1.0)
+
+        def logged(name):
+            def factor(t):
+                calls.append((name, np.asarray(t, dtype=float).tobytes()))
+                return getattr(ou, name)(t)
+            return factor
+
+        return GaussMarkovKernel("counted", *(logged(name) for name in
+                                              ("u", "v", "u_prime", "v_prime")))
+
+    @pytest.mark.parametrize("reader", [
+        lambda k: design_clock(k, 16),
+        lambda k: validate_assumption(k),
+        lambda k: sample_paths(k, path_grid(16), 3, 0),
+        lambda k: kriging_interpolate(k, np.ones(16), path_grid(16)),
+        lambda k: decoupled_drift(k, FourierFunction.harmonic(1), path_grid(16)),
+        lambda k: projection_distance_dense(k, FourierFunction.harmonic(1), 8),
+        lambda k: transformation_discrepancy(k, FourierFunction.harmonic(1), 16),
+    ], ids=["design_clock", "validate_assumption", "sample_paths", "kriging_interpolate",
+            "decoupled_drift", "projection_distance_dense", "transformation_discrepancy"])
+    def test_each_reader_evaluates_each_factor_once_per_point_set(self, reader):
+        calls = []
+        kernel = self._counted(calls)
+        assert sorted(name for name, _ in calls) == ["u", "v"]  # the horizon
+        calls.clear()
+        reader(kernel)
+        assert calls and len(set(calls)) == len(calls)
 
 
 class TestGauge:
@@ -209,7 +276,7 @@ class TestGauge:
         decades: both are positive in the interior, so both pass the shape
         check, on the default grid and a finer one, and keep q(1)."""
         k = make_kernel("wide", u, "1")
-        assert k.horizon == k.q(1.0) and math.isfinite(k.horizon)
+        assert k.horizon == _q(k, 1.0) and math.isfinite(k.horizon)
         assert validate_assumption(k, 10**5).passed
 
     def test_no_variance_is_relative_to_the_grid(self):
@@ -314,19 +381,18 @@ class TestCustomKernels:
         if name == "bridge":
             ts = ts[:-1]
         np.testing.assert_allclose(gram(k, ts[1:]), gram(ref, ts[1:]), rtol=1e-15)
-        for part in ("u", "v", "q"):
-            np.testing.assert_allclose(getattr(k, part)(ts), getattr(ref, part)(ts),
-                                       rtol=1e-14, atol=0.0, err_msg=part)
-        for part in ("q_prime", "v_prime"):
-            np.testing.assert_allclose(getattr(k, part)(ts), getattr(ref, part)(ts),
-                                       rtol=1e-6, atol=1e-6, err_msg=part)
+        ours, theirs = k.clock_rate(ts), ref.clock_rate(ts)
+        for part, i in (("u", 0), ("v", 1), ("q", 2)):
+            np.testing.assert_allclose(ours[i], theirs[i], rtol=1e-14, atol=0.0, err_msg=part)
+        for part, i in (("v_prime", 3), ("q_prime", 4)):
+            np.testing.assert_allclose(ours[i], theirs[i], rtol=1e-6, atol=1e-6, err_msg=part)
         assert k.horizon == ref.horizon
 
     def test_text_slepian_derivatives(self):
         """Finite-difference q' of a text kernel tracks the analytic one."""
         k = make_kernel("slepian-text", "t", "2 - t")
         ts = np.linspace(0.0, 1.0, 41)
-        np.testing.assert_allclose(k.q_prime(ts), 2.0 / (2.0 - ts) ** 2, rtol=1e-5)
+        np.testing.assert_allclose(_q_prime(k, ts), 2.0 / (2.0 - ts) ** 2, rtol=1e-5)
 
     def test_nonmonotone_clock_rejected(self):
         with pytest.raises(AssumptionViolation, match="q_strictly_increasing"):

@@ -28,12 +28,13 @@ def _central_difference(fn, t, h=1e-6):
 
 
 def _check_derived_clock(kernel, qp_rtol):
-    np.testing.assert_allclose(np.asarray(kernel.q(TS)) * np.asarray(kernel.v(TS)),
-                               kernel.u(TS), rtol=1e-15, atol=0.0)
+    u, v, q = kernel.clock(TS)
+    np.testing.assert_allclose(q * v, u, rtol=1e-15, atol=0.0)
     inner = TS[1:-1]
-    np.testing.assert_allclose(kernel.q_prime(inner),
-                               _central_difference(kernel.q, inner), rtol=qp_rtol)
-    assert kernel.horizon == float(kernel.q(1.0))
+    np.testing.assert_allclose(kernel.clock_rate(inner)[4],
+                               _central_difference(lambda t: kernel.clock(t)[2], inner),
+                               rtol=qp_rtol)
+    assert kernel.horizon == float(q[-1])
 
 
 @given(st.floats(0.05, 3.0))

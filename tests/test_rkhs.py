@@ -8,7 +8,7 @@ import pytest
 from gmequiv.diagnostics import kl_sequential
 from gmequiv.errors import DegenerateCell, KernelDegenerate, SingularCovariance
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
-from gmequiv.kernels import make_kernel, preset
+from gmequiv.kernels import GaussMarkovKernel, make_kernel, preset, validate_assumption
 from gmequiv.quadrature import adaptive_integral
 from gmequiv.rkhs import (
     _preimage,
@@ -18,7 +18,8 @@ from gmequiv.rkhs import (
     projection_distance_dense,
     rkhs_norm,
 )
-from gmequiv.samples import design_knots
+from gmequiv.samples import design_knots, path_grid
+from gmequiv.sampling import sample_paths
 
 FINITE_PRESETS = ("bm", "ou", "slepian")
 COS = FourierFunction.harmonic(1)
@@ -36,7 +37,7 @@ def _reproduce_F(k, g_of_time, ts) -> np.ndarray:
     g_of_time(w) = g(q(w))."""
 
     def integrand(w):
-        return np.asarray(g_of_time(w)) * np.asarray(k.q_prime(w))
+        return np.asarray(g_of_time(w)) * k.clock_rate(w)[4]
 
     integrals = [adaptive_integral(integrand, 0.0, float(t)) if t > 0 else 0.0 for t in ts]
     return np.asarray(k.v(ts)) * np.array(integrals)
@@ -84,15 +85,18 @@ class TestNorm:
         the integral of g^2 over [0, T] pulled back to [0, 1] as rkhs_norm
         pulls it back: integral_0^1 g(q(w))^2 q'(w) dw."""
         k = preset("ou", 1.0)
-        split = float(k.q(0.5))
+        split = float(k.clock(0.5)[2])
 
         def g(x):
             x = np.asarray(x, dtype=float)
             return np.where(x < split, 3.0, 0.5)
 
         # the jump sits at w = 0.5, a panel edge at every quadrature level
-        norm_sq = adaptive_integral(lambda w: g(k.q(w)) ** 2 * np.asarray(k.q_prime(w)),
-                                    0.0, 1.0)
+        def integrand(w):
+            _, _, q, _, q_prime = k.clock_rate(w)
+            return g(q) ** 2 * q_prime
+
+        norm_sq = adaptive_integral(integrand, 0.0, 1.0)
         expected_sq = 9.0 * split + 0.25 * (k.horizon - split)
         assert math.isclose(norm_sq, expected_sq, rel_tol=1e-8)
 
@@ -181,6 +185,30 @@ class TestKriging:
     def test_pinned_kernel_rejected(self):
         with pytest.raises(SingularCovariance, match=r"v\(1\)"):
             kriging_interpolate(preset("bridge"), np.ones(4), np.linspace(0, 1, 9))
+
+
+def test_a_factor_that_returns_its_input_is_only_read():
+    """A factor may return its input array itself, as the linear presets'
+    u does. Here u hands back a read-only view of it, so a reader that
+    wrote into u's values would raise; the grid is read-only as well, and
+    every result is slepian's own."""
+    slepian = preset("slepian")
+
+    def u(t):
+        view = np.asarray(t, dtype=float).view()
+        view.flags.writeable = False
+        return view
+
+    kernel = GaussMarkovKernel("slepian", u, slepian.v, slepian.u_prime, slepian.v_prime)
+    grid = path_grid(16)
+    grid.flags.writeable = False
+    y = np.asarray(COS.antiderivative(design_knots(16)))
+    np.testing.assert_array_equal(kriging_interpolate(kernel, y, grid),
+                                  kriging_interpolate(slepian, y, grid))
+    np.testing.assert_array_equal(sample_paths(kernel, grid, 3, 0),
+                                  sample_paths(slepian, grid, 3, 0))
+    assert validate_assumption(kernel).lines() == validate_assumption(slepian).lines()
+    np.testing.assert_array_equal(grid, path_grid(16))
 
 
 def _delta_sq(kernel, f, n: int) -> float:

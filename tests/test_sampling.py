@@ -17,10 +17,10 @@ def _one_shot(kernel, grid, npaths, seed, label):
     sqrt(dq), summed along each path, times v."""
     lo, hi = 1, grid.size - (1 if kernel.name == "bridge" else 0)
     gen = rng.stream(seed, label, kernel.name, grid.size, npaths)
-    dq = np.diff(np.asarray(kernel.q(grid[lo:hi])), prepend=0.0)
-    draws = gen.standard_normal((npaths, hi - lo)) * np.sqrt(dq)
+    _, v, q = kernel.clock(grid[lo:hi])
+    draws = gen.standard_normal((npaths, hi - lo)) * np.sqrt(np.diff(q, prepend=0.0))
     out = np.zeros((npaths, grid.size))
-    out[:, lo:hi] = np.cumsum(draws, axis=1) * np.asarray(kernel.v(grid[lo:hi]))
+    out[:, lo:hi] = np.cumsum(draws, axis=1) * v
     return out
 
 
