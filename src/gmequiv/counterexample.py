@@ -102,8 +102,9 @@ class DecisionProblem:
         return 0.0 if abs(action - self.target(f)) <= self.tolerance else 1.0
 
     def misses(self, f: FourierFunction, actions: np.ndarray) -> int:
-        """How many actions lose: the plug-in risk times len(actions)."""
-        return int(np.count_nonzero(np.abs(actions - self.target(f)) > self.tolerance))
+        """How many actions lose by the rule of loss, a NaN action
+        included: the plug-in risk times len(actions)."""
+        return int(np.count_nonzero(~(np.abs(actions - self.target(f)) <= self.tolerance)))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from .fourier import (
     scale_into_hoelder_ball,
 )
 from .kernels import GaussMarkovKernel, design_clock, gram, unpinned_design_clock
-from .samples import design_knots
+from .samples import block_rows, design_knots
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
 EXTREMAL_RANDOM_MEMBERS = 2  # seeded ellipsoid members of class_extremal_family
@@ -69,7 +69,6 @@ MAX_FAMILY_N = MAX_FREQUENCY // 2
 # panel-sized temporaries, about 128 MiB at this n
 MAX_DENSE_KL_N = 4096
 _PANEL = 128  # columns per panel of kl_dense's blocked Cholesky factor
-_DFT_ROWS = 256  # rows of the Parseval check's phase matrix built at once
 
 
 def _gaps(f: FourierFunction, n: int) -> np.ndarray:
@@ -241,13 +240,14 @@ def band_split_decomposition(f: FourierFunction, n: int) -> BandDecomposition:
         C = tail.cell_averages(n)
         d = _gaps(f, n)
         # direct DFT of the low-band gaps, O(n^2) on purpose (no FFT), with the
-        # phase matrix built _DFT_ROWS rows at a time, so memory is O(n)
+        # phase matrix built block_rows(n) rows at a time, so memory is one block
         j = np.arange(1, n + 1)
         gaps = A.astype(complex)
         F = np.empty(n, dtype=complex)
-        for lo in range(0, n, _DFT_ROWS):
-            phases = np.exp(-2j * np.pi * np.outer(j[lo : lo + _DFT_ROWS], j) / n)
-            F[lo : lo + _DFT_ROWS] = phases @ gaps
+        rows = block_rows(n)
+        for lo in range(0, n, rows):
+            phases = np.exp(-2j * np.pi * np.outer(j[lo : lo + rows], j) / n)
+            F[lo : lo + rows] = phases @ gaps
         F /= n
         parseval = abs(float(np.sum(A * A) / n) - float(np.sum(np.abs(F) ** 2)))
         return BandDecomposition(
@@ -464,24 +464,21 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
     usable = sorted((n, v) for n, v in zip(ns, maxima) if np.isfinite(v) and v > 0.0)
     excluded = tuple(n for n, v in zip(ns, maxima) if not (np.isfinite(v) and v > 0.0))
     half = usable[len(usable) // 2 :] if len(usable) >= 2 else []
-    if len(half) < 2:
-        return RateReport(
-            statistic=statistic, kernel_id=kernel.name, family=family.name,
-            n_values=ns, values=tuple(maxima), failures=tuple(failures),
-            excluded=excluded, fit_ns=(),
-            slope=None, stderr=None, target=target, margin=margin, degenerate=True,
-        )
-    xs = np.log10([n for n, _ in half])
-    ys = np.log10([v for _, v in half])
-    if len(half) >= 3:
-        coeffs, cov = np.polyfit(xs, ys, 1, cov=True)
-        stderr = float(np.sqrt(cov[0, 0]))
-    else:
-        coeffs = np.polyfit(xs, ys, 1)
-        stderr = float("nan")
+    slope = stderr = None
+    fit_ns = ()
+    if len(half) >= 2:
+        xs = np.log10([n for n, _ in half])
+        ys = np.log10([v for _, v in half])
+        if len(half) >= 3:
+            coeffs, cov = np.polyfit(xs, ys, 1, cov=True)
+            stderr = float(np.sqrt(cov[0, 0]))
+        else:
+            coeffs = np.polyfit(xs, ys, 1)
+            stderr = float("nan")
+        slope, fit_ns = float(coeffs[0]), tuple(n for n, _ in half)
     return RateReport(
         statistic=statistic, kernel_id=kernel.name, family=family.name,
         n_values=ns, values=tuple(maxima), failures=tuple(failures), excluded=excluded,
-        fit_ns=tuple(n for n, _ in half), slope=float(coeffs[0]), stderr=stderr,
-        target=target, margin=margin, degenerate=False,
+        fit_ns=fit_ns, slope=slope, stderr=stderr,
+        target=target, margin=margin, degenerate=slope is None,
     )

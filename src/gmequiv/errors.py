@@ -65,11 +65,14 @@ class QuadratureFailure(GmequivError):
 
     Attributes
     ----------
+    message : str
+        What missed, without the achieved tolerance.
     achieved : float
         The relative tolerance actually achieved.
     """
 
     def __init__(self, message: str, achieved: float):
+        self.message = message
         self.achieved = achieved
         super().__init__(f"{message} (achieved relative tolerance {achieved:.3e})")
 

@@ -208,31 +208,32 @@ class _Parser:
 # evaluation
 
 
-def _evaluate(node: Node, t: np.ndarray) -> np.ndarray:
+BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _evaluate(node: Node, t: np.ndarray):
+    """The value of node at t: a float where node holds no t, else an array
+    broadcast from t (t itself for a bare Var)."""
     if isinstance(node, Num):
-        return np.full_like(t, node.value)
+        return node.value
     if isinstance(node, Var):
-        return t.copy()
+        return t
     if isinstance(node, Neg):
-        return -_evaluate(node.operand, t)
+        return np.negative(_evaluate(node.operand, t))
     if isinstance(node, Call):
         return FUNCTIONS[node.fn](_evaluate(node.arg, t))
-    left = _evaluate(node.left, t)
-    right = _evaluate(node.right, t)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return left / right
-    return np.power(left, right)
+    return BINARY[node.op](_evaluate(node.left, t), _evaluate(node.right, t))
 
 
 @dataclass(frozen=True)
 class KernelExpression:
-    """A parsed expression in the single variable t, evaluable on arrays."""
+    """A parsed expression in the single variable t, evaluable on arrays.
+
+    The value at an array is read-only, in the shape of t: a constant
+    expression is one float broadcast to that shape, and the expression
+    't' is a view of t itself. A constant exponent 2, 0.5 or -1 is taken
+    as numpy takes one: x*x, sqrt(x) and 1/x, each correctly rounded.
+    """
 
     root: Node
     source: str
@@ -240,16 +241,14 @@ class KernelExpression:
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
-            out = _evaluate(self.root, np.atleast_1d(arr))
+            out = np.broadcast_to(_evaluate(self.root, arr), arr.shape)
         bad = ~np.isfinite(out)
         if np.any(bad):
-            where = float(np.atleast_1d(arr).flat[np.argmax(bad)])
+            where = float(arr.flat[np.argmax(bad)])
             raise EvaluationError(
                 f"expression {self.source!r} is not finite at t={where!r}"
             )
-        if arr.ndim == 0:
-            return float(out[0])
-        return out
+        return float(out) if arr.ndim == 0 else out
 
 
 def parse_kernel_expression(source: str) -> KernelExpression:

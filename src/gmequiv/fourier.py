@@ -45,14 +45,13 @@ import numpy as np
 
 from . import rng
 from .errors import HermitianViolation
-from .samples import path_grid
+from .samples import block_rows, path_grid
 
 _IMAG_TOL = 1e-12
 # A column within this absolute distance of an arithmetic progression is
 # evaluated at the progression, by FFT.
 _PROGRESSION_TOL = 8 * np.finfo(float).eps
 _ELLIPSOID_DECAY_MARGIN = 0.1  # the epsilon in the sampling decay exponent
-_CHUNK = 2048
 # Largest |k| a function spec may name: theta has 2|k| + 1 entries, so this
 # caps one spec at 32 MB of coefficients, far above any K the package builds.
 MAX_FREQUENCY = 2**20
@@ -144,7 +143,7 @@ class FourierFunction:
         (j0 + frac_c + r) / m with at least m - 1 points, with one m and one
         j0 for all the columns (_progression), the array is evaluated by one
         batched real inverse FFT (_fft_columns). Otherwise the whole array
-        goes through the dense sum, chunked over its points. Both routes
+        goes through the dense sum, blocked over its points. Both routes
         keep the real part.
 
         The imaginary part of the sum is at most
@@ -325,16 +324,19 @@ def _fft_columns(ks: np.ndarray, weights: np.ndarray, m: int, j0: int,
 
 
 def _dense_sum(t: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k exp(-2 pi i k t) at arbitrary t, chunked over t.
+    """sum_k weights_k exp(-2 pi i k t) at arbitrary t, in blocks of
+    block_rows(ks.size) points, so no phase block holds more than
+    BLOCK_ELEMENTS entries whatever K is.
 
     The product is np.einsum, not `@`: a BLAS matrix-vector product wakes
-    the BLAS thread pool on every chunk, which costs milliseconds per call
+    the BLAS thread pool on every block, which costs milliseconds per call
     at small K, where the sum itself costs microseconds.
     """
     out = np.empty(t.shape, dtype=complex)
-    for lo in range(0, t.size, _CHUNK):
-        phases = np.exp(-2j * np.pi * np.outer(t[lo : lo + _CHUNK], ks))
-        out[lo : lo + _CHUNK] = np.einsum("ij,j->i", phases, weights)
+    rows = block_rows(ks.size)
+    for lo in range(0, t.size, rows):
+        phases = np.exp(-2j * np.pi * np.outer(t[lo : lo + rows], ks))
+        out[lo : lo + rows] = np.einsum("ij,j->i", phases, weights)
     return out
 
 

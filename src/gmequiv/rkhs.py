@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import KernelDegenerate, SingularCovariance
+from .errors import KernelDegenerate, QuadratureFailure, SingularCovariance
 from .fourier import FourierFunction
 from .kernels import (
     VALIDATION_GRID,
@@ -72,11 +72,26 @@ def _preimage(kernel: GaussMarkovKernel, f: FourierFunction, w) -> tuple[np.ndar
         return drift / q_prime, q_prime
 
 
+def _clock_integral(kernel: GaussMarkovKernel, integrand, breakpoints=()) -> float:
+    """adaptive_integral of integrand over [0, 1]. A QuadratureFailure is
+    raised again, with the same achieved tolerance, naming the kernel: an
+    integral against q' that does not settle may mean that g is not square
+    integrable, so that F_f lies outside the kernel's RKHS."""
+    try:
+        return adaptive_integral(integrand, 0.0, 1.0, breakpoints=breakpoints)
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(
+            f"{exc.message} on kernel {kernel.name!r}; F_f may lie outside "
+            "the kernel's RKHS", exc.achieved) from exc
+
+
 def rkhs_norm(kernel: GaussMarkovKernel, f: FourierFunction) -> float:
     """||F_f||_H = sqrt(integral_0^T g^2), via the clock substitution.
 
     Raises DegenerateCell when the clock is not increasing on the
-    VALIDATION_GRID, where q' < 0 would make the integrand meaningless.
+    VALIDATION_GRID, where q' < 0 would make the integrand meaningless,
+    and QuadratureFailure naming the kernel when the integral does not
+    settle (_clock_integral).
     """
     design_clock(kernel, VALIDATION_GRID - 1)
 
@@ -84,7 +99,7 @@ def rkhs_norm(kernel: GaussMarkovKernel, f: FourierFunction) -> float:
         g, q_prime = _preimage(kernel, f, w)
         return g ** 2 * q_prime
 
-    value = adaptive_integral(integrand, 0.0, 1.0)
+    value = _clock_integral(kernel, integrand)
     return float(np.sqrt(max(value, 0.0)))
 
 
@@ -106,8 +121,9 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
     with j(w) the cell holding w. D_n is one quadrature call with the
     knots as panel edges; the integrand is nonnegative and the
     Gauss-Legendre weights are positive, so there is no cancellation. A
-    degenerate clock cell raises DegenerateCell, and a pinned endpoint
-    KernelDegenerate (unpinned_design_clock).
+    degenerate clock cell raises DegenerateCell, a pinned endpoint
+    KernelDegenerate (unpinned_design_clock), and an integral that does not
+    settle QuadratureFailure naming the kernel (_clock_integral).
     """
     v, q = unpinned_design_clock(kernel, n, KernelDegenerate, "the design span is not closed in L2")
     knots = path_grid(n, n + 1)
@@ -117,7 +133,7 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
         g, q_prime = _preimage(kernel, f, w)
         return (g - alpha[np.searchsorted(knots, w, side="right") - 1]) ** 2 * q_prime
 
-    return adaptive_integral(residual, 0.0, 1.0, breakpoints=knots)
+    return _clock_integral(kernel, residual, breakpoints=knots)
 
 
 def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:

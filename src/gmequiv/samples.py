@@ -10,6 +10,16 @@ from .errors import GridMismatch
 
 VARIANTS = ("original", "cell_averaged")
 DEFAULT_GRID_DENSITY = 20
+# Elements per block of every blocked loop: the sampler's normals, the
+# pinned endpoint's zeros, the dense Fourier sum's phases and the Parseval
+# DFT's phase rows. 512 KiB of float64, 1 MiB of complex.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def block_rows(width: int) -> int:
+    """Rows of `width` elements in one block: BLOCK_ELEMENTS // width, at
+    least one. BLOCK_ELEMENTS is read at each call."""
+    return max(1, BLOCK_ELEMENTS // width)
 
 
 def design_knots(n: int) -> np.ndarray:

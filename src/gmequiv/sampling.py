@@ -20,15 +20,17 @@ variance everywhere, or with a variance that spans many decades (u = t^5)
 is drawn by its own law. A negative u v is not zeroed either: the clock
 check refuses it.
 
-Draws are streamed in blocks of whole paths, at most BLOCK_DRAWS normals
-each (at least one path). Every block is drawn into one reused buffer and
-multiplied by sqrt(dq) there, and each caller reduces it to what it keeps
-before the next block overwrites it. sample_paths keeps every running sum
+Draws are streamed in blocks of whole paths, samples.block_rows(columns)
+paths each: at most samples.BLOCK_ELEMENTS normals (at least one path),
+the one block budget that every blocked loop in the package shares. Every
+block is drawn into one reused buffer and multiplied by sqrt(dq) there,
+and each caller reduces it to what it keeps before the next block
+overwrites it. sample_paths keeps every running sum
 times v: on blocks at most COLUMN_ADD_WIDTH columns wide it adds column by
 column, where np.cumsum over short rows is slow, and on wider blocks it
 calls np.cumsum. The generator is read in the same row-major order whatever
 the block size, and every sum runs left to right along its own path, so
-every path value is independent of BLOCK_DRAWS and of the route.
+every path value is independent of BLOCK_ELEMENTS and of the route.
 
 endpoint_blocks streams only the endpoints, one block of paths at a time,
 so its memory is one block, its Fortran-ordered copy and one block of sums
@@ -37,7 +39,7 @@ a contiguous buffer: np.add.reduce adds the columns of the copy, left to
 right as np.cumsum does when the block has two or more rows; a one-row
 block, which np.add.reduce would sum pairwise, takes np.cumsum. So every
 endpoint is bit for bit the last column of sample_paths, independent of
-BLOCK_DRAWS. A statistic merged over the blocks, such as the
+BLOCK_ELEMENTS. A statistic merged over the blocks, such as the
 counterexample's streamed variance, depends on the block partition only in
 its last bits.
 """
@@ -51,10 +53,10 @@ import numpy as np
 from . import rng
 from .errors import SingularCovariance
 from .kernels import GaussMarkovKernel
+from .samples import block_rows
 
-BLOCK_DRAWS = 1 << 16  # normals per streamed block: 512 KB of float64
 # Widest block whose running sums are built by one np.add per column. On a
-# block of BLOCK_DRAWS normals (x86-64 Xeon, numpy 2.4) the column adds take
+# block of BLOCK_ELEMENTS normals (x86-64 Xeon, numpy 2.4) the column adds take
 # 100 us at 10 columns where np.cumsum, looping row by row, takes 266 us; the
 # two break even near 64 columns.
 COLUMN_ADD_WIDTH = 48
@@ -111,7 +113,7 @@ def _path_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int, label:
     _require(kernel, grid[lo:hi], ~(np.isfinite(dq) & (dq > 0.0)),
              "q is not finite and strictly increasing from q(0) = 0")
     scale = np.sqrt(dq, out=dq)
-    rows = max(1, BLOCK_DRAWS // (hi - lo))
+    rows = block_rows(hi - lo)
     buffer = np.empty((min(rows, npaths), hi - lo))
 
     def blocks():
@@ -164,8 +166,9 @@ def endpoint_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
 
     def sums():
         if lo + v.size < size:  # the endpoint is a pinned zero
-            for first in range(0, npaths, BLOCK_DRAWS):
-                yield np.zeros(min(BLOCK_DRAWS, npaths - first))
+            rows = block_rows(1)
+            for first in range(0, npaths, rows):
+                yield np.zeros(min(rows, npaths - first))
             return
         buffer = np.empty(0)
         for _, block in blocks:

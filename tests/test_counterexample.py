@@ -17,8 +17,8 @@ from gmequiv.counterexample import (
 from gmequiv.errors import GridMissingEndpoints
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import preset
-from gmequiv.samples import PathSample, path_grid
-from gmequiv.sampling import BLOCK_DRAWS, endpoint_blocks
+from gmequiv.samples import BLOCK_ELEMENTS, PathSample, path_grid
+from gmequiv.sampling import endpoint_blocks
 
 
 class TestSpikeFunction:
@@ -108,6 +108,14 @@ class TestDecisionProblem:
         actions = np.array([target, target + 0.02, target - 0.005])
         assert problem.misses(spike, actions) == 1
 
+    def test_nan_action_is_a_miss_for_both_rules(self):
+        problem = DecisionProblem(tolerance=0.01)
+        spike = build_fn(4, 1.0, 1.0)
+        target = problem.target(spike)
+        assert problem.loss(spike, float("nan")) == 1.0
+        assert problem.misses(spike, np.array([np.nan])) == 1
+        assert problem.misses(spike, np.array([target, np.nan, target + 0.02])) == 2
+
 
 class TestIndistinguishabilityCheck:
     def test_all_premises_hold(self):
@@ -172,7 +180,7 @@ class TestStreamedPremise:
     @pytest.mark.parametrize("mc_paths", [50_000, 2], ids=["four-blocks", "two-paths"])
     def test_variance_matches_all_endpoints_at_once(self, mc_paths):
         n = 4
-        assert mc_paths % (BLOCK_DRAWS // n) != 0
+        assert mc_paths % (BLOCK_ELEMENTS // n) != 0
         report = indistinguishability_check(n, seed=3, mc_paths=mc_paths)
         one_shot = float(np.var(self._actions(n, mc_paths, 3), ddof=1))
         assert math.isclose(report.mc_variance, one_shot, rel_tol=1e-14, abs_tol=0.0)

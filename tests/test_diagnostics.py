@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gmequiv import diagnostics
+from gmequiv import diagnostics, samples
 from gmequiv.diagnostics import (
     DEFAULT_N_GRID,
     STATISTICS,
@@ -33,7 +33,7 @@ from gmequiv.errors import (
 from gmequiv.fourier import MAX_FREQUENCY, ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import gram, make_kernel, preset
 from gmequiv.rkhs import kriging_interpolate, projection_distance
-from gmequiv.samples import design_knots
+from gmequiv.samples import block_rows, design_knots
 
 COS = FourierFunction.harmonic(1)
 KERNELS = ("bm", "ou", "slepian")
@@ -316,7 +316,9 @@ class TestBandDecomposition:
         last block, gives the decomposition of the whole matrix at once."""
         f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=600, seed=3)
         blocked = band_split_decomposition(f, 300)
-        monkeypatch.setattr(diagnostics, "_DFT_ROWS", 300)
+        assert block_rows(300) < 300
+        monkeypatch.setattr(samples, "BLOCK_ELEMENTS", 300 * 300)
+        assert block_rows(300) == 300
         assert band_split_decomposition(f, 300) == blocked
 
     def test_statistic_is_bound_total(self):

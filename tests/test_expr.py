@@ -83,6 +83,17 @@ class TestEvaluation:
         assert isinstance(out, np.ndarray)
         assert out.shape == (5,)
 
+    def test_values_are_read_only_in_the_input_shape(self):
+        """A constant is one float broadcast to the input's shape, and 't'
+        is a view of the input, not a copy; every value is read-only."""
+        ts = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        for source, expected in (("2", np.full((3, 4), 2.0)), ("t", ts), ("2 - t", 2.0 - ts)):
+            out = parse_kernel_expression(source)(ts)
+            assert out.shape == (3, 4) and not out.flags.writeable, source
+            np.testing.assert_array_equal(out, expected)
+        assert np.shares_memory(parse_kernel_expression("t")(ts), ts)
+        assert parse_kernel_expression("2")(0.5) == 2.0
+
 
 class TestPrecedence:
     """Binding strength: ^ above unary minus above * and / above + and -."""

@@ -19,7 +19,7 @@ from gmequiv.fourier import (
 )
 from gmequiv.quadrature import _gauss_rule
 from gmequiv.rkhs import projection_distance
-from gmequiv.samples import path_grid
+from gmequiv.samples import block_rows, path_grid
 
 
 def _grid_hoelder_estimate(fn: FourierFunction, alpha: float,
@@ -265,7 +265,7 @@ class TestGridRoute:
     def test_dense_route_across_a_chunk_boundary(self, dense_calls):
         fn = _hermitian_function(5, 64)
         t = np.random.default_rng(7).random(3000)
-        assert t.size > fourier._CHUNK
+        assert t.size > block_rows(fn.ks.size)
         direct = np.zeros(t.size, dtype=complex)
         for k in fn.ks:
             direct += fn.coeff(int(k)) * np.exp(-2j * np.pi * k * t)

@@ -1,6 +1,6 @@
 """Peak memory of the dense oracles, the path draws, the counterexample's
-Monte Carlo premise, the Parseval check and the grid evaluations, in units
-of the arrays each one builds.
+Monte Carlo premise, the Parseval check, the dense Fourier sum and the grid
+evaluations, in units of the arrays each one builds.
 
 tracemalloc sees numpy's data buffers, so a routine that holds k full-size
 temporaries at once peaks at about k units. Each routine is called once
@@ -13,13 +13,13 @@ import numpy as np
 
 from gmequiv.cli import main
 from gmequiv.counterexample import indistinguishability_check
-from gmequiv.diagnostics import MAX_DENSE_KL_N, MAX_FAMILY_N, _DFT_ROWS, band_split_decomposition, kl_dense
+from gmequiv.diagnostics import MAX_DENSE_KL_N, MAX_FAMILY_N, band_split_decomposition, kl_dense
 from gmequiv.experiments import path_from_discrete, simulate_e1, simulate_e2
-from gmequiv.fourier import FourierFunction
-from gmequiv.kernels import gram, preset
-from gmequiv.rkhs import kriging_interpolate_dense
-from gmequiv.samples import path_grid
-from gmequiv.sampling import BLOCK_DRAWS, endpoint_blocks, sample_paths
+from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
+from gmequiv.kernels import gram, make_kernel, preset
+from gmequiv.rkhs import kriging_interpolate, kriging_interpolate_dense
+from gmequiv.samples import BLOCK_ELEMENTS, path_grid
+from gmequiv.sampling import endpoint_blocks, sample_paths
 
 N = 512
 UNIT = N * N * 8  # one n x n matrix of doubles
@@ -99,9 +99,9 @@ def test_endpoint_stream_holds_two_blocks():
     endpoints, plus 128 KiB for the generator's own working memory; never
     the npaths endpoints (800 KB here) or a path per row (52 MB)."""
     grid, npaths = path_grid(64, 65), 100_000
-    rows = BLOCK_DRAWS // 64
+    rows = BLOCK_ELEMENTS // 64
     peak = _peak(lambda: [block.sum() for block in endpoint_blocks(preset("bm"), grid, npaths, 0)])
-    assert peak <= 2 * 8 * BLOCK_DRAWS + 8 * rows + 2**17
+    assert peak <= 2 * 8 * BLOCK_ELEMENTS + 8 * rows + 2**17
 
 
 def test_counterexample_memory_does_not_grow_with_the_paths():
@@ -109,17 +109,27 @@ def test_counterexample_memory_does_not_grow_with_the_paths():
     the premise streams its endpoints and keeps only running moments."""
     small, large = (_peak(lambda p=p: indistinguishability_check(4, mc_paths=p))
                     for p in (100_000, 1_000_000))
-    assert abs(large - small) <= 8 * BLOCK_DRAWS
+    assert abs(large - small) <= 8 * BLOCK_ELEMENTS
 
 
 def test_parseval_dft_holds_row_blocks_not_the_phase_matrix():
-    """The direct DFT builds its phase matrix _DFT_ROWS rows at a time: the
-    integer products, their complex phases and the exponential, 3 complex
-    blocks of n x _DFT_ROWS here, never the n x n matrix (32 MiB, 8 blocks)."""
-    n = 1024
+    """The direct DFT builds its phase matrix block_rows(n) rows at a time:
+    the integer products, their complex phases and the exponential, 3
+    complex blocks of BLOCK_ELEMENTS entries whatever n is, never the n x n
+    matrix (16 MiB here). At n = 4096 the blocks are as large, beside
+    about 0.4 MiB of length-n arrays, not the 48 MiB of 256-row blocks."""
     cos = FourierFunction.harmonic(1)
-    block = n * _DFT_ROWS * 16
-    assert _peak(lambda: band_split_decomposition(cos, n)) <= 3.25 * block
+    assert _peak(lambda: band_split_decomposition(cos, 1024)) <= 3.25 * 16 * BLOCK_ELEMENTS
+    assert _peak(lambda: band_split_decomposition(cos, 4096)) <= 4 * 2**20
+
+
+def test_dense_fourier_sum_holds_one_block():
+    """Off-grid points take the dense sum, block_rows(2K + 1) points at a
+    time: the real products, their complex phases and the exponential, not
+    a 2048-point block whatever K is (768 MiB at K = 4096)."""
+    f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=4096, seed=0)
+    t = np.random.default_rng(0).random(4096)
+    assert _peak(lambda: f(t)) <= 4 * 2**20
 
 
 def test_grid_antiderivative_holds_its_fft_buffer_and_output():
@@ -137,6 +147,17 @@ def test_continuous_experiment_holds_the_noise_beside_one_evaluation():
     grid = path_grid(16384)
     cos = FourierFunction.harmonic(1)
     assert _peak(lambda: simulate_e2(preset("ou", 1.0), cos, 16384, 0)) <= 6.25 * grid.nbytes
+
+
+def test_expression_kriging_holds_three_grid_arrays():
+    """v, the clock and the output on the grid, plus the knot arrays: the
+    expression u = t is a view of the grid, not a copy of it (4.15 grid
+    arrays), and the constant 2 is one float, not a grid array."""
+    n = 16384
+    grid = path_grid(n)
+    y = np.asarray(FourierFunction.harmonic(1).antiderivative(np.arange(1, n + 1) / n))
+    lab = make_kernel("lab", "t", "2 - t")
+    assert _peak(lambda: kriging_interpolate(lab, y, grid)) <= 3.25 * grid.nbytes
 
 
 def test_rebuilt_path_holds_one_draw_beside_one_kriging():

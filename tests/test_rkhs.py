@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gmequiv.diagnostics import kl_sequential
-from gmequiv.errors import DegenerateCell, KernelDegenerate, SingularCovariance
+from gmequiv.errors import DegenerateCell, KernelDegenerate, QuadratureFailure, SingularCovariance
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import GaussMarkovKernel, make_kernel, preset, validate_assumption
 from gmequiv.quadrature import adaptive_integral
@@ -112,6 +112,17 @@ class TestNorm:
     def test_non_monotone_clock_raises_degenerate_cell(self):
         with pytest.raises(DegenerateCell):
             rkhs_norm(_hump(), COS)
+
+    def test_unsettled_integral_names_the_kernel_and_its_rkhs(self):
+        """On u = t^5, v = 1, g(q(w))^2 q'(w) = f^2 / (5 w^4) is not
+        integrable at 0, so F_f is not in the RKHS and neither integral
+        settles; the failure keeps its class and achieved tolerance."""
+        k = make_kernel("quintic", "t^5", "1")
+        for integral in (lambda: rkhs_norm(k, COS), lambda: projection_distance(k, COS, 1)):
+            with pytest.raises(QuadratureFailure, match="kernel 'quintic'.*outside the "
+                               "kernel's RKHS") as caught:
+                integral()
+            assert 0.5 < caught.value.achieved < 1.0
 
 
 class TestProjectionDistance:

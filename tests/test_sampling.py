@@ -8,8 +8,8 @@ import pytest
 from gmequiv import rng, sampling
 from gmequiv.counterexample import indistinguishability_check
 from gmequiv.kernels import preset
-from gmequiv.samples import path_grid
-from gmequiv.sampling import BLOCK_DRAWS, endpoint_blocks, sample_paths
+from gmequiv.samples import BLOCK_ELEMENTS, block_rows, path_grid
+from gmequiv.sampling import endpoint_blocks, sample_paths
 
 
 def _one_shot(kernel, grid, npaths, seed, label):
@@ -34,7 +34,7 @@ def _one_shot(kernel, grid, npaths, seed, label):
         "eleven-point-grid"])
 def test_block_stream_equals_one_shot_draw(name, grid, npaths):
     kernel = preset(name)
-    rows = max(1, BLOCK_DRAWS // (grid.size - 1))
+    rows = block_rows(grid.size - 1)
     assert npaths == 1 or npaths > rows
     paths = sample_paths(kernel, grid, npaths, 11, label="blocks")
     np.testing.assert_array_equal(paths, _one_shot(kernel, grid, npaths, 11, "blocks"))
@@ -58,7 +58,7 @@ def test_endpoints_are_the_last_column(kernel):
     is its own Fortran-ordered copy."""
     for columns in (64, 8, 1):
         grid = path_grid(columns, columns + 1)
-        rows = BLOCK_DRAWS // columns
+        rows = BLOCK_ELEMENTS // columns
         for npaths in (3 * rows + 5, 3 * rows + 1, 5, 1):
             np.testing.assert_array_equal(
                 _endpoints(kernel, grid, npaths, 2, "end"),
@@ -66,9 +66,9 @@ def test_endpoints_are_the_last_column(kernel):
 
 
 def test_pinned_endpoint_streams_zeros():
-    npaths = BLOCK_DRAWS + 3
+    npaths = BLOCK_ELEMENTS + 3
     blocks = list(endpoint_blocks(preset("bridge"), path_grid(8, 9), npaths, 0))
-    assert [block.size for block in blocks] == [BLOCK_DRAWS, 3]
+    assert [block.size for block in blocks] == [BLOCK_ELEMENTS, 3]
     assert all(np.all(block == 0.0) for block in blocks)
 
 
@@ -89,4 +89,4 @@ def test_counterexample_monte_carlo_holds_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * BLOCK_DRAWS + 2**18
+    assert peak <= 2 * 8 * BLOCK_ELEMENTS + 2**18
