@@ -79,7 +79,8 @@ def _gaps(f: FourierFunction, n: int) -> np.ndarray:
 def _weighted_cell_sum(kernel: GaussMarkovKernel, x: np.ndarray,
                        v: np.ndarray, q: np.ndarray) -> float:
     """(1/n) sum_i x_i^2 / (v_i^2 dq_i); a term with x_i = 0 is exactly 0,
-    a nonzero x_i on a zero or non-finite weight (a pinned cell) raises."""
+    a nonzero x_i on a zero or non-finite weight (a pinned cell) raises.
+    A sum past the float range is inf, without numpy's overflow warning."""
     with np.errstate(invalid="ignore"):
         weight = v[1:] * v[1:] * np.diff(q)
     live = x != 0.0
@@ -88,8 +89,9 @@ def _weighted_cell_sum(kernel: GaussMarkovKernel, x: np.ndarray,
             f"design of kernel {kernel.name!r} is singular at n={x.size}: a cell "
             "with a nonzero gap has a zero or non-finite weight v^2 dq"
         )
-    terms = np.divide(x * x, weight, out=np.zeros_like(weight), where=live)
-    return float(np.sum(terms) / x.size)
+    with np.errstate(over="ignore"):
+        terms = np.divide(x * x, weight, out=np.zeros_like(weight), where=live)
+        return float(np.sum(terms) / x.size)
 
 
 def discretization_statistic(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
@@ -168,7 +170,8 @@ def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
         raise SingularCovariance(
             f"design covariance for kernel {kernel.name!r} is not positive definite at n={n}"
         ) from exc
-    return float(0.5 * y @ y)
+    with np.errstate(over="ignore"):
+        return float(0.5 * y @ y)
 
 
 def kl_sequential(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
@@ -293,8 +296,9 @@ def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n:
     sigma2_grid = n * np.diff(q)
     s = np.arange(1, n + 1) / (n + 1)
     mu_cont, qp_cont = rkhs.decoupled_drift(kernel, f, s)
-    return float(n * np.max((mu_cont - mu_grid) ** 2)
-                 + n * np.max((qp_cont - sigma2_grid) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(n * np.max((mu_cont - mu_grid) ** 2)
+                     + n * np.max((qp_cont - sigma2_grid) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,14 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def accept(self, ops: str) -> str | None:
+        """Consume the next token and return its text when it is an
+        operator in ops; otherwise consume nothing and return None."""
+        tok = self.peek()
+        if tok.kind == "op" and tok.text in ops:
+            self.pos += 1
+            return tok.text
+        return None
 
     def fail(self, expected: str) -> ExpressionSyntaxError:
         return ExpressionSyntaxError(self.source, self.peek().offset, expected)
@@ -150,58 +154,44 @@ class _Parser:
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while op := self.accept("+-"):
             node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while op := self.accept("*/"):
             node = BinOp(op, node, self.unary())
         return node
 
     def unary(self) -> Node:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+        return Neg(self.unary()) if self.accept("-") else self.power()
 
     def power(self) -> Node:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
+        return BinOp("^", base, self.unary()) if self.accept("^") else base
+
+    def group(self) -> Node:
+        """An expression and its closing ')', the opening one consumed."""
+        node = self.expr()
+        if not self.accept(")"):
+            raise self.fail("')'")
+        return node
 
     def atom(self) -> Node:
         tok = self.peek()
+        if self.accept("("):
+            return self.group()
+        if tok.kind not in ("num", "name"):
+            raise self.fail("a number, 't', a function call, or '('")
+        self.pos += 1
         if tok.kind == "num":
-            self.advance()
             return Num(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == VARIABLE:
-                return Var()
-            if self.peek().kind == "op" and self.peek().text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise UnknownIdentifier(tok.text, tok.offset)
-                self.advance()
-                arg = self.expr()
-                if not (self.peek().kind == "op" and self.peek().text == ")"):
-                    raise self.fail("')'")
-                self.advance()
-                return Call(tok.text, arg)
+        if tok.text == VARIABLE:
+            return Var()
+        if tok.text not in FUNCTIONS or not self.accept("("):
             raise UnknownIdentifier(tok.text, tok.offset)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            if not (self.peek().kind == "op" and self.peek().text == ")"):
-                raise self.fail("')'")
-            self.advance()
-            return node
-        raise self.fail("a number, 't', a function call, or '('")
+        return Call(tok.text, self.group())
 
 
 # ---------------------------------------------------------------------------

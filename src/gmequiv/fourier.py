@@ -13,12 +13,12 @@ An arithmetic progression of points t = (j0 + frac + r)/m, r = 0, 1, ...,
 is evaluated by one real inverse FFT of length m of the coefficients
 folded k mod m, of which only the Hermitian half spectrum (entries
 0..m//2) is built, in O(K + m log m). That covers the grid points j/m of
-the design knots, the path grids and the transform's j/(n+1) (frac = 0,
-evaluated exactly there), and the Gauss nodes the quadrature places on
-equal panels, whose columns share m and j0, each with its own frac
-(evaluated at the progressions within 8 eps of them). The route is
-decided once per array: any other array takes the dense O(points * K)
-sum as a whole. The two routes agree to the last bits.
+the design knots, the path grids and the transform's j/(n+1) (frac = 0),
+and the Gauss nodes the quadrature places on equal panels, whose columns
+share m and j0, each with its own frac. Every point is evaluated at its
+progression, which lies within 8 eps of it. The route is decided once
+per array: any other array takes the dense O(points * K) sum as a whole.
+The two routes agree to the last bits.
 
 The antiderivative from 0 is closed-form,
 
@@ -246,13 +246,14 @@ def _progression(t: np.ndarray) -> tuple[int, int, np.ndarray | None]:
     _PROGRESSION_TOL of (j0 + frac[c] + r) / m for every r and c, with
     points >= m - 1; (0, 0, None) when the array is no such progression.
 
-    m is read from the first column and checked on all of them, and j0 is
-    one integer for the whole array. frac[c] is 0.0 exactly when column c
-    is (j0 + arange(points)) / m bit for bit, the form path_grid and
-    design_knots build. Otherwise the column's progression is anchored at
-    start = m t[0, c] itself, j0 = floor(start) and frac[c] = start - j0 in
-    [0, 1): on equal panels every column of Gauss nodes is such a
-    progression, panel r's node s sitting at (r + s) / m, all with j0 = 0.
+    One rule, one pass. m is read from the first column. Each column is
+    anchored at the integer a nearest its start m t[0, c] when a / m lies
+    within _PROGRESSION_TOL of t[0, c], and at the start itself otherwise;
+    then every point is checked against (anchor + r) / m, and j0 =
+    floor(anchor) must be one integer for the whole array, frac = anchor -
+    j0. So the knots and path grids take frac = 0, and on equal panels each
+    column of Gauss nodes, panel r's node s at (r + s) / m, takes its own
+    frac with j0 = 0.
     """
     size = t.shape[0]
     if size < 2 or not t.size:
@@ -264,17 +265,13 @@ def _progression(t: np.ndarray) -> tuple[int, int, np.ndarray | None]:
     if not (1 <= m <= size + 1 and np.all(np.abs(start) <= 2.0**52)):
         return 0, 0, None
     anchor = np.rint(start)
-    ideal = np.add.outer(np.arange(size, dtype=float), anchor)
-    ideal /= m
-    exact = np.all(t == ideal, axis=0)
-    if not exact.all():
-        anchor[~exact] = start[~exact]
-        # in place: the distance of each point from its progression
-        ideal = np.add.outer(np.arange(size, dtype=float), anchor, out=ideal)
-        ideal /= m
-        ideal -= t
-        if not np.max(np.abs(ideal, out=ideal)) <= _PROGRESSION_TOL:
-            return 0, 0, None
+    np.copyto(anchor, start, where=np.abs(anchor / m - t[0]) > _PROGRESSION_TOL)
+    # in place: the distance of each point from its progression
+    gap = np.add.outer(np.arange(size, dtype=float), anchor)
+    gap /= m
+    gap -= t
+    if not np.max(np.abs(gap, out=gap)) <= _PROGRESSION_TOL:
+        return 0, 0, None
     j0 = np.floor(anchor)
     return (int(m), int(j0[0]), anchor - j0) if np.all(j0 == j0[0]) else (0, 0, None)
 
@@ -369,6 +366,8 @@ class ClassSpec:
                                  f"got {getattr(self, name)!r}")
         if self.L <= 0:
             raise ValueError("class radius L must be positive")
+        if not math.isfinite(self.L * self.L):
+            raise ValueError(f"class radius L = {self.L!r} is too large: L^2 overflows")
         if math.isnan(self.M):
             raise ValueError("class sup-norm bound M must be a number (inf for none)")
         if self.kind == "hoelder" and not 0 < self.alpha <= 1:

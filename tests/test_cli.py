@@ -16,6 +16,8 @@ import gmequiv
 from gmequiv.cli import main
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# 2e200 cos(2 pi x): its squares and sums of squares leave the float range
+HUGE_FN = '{"coeffs": [[1, 1e200, 0]]}'
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +79,10 @@ class TestExitCodes:
           "--beta", "nan", "--n", "8..16"), "class parameter beta must be finite"),
         (("rates", "--stat", "discretization", "--preset", "bm", "--family", "sobolev",
           "--beta", "inf", "--n", "8..16"), "class parameter beta must be finite"),
+        (("rates", "--stat", "discretization", "--preset", "bm", "--family", "sobolev",
+          "--L", "1e300", "--n", "8..64"), "class radius L = 1e+300 is too large"),
+        (("rates", "--stat", "discretization", "--preset", "bm", "--family", "random",
+          "--L", "1e160", "--n", "8..64"), "class radius L = 1e+160 is too large"),
         (("rates", "--stat", "discretization", "--preset", "bm", "--n", "16,16"),
          "n = 16 more than once"),
         (("rates", "--stat", "kl", "--preset", "bm", "--n", "4..16", "--target", "-1",
@@ -142,6 +148,32 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", [
+        "rates --stat discretization --preset bm --family sobolev --L 1e300 --n 8..64",
+        "rates --stat discretization --preset bm --family random --L 1e160 --n 8..64",
+        f"kl --preset slepian --n 4 --fn '{HUGE_FN}'",
+        f"transform --n 4 --preset bm --fn '{HUGE_FN}'",
+        "rates --stat discretization --preset ou --family sobolev --L 1e154 --n 8..16",
+        "rates --stat kl --preset ou --family sobolev --L 1e154 --n 8..16",
+        "rates --stat transformation --preset ou --family sobolev --L 1e154 --n 8..16",
+        f"decompose --n 4 --fn '{HUGE_FN}'",
+        "validate --grid 1000000000",
+        "kl --n 8192",
+        "rates --stat discretization --preset bm --family sobolev --n 1048576",
+        "counterexample --paths 1",
+        "kl --n ,",
+    ])
+    def test_no_extreme_command_line_raises(self, capsys, line):
+        """Values and sizes past what the package computes end in a result
+        (inf or nan where a value leaves the float range) or in one error
+        line, never in an exception or a numpy warning, which the test
+        configuration turns into an error."""
+        code, _, err = run_cli(capsys, *shlex.split(line))
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1 and err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["bm", "bridge", "slepian"])
     @pytest.mark.parametrize("flag, text", [

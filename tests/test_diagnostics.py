@@ -263,6 +263,50 @@ class TestLeadingConstants:
             assert math.isclose(c_kl, c_disc / 2, rel_tol=1e-10), f.name
 
 
+def _power_kernel(p: float):
+    """u = t^p, v = 1: it passes the shape check for every p > 0, yet its
+    Wronskian W = p t^(p-1) vanishes at 0 when p > 1."""
+    return make_kernel(f"p{p}", f"t^{p}", "1")
+
+
+def _fitted_slope(ns, values) -> float:
+    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
+
+
+class TestDegenerateClock:
+    """On u = t^p, v = 1 the rate follows int f'^2 / W near 0, which is
+    finite for p < 4 when f'(0) = 0 (cos) and for p < 2 when f'(0) != 0
+    (sin); past that n times the statistic grows. The logarithmic cases
+    (cos at p = 4, sin at p = 2) are left out: their fitted slopes sit
+    between the two regimes."""
+
+    SIN = FourierFunction.from_coeffs({1: 0.5j})  # sin(2 pi x)
+
+    @pytest.mark.parametrize("f, p, slope", [
+        (COS, 2, -1.0), (COS, 3, -1.0), (COS, 5, 0.0), (COS, 6, 1.0), (SIN, 3, 0.0),
+    ], ids=["cos-p2", "cos-p3", "cos-p5", "cos-p6", "sin-p3"])
+    def test_discretization_slope_follows_the_wronskian(self, f, p, slope):
+        ns = [256, 512, 1024, 2048]
+        values = [discretization_statistic(_power_kernel(p), f, n) for n in ns]
+        assert abs(_fitted_slope(ns, values) - slope) <= 0.1
+
+    @pytest.mark.parametrize("p, slope", [(1.5, 1.0), (3, 2.0), (5, 4.0)])
+    def test_clock_sum_grows_like_n_to_max_1_p_minus_1(self, p, slope):
+        """S_n = (1/n) sum_i 1 / (v_i^2 dq_i) at the knots grows like
+        n^max(1, p - 1), which puts the Hoelder threshold at max(1, p - 1)/2;
+        below p = 2, S_n / n tends to int dt / W = 4/3 at p = 1.5."""
+        kernel = _power_kernel(p)
+
+        def clock_sum(n):
+            _, v, q = kernel.clock(samples.path_grid(n, n + 1))
+            return float(np.sum(1.0 / (v[1:] ** 2 * np.diff(q)))) / n
+
+        ns = [64 * 2**i for i in range(7)]
+        assert abs(_fitted_slope(ns, [clock_sum(n) for n in ns]) - slope) <= 0.05
+        if p == 1.5:
+            assert math.isclose(clock_sum(4096) / 4096, 4 / 3, rel_tol=0.01)
+
+
 class TestProjectionStatistic:
     def test_is_sqrt_of_scaled_distance(self):
         k = preset("slepian")

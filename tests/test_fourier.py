@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -19,7 +21,7 @@ from gmequiv.fourier import (
 )
 from gmequiv.quadrature import _gauss_rule
 from gmequiv.rkhs import projection_distance
-from gmequiv.samples import block_rows, path_grid
+from gmequiv.samples import block_rows, design_knots, path_grid
 
 
 def _grid_hoelder_estimate(fn: FourierFunction, alpha: float,
@@ -242,6 +244,31 @@ class TestGridRoute:
             np.testing.assert_array_equal(batched[:, c], fn(t[:, c]))
         assert dense_calls == []
 
+    def test_columns_within_tolerance_of_one_grid_take_the_fft(self, dense_calls):
+        """The knots j/49 next to linspace(1/49, 1, 49), which differs from
+        them by at most one ulp: its start 49 t[0] rounds below 1, yet both
+        columns anchor at the grid point 1/49 and share one FFT."""
+        fn = _hermitian_function(9, 64)
+        tol = 1e-13 * float(np.sum(np.abs(fn.theta)))
+        t = np.stack([design_knots(49), np.linspace(1 / 49, 1, 49)], axis=1)
+        assert 0 < np.max(np.abs(t[:, 1] - t[:, 0])) <= fourier._PROGRESSION_TOL
+        m, j0, frac = fourier._progression(t)
+        assert (m, j0, frac.tolist()) == (49, 1, [0.0, 0.0])
+        values, integral = _direct_sums(fn, t.ravel())
+        np.testing.assert_allclose(fn(t), values.reshape(t.shape), rtol=0, atol=tol)
+        np.testing.assert_allclose(fn.antiderivative(t), integral.reshape(t.shape),
+                                   rtol=0, atol=tol)
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("j0", [-253, 115, 225])
+    def test_exact_grid_far_from_the_origin_anchors_at_its_start(self, j0):
+        """(j0 + r)/7 bit for bit: the start 7 t[0] misses j0 by 1.4e-14 or
+        2.8e-14, more than m = 7 times the tolerance, but t[0] is the grid
+        point j0/7 itself, so the column anchors at j0 with frac 0."""
+        t = (j0 + np.arange(8)) / 7
+        m, found, frac = fourier._progression(t[:, None])
+        assert (m, found, frac.tolist()) == (7, j0, [0.0])
+
     def test_exact_grid_columns_with_different_starts(self, dense_calls):
         """Columns j/m with different first j are no single progression:
         the whole array takes the dense sum."""
@@ -453,8 +480,16 @@ class TestClassSpec:
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             ClassSpec(kind="sobolev", **params)
 
-
-class TestEllipsoidSampling:
+    @pytest.mark.parametrize("kind", ["sobolev", "hoelder"])
+    def test_radius_whose_square_overflows_is_refused(self, kind):
+        """L^2 sets the scale of every sobolev member, so an L past about
+        1.34e154 is refused for both kinds, and the largest L below it is
+        kept."""
+        for L in (1e160, 1e300, math.sqrt(sys.float_info.max) * (1 + 1e-15)):
+            with pytest.raises(ValueError, match=re.escape(f"L = {L!r} is too large")):
+                ClassSpec(kind=kind, alpha=0.5, L=L)
+        assert ClassSpec(kind=kind, alpha=0.5, L=1e154).L == 1e154
+        assert sample_ellipsoid(ClassSpec.sobolev(1.0, 1e154), K=4, seed=0).sobolev_norm(1.0) > 0
     def test_deterministic_in_seed(self):
         spec = ClassSpec.sobolev(1.0, 1.0)
         a = sample_ellipsoid(spec, K=16, seed=5)
