@@ -294,7 +294,7 @@ def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n:
     v, q = unpinned_design_clock(kernel, n, KernelDegenerate, "the transform divides by zero")
     mu_grid = np.diff(np.cumsum(np.asarray(f(design_knots(n)))) / v[1:], prepend=0.0)
     sigma2_grid = n * np.diff(q)
-    s = np.arange(1, n + 1) / (n + 1)
+    s = design_knots(n + 1)[:-1]
     mu_cont, qp_cont = rkhs.decoupled_drift(kernel, f, s)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(n * np.max((mu_cont - mu_grid) ** 2)
@@ -307,7 +307,7 @@ def transformation_discrepancy(kernel: GaussMarkovKernel, f: FourierFunction, n:
 
 STATISTICS: dict[str, Callable[[GaussMarkovKernel, FourierFunction, int], float]] = {
     "discretization": discretization_statistic,
-    "kl": kl_chain,
+    "kl": kl_sequential,
     "projection": projection_statistic,
     "transformation": transformation_discrepancy,
     "band_terms": band_terms_statistic,
@@ -380,7 +380,7 @@ class RateReport:
     family: str
     n_values: tuple
     values: tuple  # per-n family maxima; nan where every member failed
-    failures: tuple  # per n, the error class names of the members that raised
+    failures: tuple  # per n, the members that raised (error class name) or gave nan ('nan')
     excluded: tuple  # n values dropped from the fit (non-finite or nonpositive)
     fit_ns: tuple
     slope: float | None
@@ -394,7 +394,7 @@ class RateReport:
         """Gate verdict; None when no target was set or the fit is degenerate."""
         if self.target is None:
             return None
-        if self.degenerate or self.slope is None:
+        if self.degenerate:
             return False
         return abs(self.slope - self.target) <= self.margin
 
@@ -410,9 +410,9 @@ class RateReport:
                 mark += f" [failed: {', '.join(shown)}]"
             out.append(f"  n={n:<6d} max={v!r}{mark}")
         if self.degenerate:
-            out.append("  fit: degenerate (no usable points)")
+            out.append("  fit: degenerate (fewer than two usable points)")
         else:
-            se = "n/a" if self.stderr is None or not np.isfinite(self.stderr) else f"{self.stderr:.3f}"
+            se = "n/a" if math.isnan(self.stderr) else f"{self.stderr:.3f}"
             out.append(
                 f"  fit over n in {list(self.fit_ns)}: slope={self.slope:.4f} (stderr {se})"
             )
@@ -426,18 +426,26 @@ class RateReport:
 def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily,
                n_grid: Sequence[int] | None = None, target: float | None = None,
                margin: float = 0.3) -> RateReport:
-    """Per-n family maxima of a statistic and a log-log slope fit.
+    """Per-n family maxima of a statistic and a log-log slope fit, one rule
+    per stage.
+
+    * Members. A member whose statistic raises a GmequivError or returns
+      nan is named in that n's failures (its error class name, or 'nan');
+      every other value enters the maximum as it is, so an overflow makes
+      the maximum inf. An n where every member failed has maximum nan.
+    * Usable n. An n is usable when its maximum is finite and positive;
+      the others are excluded from the fit and reported.
+    * Fit. Least squares of log10 max on log10 n over the upper half of
+      the usable n, whatever order n_grid lists them in, but never fewer
+      than two points: slope = sum x y / sum x^2 in centred coordinates,
+      and its standard error from the residuals, nan with two points. With
+      fewer than two usable n the fit is degenerate.
 
     The supremum over a class is standing in as a maximum over finitely
     many members, so every reported value is a lower bound for the class
-    supremum. The slope is fit on the half of the usable points with the
-    largest n (the asymptotic regime), whatever order n_grid lists them
-    in; non-finite or nonpositive maxima are excluded from the fit and
-    reported. A member whose statistic raises a GmequivError is left out of
-    the maximum, and the error's class name is recorded in failures and
-    shown on that n's line. An n listed twice, a target that is not finite
-    and a margin that is negative or not finite raise ValueError, before
-    any member is evaluated: such a gate could never fail, or never pass.
+    supremum. An n listed twice, a target that is not finite and a margin
+    that is negative or not finite raise ValueError, before any member is
+    evaluated: such a gate could never fail, or never pass.
     """
     if statistic not in STATISTICS:
         raise KeyError(f"unknown statistic {statistic!r}; choose from {sorted(STATISTICS)}")
@@ -460,29 +468,26 @@ def rate_sweep(statistic: str, kernel: GaussMarkovKernel, family: FunctionFamily
             except GmequivError as exc:
                 failed.append(type(exc).__name__)
                 continue
-            if np.isfinite(value):
+            if math.isnan(value):
+                failed.append("nan")
+            else:
                 vals.append(value)
-        maxima.append(max(vals) if vals else float("nan"))
+        maxima.append(max(vals, default=math.nan))
         failures.append(tuple(failed))
 
-    usable = sorted((n, v) for n, v in zip(ns, maxima) if np.isfinite(v) and v > 0.0)
-    excluded = tuple(n for n, v in zip(ns, maxima) if not (np.isfinite(v) and v > 0.0))
-    half = usable[len(usable) // 2 :] if len(usable) >= 2 else []
+    usable = sorted((n, v) for n, v in zip(ns, maxima) if math.isfinite(v) and v > 0.0)
+    excluded = tuple(n for n, v in zip(ns, maxima) if not (math.isfinite(v) and v > 0.0))
+    fit = usable[-max(2, len(usable) - len(usable) // 2):] if len(usable) >= 2 else []
     slope = stderr = None
-    fit_ns = ()
-    if len(half) >= 2:
-        xs = np.log10([n for n, _ in half])
-        ys = np.log10([v for _, v in half])
-        if len(half) >= 3:
-            coeffs, cov = np.polyfit(xs, ys, 1, cov=True)
-            stderr = float(np.sqrt(cov[0, 0]))
-        else:
-            coeffs = np.polyfit(xs, ys, 1)
-            stderr = float("nan")
-        slope, fit_ns = float(coeffs[0]), tuple(n for n, _ in half)
+    if fit:
+        x, y = np.log10(fit).T
+        x, y = x - x.mean(), y - y.mean()
+        slope = float(x @ y / (x @ x))
+        resid = y - slope * x
+        stderr = math.sqrt(resid @ resid / (len(fit) - 2) / (x @ x)) if len(fit) > 2 else math.nan
     return RateReport(
         statistic=statistic, kernel_id=kernel.name, family=family.name,
         n_values=ns, values=tuple(maxima), failures=tuple(failures), excluded=excluded,
-        fit_ns=fit_ns, slope=slope, stderr=stderr,
+        fit_ns=tuple(n for n, _ in fit), slope=slope, stderr=stderr,
         target=target, margin=margin, degenerate=slope is None,
     )

@@ -94,10 +94,15 @@ class FourierFunction:
     def from_coeffs(coeffs: Mapping[int, complex], name: str | None = None) -> "FourierFunction":
         """Build from a sparse {k: theta_k} map: theta_k as the map gives it,
         and conj(theta_k) at each -k the map does not give. The constructor
-        checks the pairs the map gives both halves of, theta_0 included."""
+        checks the pairs the map gives both halves of, theta_0 included. A
+        |k| above MAX_FREQUENCY raises ValueError before the 2|k| + 1
+        coefficients are built."""
+        top = max(coeffs, key=abs, default=0)
+        if abs(top) > MAX_FREQUENCY:
+            raise ValueError(f"frequency k = {top} is above MAX_FREQUENCY = {MAX_FREQUENCY}")
         ks = np.array(list(coeffs), dtype=int)
         values = np.array(list(coeffs.values()), dtype=complex)
-        K = int(np.max(np.abs(ks), initial=0))
+        K = abs(int(top))
         theta = np.zeros(2 * K + 1, dtype=complex)
         theta[K - ks] = np.conj(values)
         theta[K + ks] = values
@@ -109,10 +114,8 @@ class FourierFunction:
 
     @staticmethod
     def harmonic(k: int, amplitude: float = 1.0, name: str | None = None) -> "FourierFunction":
-        """amplitude * cos(2 pi k x). A |k| above MAX_FREQUENCY raises
-        ValueError before the 2|k| + 1 coefficients are built."""
-        if abs(k) > MAX_FREQUENCY:
-            raise ValueError(f"harmonic frequency k = {k} is above MAX_FREQUENCY = {MAX_FREQUENCY}")
+        """amplitude * cos(2 pi k x); a |k| above MAX_FREQUENCY raises
+        ValueError (from_coeffs)."""
         if k == 0:
             return FourierFunction.from_coeffs({0: amplitude}, name=name or "const")
         return FourierFunction.from_coeffs(
@@ -451,11 +454,10 @@ def function_from_spec(spec: Mapping | str) -> FourierFunction:
     try:
         for k, re_part, im_part in spec["coeffs"]:
             index, value = float(k), complex(float(re_part), float(im_part))
-            if not (index.is_integer() and abs(index) <= MAX_FREQUENCY and cmath.isfinite(value)):
-                raise ValueError(f"{[k, re_part, im_part]!r} needs an integral k "
-                                 f"with |k| <= {MAX_FREQUENCY} and finite parts")
+            if not (index.is_integer() and cmath.isfinite(value)):
+                raise ValueError(f"{[k, re_part, im_part]!r} needs an integral k and finite parts")
             coeffs[int(index)] = value
+        return FourierFunction.from_coeffs(coeffs, name=spec.get("name"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"function spec key 'coeffs' needs [k, re, im] number triples ({exc!r})") from exc
-    return FourierFunction.from_coeffs(coeffs, name=spec.get("name"))

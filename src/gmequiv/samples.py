@@ -14,6 +14,10 @@ DEFAULT_GRID_DENSITY = 20
 # pinned endpoint's zeros, the dense Fourier sum's phases and the Parseval
 # DFT's phase rows. 512 KiB of float64, 1 MiB of complex.
 BLOCK_ELEMENTS = 1 << 16
+# Largest design or path grid: one float64 array of it takes 128 MiB, 51
+# times the 327,681 points of a default path grid at n = 16384. Larger sizes
+# are refused before any array is built.
+MAX_GRID_POINTS = (128 << 20) // 8
 
 
 def block_rows(width: int) -> int:
@@ -23,8 +27,10 @@ def block_rows(width: int) -> int:
 
 
 def design_knots(n: int) -> np.ndarray:
-    """The design knots j/n for j = 1..n."""
-    return np.arange(1, n + 1) / n
+    """The design knots j/n for j = 1..n: path_grid(n, n + 1) without its
+    origin, so an n below 1 or at MAX_GRID_POINTS or above raises
+    ValueError."""
+    return path_grid(n, n + 1)[1:]
 
 
 def knot_stride(n: int, m: int) -> int:
@@ -48,9 +54,14 @@ def path_grid(n: int, size: int | None = None) -> np.ndarray:
     """Equispaced grid of [0, 1] containing every design knot, with
     DEFAULT_GRID_DENSITY * n + 1 points unless a size is given.
 
-    size = n + 1 gives the origin and the knots alone.
+    size = n + 1 gives the origin and the knots alone. A size above
+    MAX_GRID_POINTS raises ValueError naming the limit, before any array
+    is built.
     """
     m = size if size is not None else DEFAULT_GRID_DENSITY * n + 1
+    if m > MAX_GRID_POINTS:
+        raise ValueError(f"a design or path grid takes at most MAX_GRID_POINTS = "
+                         f"{MAX_GRID_POINTS} points, got {m}")
     knot_stride(n, m)
     return np.arange(m) / (m - 1)
 

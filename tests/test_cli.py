@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -143,6 +144,17 @@ class TestExitCodes:
         (("decompose", "--n", "4", "--fn", "missing.json"),
          "No such file or directory: 'missing.json'"),
         (("decompose", "--n", "4", "--fn", '{"coeffs": '), "Expecting value"),
+        (("simulate", "--exp", "e2", "--n", "100000000000", "--preset", "bm"),
+         "at most MAX_GRID_POINTS = 16777216 points, got 2000000000001"),
+        (("simulate", "--exp", "e1", "--n", "16777216"),
+         "at most MAX_GRID_POINTS = 16777216 points, got 16777217"),
+        (("kriging", "--n", "838861"), "at most MAX_GRID_POINTS = 16777216 points, got 16777221"),
+        (("transform", "--n", "100000000000"),
+         "at most MAX_GRID_POINTS = 16777216 points, got 100000000001"),
+        (("decompose", "--n", "100000000000"),
+         "at most MAX_GRID_POINTS = 16777216 points, got 100000000001"),
+        (("counterexample", "--n", "100000000000"),
+         "k = 100000000000 is above MAX_FREQUENCY = 1048576"),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_out_of_range_number_is_a_runtime_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -163,17 +175,53 @@ class TestExitCodes:
         "rates --stat discretization --preset bm --family sobolev --n 1048576",
         "counterexample --paths 1",
         "kl --n ,",
+        "simulate --exp e2 --n 100000000000 --preset bm",
+        "kriging --n 100000000000",
+        "transform --n 100000000000",
+        "decompose --n 100000000000",
+        "counterexample --n 100000000000",
     ])
     def test_no_extreme_command_line_raises(self, capsys, line):
         """Values and sizes past what the package computes end in a result
         (inf or nan where a value leaves the float range) or in one error
         line, never in an exception or a numpy warning, which the test
-        configuration turns into an error."""
-        code, _, err = run_cli(capsys, *shlex.split(line))
+        configuration turns into an error. No line allocates more than
+        1 MiB at its peak (at most 0.11 MiB measured), so a size is refused
+        before its arrays are built; the first run loads the modules."""
+        argv = shlex.split(line)
+        main(argv)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code, _, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
         if code == 0:
             assert err == ""
         else:
             assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("stat, shown", [
+        ("discretization", ("  n=8      max=inf (excluded)", "  n=16     max=inf (excluded)")),
+        ("transformation", ("  n=8      max=inf (excluded)",)),
+    ])
+    def test_an_overflowed_member_shows_in_the_maximum(self, capsys, stat, shown):
+        """At L = 1e154 the member extremal-k4 overflows to inf on ou: the
+        maximum is inf and the n is excluded, not a smaller finite value."""
+        code, out, err = run_cli(capsys, "rates", "--stat", stat, "--preset", "ou",
+                                 "--family", "sobolev", "--L", "1e154", "--n", "8..16")
+        assert (code, err) == (0, "")
+        for line in shown:
+            assert line in out.splitlines()
+
+    def test_two_usable_points_are_fitted(self, capsys):
+        code, out, err = run_cli(capsys, "rates", "--stat", "discretization", "--preset", "bm",
+                                 "--family", "sobolev", "--n", "8..16")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "  fit over n in [8, 16]: slope=-0.6960 (stderr n/a)"
 
     @pytest.mark.parametrize("name", ["bm", "bridge", "slepian"])
     @pytest.mark.parametrize("flag, text", [

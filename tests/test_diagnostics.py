@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gmequiv import diagnostics, samples
+from gmequiv import diagnostics, rkhs, samples
 from gmequiv.diagnostics import (
     DEFAULT_N_GRID,
     STATISTICS,
@@ -232,6 +232,16 @@ def _leading_constants(kernel, f) -> tuple[float, float, float]:
             float(np.max(np.abs(v_prime / v))))
 
 
+def _c_proj(kernel, f) -> float:
+    """C_proj = (1/12) int q' G'^2 with G(t) = g(q(t)) from rkhs._preimage,
+    differentiated through its degree-120 Chebyshev least-squares fit at
+    2000 Chebyshev points of (0, 1), inside the domain of every kernel."""
+    t = 0.5 - 0.5 * np.cos(np.pi * (np.arange(2000) + 0.5) / 2000)
+    G = np.polynomial.Chebyshev.fit(t, rkhs._preimage(kernel, f, t)[0], 120, domain=[0, 1])
+    x, w = _gauss_rule()
+    return float(w @ (rkhs._preimage(kernel, f, x)[1] * G.deriv()(x) ** 2)) / 12
+
+
 SOBOLEV_MEMBER = sample_ellipsoid(ClassSpec.sobolev(2.0, 1.0), K=16, seed=3)
 AFFINE_KERNELS = [preset("bm"), preset("slepian"), make_kernel("lab", "t", "2 - t"),
                   make_kernel("affine", "t", "1 - 0.9*t")]
@@ -240,7 +250,8 @@ AFFINE_KERNELS = [preset("bm"), preset("slepian"), make_kernel("lab", "t", "2 - 
 class TestLeadingConstants:
     """n discretization_statistic -> C_disc and n kl_sequential -> C_KL on
     smooth periodic f, with |ratio - 1| <= LEADING_C max(1, rate) / n, the
-    rate max |v'/v| (L on ou(L), 9 on 1 - 0.9 t)."""
+    rate max |v'/v| (L on ou(L), 9 on 1 - 0.9 t); n^2 projection_distance
+    -> C_proj with a gap of order n^-2."""
 
     LEADING_C = 1.1  # worst measured: 1.005, ou(5) discretization with cos(2 pi x) at n = 256
 
@@ -253,6 +264,23 @@ class TestLeadingConstants:
             bound = self.LEADING_C * max(1.0, rate) / n
             assert abs(n * discretization_statistic(kernel, f, n) / c_disc - 1) <= bound, n
             assert abs(n * kl_sequential(kernel, f, n) / c_kl - 1) <= bound, n
+
+    @pytest.mark.parametrize("kernel", [preset("bm"), preset("ou", 1.0), preset("slepian"),
+                                        make_kernel("lab", "t", "2 - t")], ids=lambda k: k.name)
+    @pytest.mark.parametrize("f, c", [(COS, 1.5), (SOBOLEV_MEMBER, 25.0)], ids=["cos", "sobolev"])
+    def test_n_squared_projection_distance_tends_to_c_proj(self, kernel, f, c):
+        """|n^2 D_n / C_proj - 1| <= c / n^2. The gap is negative and
+        settles at a fixed multiple of n^-2: measured n^2 times the gap at
+        n = 256 and 1024 is -1.316 on bm, slepian and lab and -1.416 on
+        ou(1) with cos(2 pi x), and -23.06 to -23.08 with the Sobolev member
+        (frequencies up to 16), -22.35 on ou(1)."""
+        c_proj = _c_proj(kernel, f)
+        for n in (256, 1024):
+            assert abs(n * n * projection_distance(kernel, f, n) / c_proj - 1) <= c / n**2, n
+
+    def test_c_proj_on_bm_is_pi_squared_over_6_for_cos(self):
+        """On bm G = f, so C_proj = (1/12) int (2 pi sin(2 pi t))^2 = pi^2/6."""
+        assert math.isclose(_c_proj(preset("bm"), COS), math.pi ** 2 / 6, rel_tol=1e-12)
 
     @pytest.mark.parametrize("kernel", AFFINE_KERNELS, ids=lambda k: k.name)
     def test_kl_constant_is_half_the_discretization_constant_on_affine_v(self, kernel):
@@ -477,6 +505,74 @@ class TestRateSweep:
         assert report.failures == (("QuadratureFailure",), ("QuadratureFailure",) * 2)
         assert report.lines()[1] == "  n=8      max=8.0 [failed: QuadratureFailure]"
         assert report.lines()[2] == "  n=16     max=16.0 [failed: QuadratureFailure x2]"
+
+    def test_nan_member_is_named_and_left_out(self, monkeypatch):
+        def half_nan(kernel, f, n):
+            return math.nan if f.name == "cos2" else float(n)
+
+        monkeypatch.setitem(STATISTICS, "discretization", half_nan)
+        family = fixed_family("pair", [FourierFunction.harmonic(1), FourierFunction.harmonic(2)])
+        report = rate_sweep("discretization", preset("bm"), family, n_grid=(8, 16))
+        assert report.values == (8.0, 16.0)
+        assert report.failures == (("nan",), ("nan",))
+        assert report.lines()[1] == "  n=8      max=8.0 [failed: nan]"
+
+    def test_infinite_member_is_the_maximum(self, monkeypatch):
+        """An overflowed member is not dropped for a smaller finite value:
+        the maximum is inf, and the n is excluded from the fit."""
+        def overflowing(kernel, f, n):
+            return math.inf if (f.name == "cos2" and n == 16) else 1.0 / n
+
+        monkeypatch.setitem(STATISTICS, "discretization", overflowing)
+        family = fixed_family("pair", [FourierFunction.harmonic(1), FourierFunction.harmonic(2)])
+        report = rate_sweep("discretization", preset("bm"), family, n_grid=(8, 16))
+        assert report.values == (0.125, math.inf)
+        assert (report.failures, report.excluded, report.degenerate) == (((), ()), (16,), True)
+        assert report.lines()[2:] == ["  n=16     max=inf (excluded)",
+                                      "  fit: degenerate (fewer than two usable points)"]
+
+    def test_two_usable_points_are_fitted(self):
+        k, family = preset("bm"), single_frequency_family()
+        report = rate_sweep("discretization", k, family, n_grid=(16, 32))
+        assert (report.fit_ns, report.degenerate) == ((16, 32), False)
+        expected = math.log2(discretization_statistic(k, COS, 32)
+                             / discretization_statistic(k, COS, 16))
+        assert math.isclose(report.slope, expected, rel_tol=1e-12)
+        assert math.isnan(report.stderr)
+        assert report.lines()[-1].endswith("(stderr n/a)")
+        assert rate_sweep("discretization", k, family, n_grid=(16, 32, 64)).fit_ns == (32, 64)
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 6, 9, 16, 25])
+    def test_closed_form_fit_matches_polyfit(self, monkeypatch, size):
+        """Slope and stderr against np.polyfit(..., cov=True) on seeded
+        power laws with noise, the n listed in random order; two fitted
+        points have no stderr, and polyfit gives their slope alone."""
+        gen = np.random.default_rng(size)
+        ns = np.cumsum(gen.integers(1, 100, size=size))
+        logs = gen.uniform(-2.0, -0.5) * np.log10(ns) + gen.normal(0.0, 0.1, size=size)
+        values = dict(zip(ns.tolist(), (10.0 ** logs).tolist()))
+        monkeypatch.setitem(STATISTICS, "discretization", lambda kernel, f, n: values[n])
+        report = rate_sweep("discretization", preset("bm"), single_frequency_family(),
+                            n_grid=gen.permutation(ns).tolist())
+        assert report.fit_ns == tuple(ns[-max(2, size - size // 2):].tolist())
+        x, y = np.log10(report.fit_ns), np.log10([values[n] for n in report.fit_ns])
+        if x.size == 2:
+            assert math.isclose(report.slope, np.polyfit(x, y, 1)[0], rel_tol=1e-12)
+            assert math.isnan(report.stderr)
+            return
+        coeffs, cov = np.polyfit(x, y, 1, cov=True)
+        assert math.isclose(report.slope, coeffs[0], rel_tol=1e-12)
+        assert math.isclose(report.stderr, math.sqrt(cov[0, 0]), rel_tol=1e-12)
+
+    def test_kl_sweeps_the_sequential_kl(self):
+        """rates --stat kl sweeps kl_sequential, the true KL; on bm, where v
+        is constant, its values are kl_chain's bit for bit."""
+        family = class_extremal_family(ClassSpec.sobolev(1.0, 1.0))
+        ns = (8, 16, 32)
+        for kernel, stat in ((preset("slepian"), kl_sequential), (preset("bm"), kl_chain)):
+            report = rate_sweep("kl", kernel, family, n_grid=ns)
+            assert report.values == tuple(max(stat(kernel, f, n) for f in family.members(n))
+                                          for n in ns)
 
     def test_clean_sweep_lines_name_no_failure(self):
         report = rate_sweep("discretization", preset("bm"), single_frequency_family(),

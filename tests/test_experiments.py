@@ -21,7 +21,14 @@ from gmequiv.experiments import (
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import gram, make_kernel, preset
 from gmequiv.rkhs import kriging_interpolate
-from gmequiv.samples import DiscreteSample, PathSample, design_knots, knot_stride, path_grid
+from gmequiv.samples import (
+    MAX_GRID_POINTS,
+    DiscreteSample,
+    PathSample,
+    design_knots,
+    knot_stride,
+    path_grid,
+)
 from gmequiv.sampling import sample_paths
 
 COS = FourierFunction.harmonic(1)
@@ -346,3 +353,15 @@ def test_grid_rule_holds_at_every_entry_point(entry, size, capsys):
     else:
         with pytest.raises(GridMismatch, match=message):
             GRID_ENTRY_POINTS[entry](size)
+
+
+@pytest.mark.parametrize("entry", SIZED_ENTRY_POINTS)
+def test_grid_size_limit_holds_at_every_entry_point(entry):
+    with pytest.raises(ValueError, match=f"MAX_GRID_POINTS = {MAX_GRID_POINTS} points, "
+                                         f"got {MAX_GRID_POINTS + 1}$"):
+        GRID_ENTRY_POINTS[entry](MAX_GRID_POINTS + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 49, 100, 1000, 4096])
+def test_design_knots_are_j_over_n_bit_for_bit(n):
+    assert design_knots(n).tobytes() == (np.arange(1, n + 1) / n).tobytes()

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gmequiv import fourier
+from gmequiv import counterexample, fourier
 from gmequiv.errors import HermitianViolation
 from gmequiv.kernels import preset
 from gmequiv.fourier import (
@@ -119,6 +119,17 @@ class TestHermitianEnforcement:
         with pytest.raises(ValueError, match="above MAX_FREQUENCY"):
             FourierFunction.harmonic(fourier.MAX_FREQUENCY + 1)
         assert FourierFunction.harmonic(-fourier.MAX_FREQUENCY).K == fourier.MAX_FREQUENCY
+
+    def test_from_coeffs_bounds_the_frequency_for_every_builder(self):
+        """One check in from_coeffs holds harmonic (above), function specs
+        and the counterexample's spike to MAX_FREQUENCY, naming the k."""
+        k = fourier.MAX_FREQUENCY + 1
+        message = f"k = -?{k} is above MAX_FREQUENCY = {fourier.MAX_FREQUENCY}"
+        for build in (lambda: FourierFunction.from_coeffs({1: 1.0, -k: 0.5}),
+                      lambda: function_from_spec({"coeffs": [[k, 1.0, 0.0]]}),
+                      lambda: counterexample.build_fn(k, 1.0, 1.0)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 def _hermitian_function(seed: int, K: int) -> FourierFunction:
