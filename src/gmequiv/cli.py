@@ -13,6 +13,8 @@ process pays the import cost of one command, not of the whole package.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -21,7 +23,10 @@ import sys
 # spin before they sleep, yet no command does BLAS work large enough to
 # gain from a second thread. So a process that reaches this line before
 # numpy loads (the command line does, since `import gmequiv` loads no
-# submodule) runs BLAS on one thread, unless its user chose a count.
+# submodule) runs BLAS on one thread, unless its user chose a count: the
+# process stays at one OS thread and skips the pool's start-up. The output
+# does not rest on it; the dense oracles run their BLAS on the calling
+# thread under any count (kernels.serial_blas).
 if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -29,7 +34,14 @@ import numpy as np  # noqa: E402
 
 from . import kernels
 from .errors import GmequivError
-from .samples import DEFAULT_GRID_DENSITY, design_knots, knot_stride, path_grid
+from .samples import (
+    DEFAULT_GRID_DENSITY,
+    block_rows,
+    check_grid_points,
+    design_knots,
+    knot_stride,
+    path_grid,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -102,28 +114,53 @@ def _fn_from_args(args) -> FourierFunction:
     return FourierFunction.harmonic(1, 1.0)
 
 
-def _emit(rows: list[dict], meta: dict, args) -> None:
-    if args.format == "json":
-        text = json.dumps({"meta": meta, "rows": rows}, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = [f"# {key}={meta[key]}" for key in sorted(meta)]
-        if rows:
-            header = list(rows[0].keys())
-            lines.append(",".join(header))
-            for row in rows:
-                lines.append(",".join(str(row[key]) for key in header))
-        text = "\n".join(lines) + "\n"
-    _write(text, args)
+def _design_ns(text: str) -> list[int]:
+    """The n list of --n text, refused as a whole, before any n runs, when
+    the design grid path_grid(n, n + 1) of its largest n would pass
+    MAX_GRID_POINTS."""
+    ns = _parse_n_arg(text)
+    check_grid_points(max(ns) + 1)
+    return ns
 
 
-def _write(text: str, args) -> None:
-    """Write text to the --out file and report it on stdout, or to stdout."""
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, reported on stdout once it is written, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8") as handle:
+        yield handle
+    print(f"wrote {args.out}")
+
+
+def _emit(columns: tuple[str, ...], rows, meta: dict, args) -> None:
+    """Write meta and the rows, tuples of values in `columns` order, as CSV
+    or as the text of json.dumps({"meta": meta, "rows": [one dict per row]},
+    sort_keys=True, indent=2). Rows are read, converted and written
+    block_rows(len(columns)) at a time, so a lazy iterable of rows never
+    exists whole as Python objects or text."""
+    rows, size = iter(rows), block_rows(len(columns))
+    # lists of the next `size` rows, up to the first empty one
+    blocks = iter(lambda: list(itertools.islice(rows, size)), [])
+    with _output(args) as out:
+        if args.format == "json":
+            # the text of each block, one level deeper, where the head's
+            # empty list stands: '"rows": [' ends the head without its ']\n}'
+            encoder = json.JSONEncoder(sort_keys=True, indent=2)
+            out.write(encoder.encode({"meta": meta, "rows": []})[:-3])
+            separator = ""
+            for block in blocks:
+                text = encoder.encode([dict(zip(columns, row)) for row in block])
+                out.write(separator + text[1:-2].replace("\n", "\n  "))
+                separator = ","
+            out.write("\n  ]\n}\n" if separator else "]\n}\n")
+        else:
+            out.write("".join(f"# {key}={meta[key]}\n" for key in sorted(meta)))
+            header = ",".join(columns) + "\n"
+            for block in blocks:
+                out.write(header + "".join(",".join(map(str, row)) + "\n" for row in block))
+                header = ""
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +181,19 @@ def _cmd_simulate(args) -> int:
         variant = "original" if args.exp == "e1" else "cell_averaged"
         sample = experiments.simulate_e1(kernel, fn, args.n, args.seed, variant=variant)
         meta["variant"] = variant
-        rows = [
-            {"i": i + 1, "t": (i + 1) / args.n, "value": float(v)}
-            for i, v in enumerate(sample.values)
-        ]
-    elif args.exp == "e2":
-        sample = experiments.simulate_e2(kernel, fn, args.n, args.seed, grid_size=grid_size)
+        columns = ("i", "t", "value")
+        rows = ((i, i / args.n, v) for i, v in enumerate(map(float, sample.values), 1))
+    elif args.exp in ("e2", "kriging-path"):
+        run = experiments.simulate_e2 if args.exp == "e2" else experiments.kriging_path_experiment
+        sample = run(kernel, fn, args.n, args.seed, grid_size=grid_size)
         meta["grid_size"] = sample.grid.size
-        rows = [{"t": float(t), "value": float(v)} for t, v in zip(sample.grid, sample.values)]
-    elif args.exp == "kriging-path":
-        sample = experiments.kriging_path_experiment(kernel, fn, args.n, args.seed, grid_size=grid_size)
-        meta["grid_size"] = sample.grid.size
-        rows = [{"t": float(t), "value": float(v)} for t, v in zip(sample.grid, sample.values)]
+        columns = ("t", "value")
+        rows = zip(map(float, sample.grid), map(float, sample.values))
     else:  # increments
         xi = experiments.simulate_increments(kernel, args.n, args.seed)
-        rows = [{"i": i + 1, "value": float(v)} for i, v in enumerate(xi)]
-    _emit(rows, meta, args)
+        columns = ("i", "value")
+        rows = enumerate(map(float, xi), 1)
+    _emit(columns, rows, meta, args)
     return EXIT_OK
 
 
@@ -168,7 +202,7 @@ def _cmd_rates(args) -> int:
     from .fourier import ClassSpec
 
     kernel = _kernel_from_args(args)
-    ns = _parse_n_arg(args.n)
+    ns = _design_ns(args.n)
     if args.family == "single-freq":
         family = diagnostics.single_frequency_family(k=args.k)
     else:
@@ -208,13 +242,12 @@ def _cmd_kriging(args) -> int:
     if n <= 64:
         dense = rkhs.kriging_interpolate_dense(kernel, y, grid)
         meta["max_oracle_deviation"] = repr(float(np.max(np.abs(fast - dense))))
-        rows = [
-            {"t": float(t), "interpolant": float(a), "oracle": float(b)}
-            for t, a, b in zip(grid, fast, dense)
-        ]
+        columns = ("t", "interpolant", "oracle")
+        rows = zip(map(float, grid), map(float, fast), map(float, dense))
     else:
-        rows = [{"t": float(t), "interpolant": float(a)} for t, a in zip(grid, fast)]
-    _emit(rows, meta, args)
+        columns = ("t", "interpolant")
+        rows = zip(map(float, grid), map(float, fast))
+    _emit(columns, rows, meta, args)
     return EXIT_OK
 
 
@@ -230,16 +263,10 @@ def _cmd_kl(args) -> int:
         chain = diagnostics.kl_chain(kernel, fn, n)
         dense = diagnostics.kl_dense(kernel, fn, n)
         seq = diagnostics.kl_sequential(kernel, fn, n)
-        rows.append({
-            "n": n,
-            "chain": repr(chain),
-            "dense": repr(dense),
-            "sequential": repr(seq),
-            "chain_minus_dense": repr(chain - dense),
-            "sequential_minus_dense": repr(seq - dense),
-        })
+        rows.append((n, repr(chain), repr(dense), repr(seq), repr(chain - dense), repr(seq - dense)))
     meta = {"command": "kl", "kernel": kernel.name, "fn": fn.name}
-    _emit(rows, meta, args)
+    columns = ("n", "chain", "dense", "sequential", "chain_minus_dense", "sequential_minus_dense")
+    _emit(columns, rows, meta, args)
     return EXIT_OK
 
 
@@ -248,19 +275,13 @@ def _cmd_decompose(args) -> int:
 
     fn = _fn_from_args(args)
     rows = []
-    for n in _parse_n_arg(args.n):
+    for n in _design_ns(args.n):
         dec = diagnostics.band_split_decomposition(fn, n)
-        rows.append({
-            "n": n,
-            "a_sum": repr(dec.a_sum),
-            "b_sum": repr(dec.b_sum),
-            "c_sum": repr(dec.c_sum),
-            "total_gap_sq": repr(dec.total_gap_sq),
-            "parseval_residual": repr(dec.parseval_residual),
-            "bound_holds": dec.bound_holds,
-        })
+        rows.append((n, repr(dec.a_sum), repr(dec.b_sum), repr(dec.c_sum),
+                     repr(dec.total_gap_sq), repr(dec.parseval_residual), dec.bound_holds))
     meta = {"command": "decompose", "fn": fn.name, "cutoff": "n"}
-    _emit(rows, meta, args)
+    columns = ("n", "a_sum", "b_sum", "c_sum", "total_gap_sq", "parseval_residual", "bound_holds")
+    _emit(columns, rows, meta, args)
     return EXIT_OK
 
 
@@ -269,15 +290,13 @@ def _cmd_transform(args) -> int:
 
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
-    rows = []
-    for n in _parse_n_arg(args.n):
-        value = diagnostics.transformation_discrepancy(kernel, fn, n)
-        rows.append({"n": n, "statistic": repr(value)})
+    rows = [(n, repr(diagnostics.transformation_discrepancy(kernel, fn, n)))
+            for n in _design_ns(args.n)]
     meta = {
         "command": "transform", "kernel": kernel.name, "fn": fn.name,
         "note": "second-derivative regularity is not checked; first-order data only",
     }
-    _emit(rows, meta, args)
+    _emit(("n", "statistic"), rows, meta, args)
     return EXIT_OK
 
 
@@ -290,9 +309,11 @@ def _cmd_counterexample(args) -> int:
         for n in _parse_n_arg(args.n)
     ]
     if args.format == "json":
-        _write(json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n", args)
+        text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n"
     else:
-        _write("".join(f"{line}\n" for report in reports for line in report.lines()), args)
+        text = "".join(f"{line}\n" for report in reports for line in report.lines())
+    with _output(args) as out:
+        out.write(text)
     if not all(r.passed for r in reports):
         return EXIT_GATE
     return EXIT_OK

@@ -56,7 +56,7 @@ from .fourier import (
     sample_ellipsoid,
     scale_into_hoelder_ball,
 )
-from .kernels import GaussMarkovKernel, design_clock, gram, unpinned_design_clock
+from .kernels import GaussMarkovKernel, design_clock, gram, serial_blas, unpinned_design_clock
 from .samples import block_rows, design_knots
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
@@ -156,22 +156,24 @@ def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     (1/2) s^T (n G)^-1 s: KL is invariant under the invertible map cumsum.
     n G is factored in place, n G = L L^T, and the result is (1/2) |y|^2
     with L y = s, so the oracle holds one n x n matrix and panel-sized
-    temporaries. A factor that fails (G not positive definite in floating
-    point) raises SingularCovariance. An n above MAX_DENSE_KL_N raises
-    ValueError before any array is built."""
+    temporaries. The factor and the solve run under serial_blas, so the
+    value does not depend on the BLAS thread count. A factor that fails (G
+    not positive definite in floating point) raises SingularCovariance. An
+    n above MAX_DENSE_KL_N raises ValueError before any array is built."""
     check_dense_kl_n(n)
     unpinned_design_clock(kernel, n)
     s = np.cumsum(_gaps(f, n))
     G = gram(kernel, design_knots(n))
     G *= n
-    try:
-        y = _forward_solve(_cholesky_in_place(G), s)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(
-            f"design covariance for kernel {kernel.name!r} is not positive definite at n={n}"
-        ) from exc
-    with np.errstate(over="ignore"):
-        return float(0.5 * y @ y)
+    with serial_blas():
+        try:
+            y = _forward_solve(_cholesky_in_place(G), s)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance(
+                f"design covariance for kernel {kernel.name!r} is not positive definite at n={n}"
+            ) from exc
+        with np.errstate(over="ignore"):
+            return float(0.5 * y @ y)
 
 
 def kl_sequential(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:

@@ -60,6 +60,9 @@ not certify it.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
@@ -170,6 +173,62 @@ def gram(kernel: GaussMarkovKernel, ts) -> np.ndarray:
     """Covariance matrix of the process at the points ts."""
     ts = np.asarray(ts, dtype=float)
     return covariance(kernel, ts[:, None], ts[None, :])
+
+
+# (prefix, suffix) of OpenBLAS's thread-count functions, as numpy's bundled
+# 64-bit build, other 64-bit builds and 32-bit builds name them
+_OPENBLAS_SPELLINGS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable, Callable] | None:
+    """The (set, get) thread-count functions of the OpenBLAS that numpy
+    loaded, looked up once, on first use, among the shared objects mapped
+    into this process; None where there is none (another BLAS, or a system
+    without /proc/self/maps). scipy's wheels map a second OpenBLAS, whose
+    32-bit-integer functions (scipy_openblas_set_num_threads) match no
+    spelling here, so it is never taken for numpy's."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            libs = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SPELLINGS:
+            setter = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            getter = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                return setter, getter  # ctypes' default int argument and result fit both
+    return None
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the body's BLAS and LAPACK calls on the calling thread alone.
+
+    The dense oracles factor, solve and multiply inside it, so their bits
+    do not depend on the thread count (a threaded product sums in another
+    order), and OpenBLAS's workers are never woken to spin idle after
+    them. On entry OpenBLAS is set to one thread; on exit, normal or by an
+    exception, the caller's count is set back. The count is one per
+    process, so oracles run from several threads at once may set it back
+    out of order. Where no OpenBLAS is found it does nothing.
+    """
+    pair = _openblas_threads()
+    if pair is None:
+        yield
+        return
+    setter, getter = pair
+    threads = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(threads)
 
 
 def design_clock(kernel: GaussMarkovKernel, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,9 @@ only the nonnegative residual integral needs quadrature, one call over
 to a two-knot rule: in the (q, y/v) plane the conditional expectation is
 linear interpolation anchored at the origin. Each has a dense oracle
 alongside: weighted least squares on a fixed midpoint grid for D_n, a
-covariance solve for Kriging.
+covariance solve for Kriging. Their factors, solves and products run under
+kernels.serial_blas, on the calling thread, so their bits do not depend on
+the BLAS thread count.
 
 Every function here is deterministic in its arguments; the layer draws
 nothing. Path draws, the one that path_from_discrete adds to its Kriging
@@ -47,6 +49,7 @@ from .kernels import (
     covariance,
     design_clock,
     gram,
+    serial_blas,
     unpinned_design_clock,
 )
 from .quadrature import adaptive_integral
@@ -148,9 +151,10 @@ def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: 
     design = v[None, 1:] * (mid[:, None] <= knots[None, :])
     sqw = np.sqrt(q_prime / DENSE_GRID_SIZE)
     target = g * sqw
-    solution, *_ = np.linalg.lstsq(design * sqw[:, None], target, rcond=None)
-    residual = target - (design * sqw[:, None]) @ solution
-    return float(residual @ residual)
+    with serial_blas():
+        solution, *_ = np.linalg.lstsq(design * sqw[:, None], target, rcond=None)
+        residual = target - (design * sqw[:, None]) @ solution
+        return float(residual @ residual)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +184,16 @@ def kriging_interpolate_dense(kernel: GaussMarkovKernel, y, t):
     y = np.asarray(y, dtype=float)
     n = y.size
     knots = design_knots(n)
-    try:
-        lower = np.linalg.cholesky(gram(kernel, knots))
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(
-            f"design covariance for kernel {kernel.name!r} is singular"
-        ) from exc
-    alpha = np.linalg.solve(lower.T, np.linalg.solve(lower, y))
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    kvec = covariance(kernel, ts[:, None], knots[None, :])
-    out = np.asarray(kvec) @ alpha
+    with serial_blas():
+        try:
+            lower = np.linalg.cholesky(gram(kernel, knots))
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance(
+                f"design covariance for kernel {kernel.name!r} is singular"
+            ) from exc
+        alpha = np.linalg.solve(lower.T, np.linalg.solve(lower, y))
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        kvec = covariance(kernel, ts[:, None], knots[None, :])
+        out = np.asarray(kvec) @ alpha
     return float(out[0]) if np.asarray(t).ndim == 0 else out
 

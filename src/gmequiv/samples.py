@@ -26,6 +26,14 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
+def check_grid_points(m: int) -> None:
+    """Refuse a grid of more than MAX_GRID_POINTS points with ValueError,
+    naming the limit."""
+    if m > MAX_GRID_POINTS:
+        raise ValueError(f"a design or path grid takes at most MAX_GRID_POINTS = "
+                         f"{MAX_GRID_POINTS} points, got {m}")
+
+
 def design_knots(n: int) -> np.ndarray:
     """The design knots j/n for j = 1..n: path_grid(n, n + 1) without its
     origin, so an n below 1 or at MAX_GRID_POINTS or above raises
@@ -55,13 +63,11 @@ def path_grid(n: int, size: int | None = None) -> np.ndarray:
     DEFAULT_GRID_DENSITY * n + 1 points unless a size is given.
 
     size = n + 1 gives the origin and the knots alone. A size above
-    MAX_GRID_POINTS raises ValueError naming the limit, before any array
-    is built.
+    MAX_GRID_POINTS raises ValueError naming the limit (check_grid_points),
+    before any array is built.
     """
     m = size if size is not None else DEFAULT_GRID_DENSITY * n + 1
-    if m > MAX_GRID_POINTS:
-        raise ValueError(f"a design or path grid takes at most MAX_GRID_POINTS = "
-                         f"{MAX_GRID_POINTS} points, got {m}")
+    check_grid_points(m)
     knot_stride(n, m)
     return np.arange(m) / (m - 1)
 

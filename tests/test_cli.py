@@ -180,6 +180,9 @@ class TestExitCodes:
         "transform --n 100000000000",
         "decompose --n 100000000000",
         "counterexample --n 100000000000",
+        "decompose --n 1048576,100000000000",
+        "transform --n 1048576,100000000000",
+        "rates --stat discretization --preset bm --n 1048576,100000000000",
     ])
     def test_no_extreme_command_line_raises(self, capsys, line):
         """Values and sizes past what the package computes end in a result
@@ -187,7 +190,8 @@ class TestExitCodes:
         line, never in an exception or a numpy warning, which the test
         configuration turns into an error. No line allocates more than
         1 MiB at its peak (at most 0.11 MiB measured), so a size is refused
-        before its arrays are built; the first run loads the modules."""
+        before its arrays are built, and a list's largest n before its first
+        n runs; the first run loads the modules."""
         argv = shlex.split(line)
         main(argv)
         capsys.readouterr()
@@ -494,6 +498,7 @@ class TestDeterminism:
         (tmp_path / "fn.json").write_text('{"coeffs": [[1, 0.5, 0.0], [2, 0.25, 0.0]]}')
         commands = (
             ("kl", "--preset", "slepian", "--n", "2..64", "--format", "json"),
+            ("kl", "--preset", "slepian", "--n", "256,1024"),
             ("decompose", "--n", "64", "--fn", "fn.json", "--out", "terms.csv"),
         )
         runs = []
@@ -505,6 +510,24 @@ class TestDeterminism:
             runs.append(outputs)
         assert runs[0] == runs[1]
         assert all(runs[0])
+
+    def test_dense_oracles_do_not_depend_on_the_blas_thread_count(self):
+        """A library process, which keeps its BLAS threads, gets the same
+        bytes from kl_dense (slepian, n = 1024) and kriging_interpolate_dense
+        (ou(1), n = 256, 5121 points) under one and two OpenBLAS threads."""
+        code = (
+            "import hashlib, numpy as np\n"
+            "from gmequiv import FourierFunction, kl_dense, kriging_interpolate_dense, preset\n"
+            "cos = FourierFunction.harmonic(1)\n"
+            "y = np.asarray(cos.antiderivative(np.arange(1, 257) / 256))\n"
+            "dense = kriging_interpolate_dense(preset('ou', 1.0), y, np.arange(5121) / 5120)\n"
+            "print(kl_dense(preset('slepian'), cos, 1024).hex(), dense.size,\n"
+            "      hashlib.sha256(dense.tobytes()).hexdigest())\n"
+        )
+        runs = [run_fresh(["-c", code], OPENBLAS_NUM_THREADS=threads).stdout
+                for threads in ("1", "2")]
+        assert runs[0] == runs[1]
+        assert b" 5121 " in runs[0]
 
 
 class TestBlasThreads:

@@ -20,6 +20,7 @@ from gmequiv.errors import (
     SingularCovariance,
 )
 from gmequiv.fourier import FourierFunction
+from gmequiv import kernels
 from gmequiv.kernels import (
     LINEAR_PRESETS,
     VALIDATION_GRID,
@@ -37,6 +38,7 @@ from gmequiv.kernels import (
 from gmequiv.rkhs import (
     decoupled_drift,
     kriging_interpolate,
+    kriging_interpolate_dense,
     projection_distance,
     projection_distance_dense,
 )
@@ -564,3 +566,54 @@ class TestSpecSurface:
             kernel_from_spec(" bm ( 5 ) ")
         with pytest.raises(AssumptionViolation, match="unknown preset \\[1\\]"):
             kernel_from_spec({"preset": [1]})
+
+
+class TestSerialBlas:
+    """serial_blas runs its body on one OpenBLAS thread and gives the
+    caller's count back however the body ends; without an OpenBLAS it
+    does nothing."""
+
+    @pytest.fixture
+    def threads(self):
+        """OpenBLAS's (set, get) pair, the count set to 2 for the test and
+        the process's own count restored after it."""
+        pair = kernels._openblas_threads()
+        if pair is None:
+            pytest.skip("numpy did not load an OpenBLAS")
+        setter, getter = pair
+        before = getter()
+        setter(2)
+        yield setter, getter
+        setter(before)
+
+    def test_body_runs_on_one_thread_and_the_count_comes_back(self, threads):
+        _, getter = threads
+        with kernels.serial_blas():
+            assert getter() == 1
+        assert getter() == 2
+
+    def test_count_comes_back_after_an_exception(self, threads):
+        _, getter = threads
+        with pytest.raises(SingularCovariance):
+            with kernels.serial_blas():
+                assert getter() == 1
+                kl_dense(preset("bridge"), FourierFunction.harmonic(1), 4)
+        assert getter() == 2
+        with pytest.raises(SingularCovariance, match="singular"):  # raised by its factor
+            kriging_interpolate_dense(preset("bridge"), np.ones(4), path_grid(4))
+        assert getter() == 2
+
+    def test_oracles_run_where_no_openblas_is_found(self, monkeypatch):
+        cos = FourierFunction.harmonic(1)
+        n = 16
+        y = np.asarray(cos.antiderivative(np.arange(1, n + 1) / n))
+        grid = path_grid(n)
+        expected = (kl_dense(preset("slepian"), cos, n),
+                    kriging_interpolate_dense(preset("ou"), y, grid),
+                    projection_distance_dense(preset("ou"), cos, n))
+        monkeypatch.setattr(kernels, "_openblas_threads", lambda: None)
+        got = (kl_dense(preset("slepian"), cos, n),
+               kriging_interpolate_dense(preset("ou"), y, grid),
+               projection_distance_dense(preset("ou"), cos, n))
+        assert got[0] == expected[0] and got[2] == expected[2]
+        np.testing.assert_array_equal(got[1], expected[1])
