@@ -81,24 +81,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_n_arg(text: str) -> list[int]:
     """'64' -> [64]; '16..512' -> doubling grid; '4,8,12' -> the list.
-    Any other text raises one ValueError quoting it: an empty item (',',
-    '4,,8', '' or the bound of '16..'), an item that is not an integer
-    ('4.5', '4,x') or a range that starts below 1 or runs down."""
+    Any other text raises one ValueError quoting it, before any n runs: an
+    empty item (',', '4,,8', '' or the bound of '16..'), an item that is not
+    an integer ('4.5', '4,x'), an n below 1 in either form ('4,0', '0..4')
+    or a range that runs down."""
     text = text.strip()
     ranged = ".." in text
     try:
         ns = [int(item) for item in (text.split("..", 1) if ranged else text.split(","))]
     except ValueError:
         ns = []
-    if ns and not ranged:
+    if not ns or min(ns) < 1 or (ranged and ns[0] > ns[1]):
+        raise ValueError(f"--n {text!r} is not an n, a list a,b,c or a range lo..hi "
+                         f"with every n >= 1 and lo <= hi")
+    if not ranged:
         return ns
-    if ns and 1 <= ns[0] <= ns[1]:
-        out = [ns[0]]
-        while 2 * out[-1] <= ns[1]:
-            out.append(2 * out[-1])
-        return out
-    raise ValueError(f"--n {text!r} is not an n, a list a,b,c or a range lo..hi "
-                     f"with 1 <= lo <= hi")
+    out = [ns[0]]
+    while 2 * out[-1] <= ns[1]:
+        out.append(2 * out[-1])
+    return out
 
 
 def _kernel_from_args(args, validate: bool = True) -> kernels.GaussMarkovKernel:
@@ -302,11 +303,18 @@ def _cmd_transform(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     from . import counterexample as cx
+    from .fourier import check_frequency
 
+    ns = _parse_n_arg(args.n)
+    # the whole list, before the first n runs: the spike's n and frequency
+    # and the default path grid that each n's draws take
+    cx.check_spike_n(min(ns))
+    check_frequency(max(ns))
+    check_grid_points(DEFAULT_GRID_DENSITY * max(ns) + 1)
     reports = [
         cx.indistinguishability_check(n, beta=args.beta, L=args.L, seed=args.seed,
                                       mc_paths=args.paths)
-        for n in _parse_n_arg(args.n)
+        for n in ns
     ]
     if args.format == "json":
         text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n"

@@ -47,18 +47,23 @@ GRID_TOL = 1e-12
 MC_PREMISE = "unpinned_statistic_stays_noisy"
 
 
-def build_fn(n: int, beta: float, L: float) -> FourierFunction:
-    """The spike function for design size n: vanishes at every knot,
-    integrates to c = sqrt(2/3) L n^{-beta}, capped where the Sobolev(beta)
-    norm would exceed L: for every beta <= 0, at small n for large beta,
-    never at beta = 1. Raises
-    ValueError for n < 2, for a beta that is not finite and for an L that
-    is not positive and finite."""
+def check_spike_n(n: int) -> None:
+    """Refuse a design size below 2 with ValueError."""
     if n < 2:
         raise ValueError(
             "n must be at least 2: a one-point design leaves no room between "
             "the constant term and the spike frequency"
         )
+
+
+def build_fn(n: int, beta: float, L: float) -> FourierFunction:
+    """The spike function for design size n: vanishes at every knot,
+    integrates to c = sqrt(2/3) L n^{-beta}, capped where the Sobolev(beta)
+    norm would exceed L: for every beta <= 0, at small n for large beta,
+    never at beta = 1. Raises
+    ValueError for n < 2 (check_spike_n), for a beta that is not finite and
+    for an L that is not positive and finite."""
+    check_spike_n(n)
     if not math.isfinite(beta):
         raise ValueError(f"smoothness beta must be finite, got {beta!r}")
     if not (math.isfinite(L) and L > 0.0):

@@ -3,7 +3,7 @@
 Every error raised deliberately by this package derives from GmequivError, so
 callers can catch one base class at the CLI boundary and map it to an exit
 code. Parsing errors carry enough structure (byte offset, expectation set) to
-reproduce a caret diagnostic without re-lexing.
+reproduce a caret diagnostic without reading the text again.
 """
 
 from __future__ import annotations

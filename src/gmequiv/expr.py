@@ -12,11 +12,16 @@ time variable ``t``, e.g. ``"exp(2*t) - 1"`` or ``"t*(1 - t)"``. The grammar:
 Binding strength is ``^`` above unary minus above ``*``/``/`` above
 ``+``/``-``, so ``-t^2`` means ``-(t^2)``. Known functions: exp, sin, cos,
 sqrt, log. Numbers are ordinary decimal literals with an optional exponent
-part.
+part; whitespace between tokens is skipped.
+
+The text is read once, left to right, with no token list built ahead: a
+syntax error reports the offset of the first fault, with a caret under it,
+and nothing after that fault is read.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -67,88 +72,45 @@ Node = Union[Num, Var, Neg, BinOp, Call]
 
 
 # ---------------------------------------------------------------------------
-# lexer
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    offset: int
-
-
-def _lex(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ExpressionSyntaxError(source, i, "a numeric literal") from None
-            tokens.append(_Token("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], i))
-            i = j
-            continue
-        raise ExpressionSyntaxError(source, i, "a number, name, or operator")
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # parser
+
+# A number is decimal digits and points, with an optional exponent, read by
+# float; a name is a letter or '_', then word characters.
+_NUMBER = re.compile(r"[\d.]+(?:[eE][-+]?\d+)?")
+_NAME = re.compile(r"[^\W\d]\w*")
 
 
 class _Parser:
+    """Recursive descent over the source string itself, read once, left to
+    right: each rule takes its tokens at the current offset, so a syntax
+    error is raised at the first fault, with nothing read beyond it."""
+
     def __init__(self, source: str):
         self.source = source
-        self.tokens = _lex(source)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The next character that is not whitespace, '' at the end; the
+        offset moves past the whitespace."""
+        while self.pos < len(self.source) and self.source[self.pos].isspace():
+            self.pos += 1
+        return self.source[self.pos:self.pos + 1]
 
     def accept(self, ops: str) -> str | None:
-        """Consume the next token and return its text when it is an
-        operator in ops; otherwise consume nothing and return None."""
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ops:
+        """Consume the next character and return it when it is an operator
+        in ops; otherwise consume nothing and return None."""
+        c = self.peek()
+        if c and c in ops:
             self.pos += 1
-            return tok.text
+            return c
         return None
 
     def fail(self, expected: str) -> ExpressionSyntaxError:
-        return ExpressionSyntaxError(self.source, self.peek().offset, expected)
+        return ExpressionSyntaxError(self.source, self.pos, expected)
 
     def parse(self) -> Node:
         node = self.expr()
-        if self.peek().kind != "end":
+        if self.peek():
             raise self.fail("an operator or end of input")
         return node
 
@@ -179,19 +141,24 @@ class _Parser:
         return node
 
     def atom(self) -> Node:
-        tok = self.peek()
         if self.accept("("):
             return self.group()
-        if tok.kind not in ("num", "name"):
+        if number := _NUMBER.match(self.source, self.pos):
+            try:
+                value = float(number[0])
+            except ValueError:
+                raise self.fail("a numeric literal") from None
+            self.pos = number.end()
+            return Num(value)
+        name = _NAME.match(self.source, self.pos)
+        if name is None:
             raise self.fail("a number, 't', a function call, or '('")
-        self.pos += 1
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.text == VARIABLE:
+        self.pos = name.end()
+        if name[0] == VARIABLE:
             return Var()
-        if tok.text not in FUNCTIONS or not self.accept("("):
-            raise UnknownIdentifier(tok.text, tok.offset)
-        return Call(tok.text, self.group())
+        if name[0] not in FUNCTIONS or not self.accept("("):
+            raise UnknownIdentifier(name[0], name.start())
+        return Call(name[0], self.group())
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +209,12 @@ class KernelExpression:
 
 
 def parse_kernel_expression(source: str) -> KernelExpression:
-    """Parse expression text into a KernelExpression.
+    """Parse expression text into a KernelExpression, reading it once, left
+    to right.
 
-    Raises ExpressionSyntaxError (with offset and expectation) on malformed
-    input and UnknownIdentifier for names outside {t, exp, sin, cos, sqrt,
-    log}.
+    Raises ExpressionSyntaxError (with the offset of the first fault and
+    what was expected there, shown with a caret) on malformed input, and
+    UnknownIdentifier (with the name's offset) for names outside {t, exp,
+    sin, cos, sqrt, log}.
     """
     return KernelExpression(_Parser(source).parse(), source)

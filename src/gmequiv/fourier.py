@@ -57,6 +57,13 @@ _ELLIPSOID_DECAY_MARGIN = 0.1  # the epsilon in the sampling decay exponent
 MAX_FREQUENCY = 2**20
 
 
+def check_frequency(k: int) -> None:
+    """Refuse a frequency |k| above MAX_FREQUENCY with ValueError, naming
+    the limit."""
+    if abs(k) > MAX_FREQUENCY:
+        raise ValueError(f"frequency k = {k} is above MAX_FREQUENCY = {MAX_FREQUENCY}")
+
+
 @dataclass(frozen=True, eq=False)
 class FourierFunction:
     """Finite Fourier sum with Hermitian coefficients.
@@ -98,8 +105,7 @@ class FourierFunction:
         |k| above MAX_FREQUENCY raises ValueError before the 2|k| + 1
         coefficients are built."""
         top = max(coeffs, key=abs, default=0)
-        if abs(top) > MAX_FREQUENCY:
-            raise ValueError(f"frequency k = {top} is above MAX_FREQUENCY = {MAX_FREQUENCY}")
+        check_frequency(top)
         ks = np.array(list(coeffs), dtype=int)
         values = np.array(list(coeffs.values()), dtype=complex)
         K = abs(int(top))

@@ -134,6 +134,7 @@ class TestExitCodes:
         (("kl", "--n", "4.5"), "--n '4.5' is not an n"),
         (("kl", "--n", "16..8"), "--n '16..8' is not an n"),
         (("kl", "--n", "0..4"), "--n '0..4' is not an n"),
+        (("kl", "--n", "4,0"), "--n '4,0' is not an n"),
         (("validate", "--kernel", "missing.json"), "No such file or directory: 'missing.json'"),
         (("validate", "--kernel", ""), "unknown preset ''"),
         (("validate", "--preset", ""), "unknown preset ''"),
@@ -155,6 +156,7 @@ class TestExitCodes:
          "at most MAX_GRID_POINTS = 16777216 points, got 100000000001"),
         (("counterexample", "--n", "100000000000"),
          "k = 100000000000 is above MAX_FREQUENCY = 1048576"),
+        (("counterexample", "--n", "4,2000000"), "k = 2000000 is above MAX_FREQUENCY = 1048576"),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
     def test_out_of_range_number_is_a_runtime_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -183,6 +185,9 @@ class TestExitCodes:
         "decompose --n 1048576,100000000000",
         "transform --n 1048576,100000000000",
         "rates --stat discretization --preset bm --n 1048576,100000000000",
+        "decompose --n 4096,0",
+        "counterexample --n 64,1",
+        "counterexample --n 4,1048576",
     ])
     def test_no_extreme_command_line_raises(self, capsys, line):
         """Values and sizes past what the package computes end in a result

@@ -1,6 +1,7 @@
 """Tests for the kernel-factor expression language."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,36 @@ class TestErrors:
     def test_function_without_call_parens(self):
         with pytest.raises(UnknownIdentifier):
             parse_kernel_expression("exp 2")
+
+
+class TestFirstFault:
+    """The text is read once, left to right: of two faults, the first is
+    reported, and nothing after it is read."""
+
+    @pytest.mark.parametrize("source, error, offset, expected", [
+        ("t t 1.2.3", ExpressionSyntaxError, 2, "an operator or end of input"),
+        ("foo(1.2.3)", UnknownIdentifier, 0, None),
+        ("1 + * 2 $", ExpressionSyntaxError, 4, "a number, 't', a function call, or '('"),
+        ("-^.e.", ExpressionSyntaxError, 1, "a number, 't', a function call, or '('"),
+    ])
+    def test_two_faults_report_the_first(self, source, error, offset, expected):
+        with pytest.raises(error) as exc:
+            parse_kernel_expression(source)
+        assert type(exc.value) is error and exc.value.offset == offset
+        assert getattr(exc.value, "expected", None) == expected
+
+    def test_an_inserted_character_is_refused_where_it_stands(self):
+        """'$' inserted at p into a printed tree is refused at p, or at the
+        start of the name that p falls inside or ends at."""
+        gen = np.random.default_rng(1)
+        for _ in range(300):
+            text = _render(_random_tree(gen, 4))
+            p = int(gen.integers(0, len(text) + 1))
+            allowed = {p} | {m.start() for m in re.finditer(r"[A-Za-z_]\w*", text)
+                             if m.start() < p <= m.end()}
+            with pytest.raises((ExpressionSyntaxError, UnknownIdentifier)) as exc:
+                parse_kernel_expression(text[:p] + "$" + text[p:])
+            assert exc.value.offset in allowed, (text, p)
 
 
 class TestDomainErrors:
