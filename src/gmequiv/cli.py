@@ -115,12 +115,15 @@ def _fn_from_args(args) -> FourierFunction:
     return FourierFunction.harmonic(1, 1.0)
 
 
-def _design_ns(text: str) -> list[int]:
+def _design_ns(text: str, transform: bool = False) -> list[int]:
     """The n list of --n text, refused as a whole, before any n runs, when
     the design grid path_grid(n, n + 1) of its largest n would pass
-    MAX_GRID_POINTS."""
+    MAX_GRID_POINTS, or, with transform, the grid design_knots(n + 1) of
+    the transformation discrepancy's plotting points."""
     ns = _parse_n_arg(text)
     check_grid_points(max(ns) + 1)
+    if transform:
+        check_grid_points(max(ns) + 2)
     return ns
 
 
@@ -203,7 +206,7 @@ def _cmd_rates(args) -> int:
     from .fourier import ClassSpec
 
     kernel = _kernel_from_args(args)
-    ns = _design_ns(args.n)
+    ns = _design_ns(args.n, transform=args.stat == "transformation")
     if args.family == "single-freq":
         family = diagnostics.single_frequency_family(k=args.k)
     else:
@@ -257,7 +260,7 @@ def _cmd_kl(args) -> int:
 
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
-    ns = _parse_n_arg(args.n)
+    ns = _design_ns(args.n)
     diagnostics.check_dense_kl_n(max(ns))  # the whole list, before the first n runs
     rows = []
     for n in ns:
@@ -292,7 +295,7 @@ def _cmd_transform(args) -> int:
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
     rows = [(n, repr(diagnostics.transformation_discrepancy(kernel, fn, n)))
-            for n in _design_ns(args.n)]
+            for n in _design_ns(args.n, transform=True)]
     meta = {
         "command": "transform", "kernel": kernel.name, "fn": fn.name,
         "note": "second-derivative regularity is not checked; first-order data only",

@@ -68,7 +68,7 @@ MAX_FAMILY_N = MAX_FREQUENCY // 2
 # largest n kl_dense accepts: it holds one n x n matrix of doubles and
 # panel-sized temporaries, about 128 MiB at this n
 MAX_DENSE_KL_N = 4096
-_PANEL = 128  # columns per panel of kl_dense's blocked Cholesky factor
+_PANEL = 128  # columns per panel of kl_dense's blocked factor and solve
 
 
 def _gaps(f: FourierFunction, n: int) -> np.ndarray:
@@ -106,38 +106,25 @@ def kl_chain(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     return 0.5 * discretization_statistic(kernel, f, n)
 
 
-def _cholesky_in_place(A: np.ndarray) -> np.ndarray:
+def _factor_and_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Overwrite the lower triangle of the symmetric positive definite A
-    with its Cholesky factor L (A = L L^T) and return A; the strict upper
-    triangle is left as it was, outside the diagonal panels.
+    with its Cholesky factor L (A = L L^T) and the float vector y with
+    L^-1 y, and return y; the strict upper triangle of A is left as it
+    was, outside the diagonal blocks.
 
-    Right-looking and blocked by _PANEL columns (Golub and Van Loan,
-    Matrix Computations, 4th ed., section 4.2): factor the diagonal panel,
-    solve for the block below it, then subtract its outer product from the
-    lower trailing blocks one row panel at a time, so no temporary is
-    larger than _PANEL rows of A. A matrix that is not positive definite
-    raises np.linalg.LinAlgError."""
-    n = A.shape[0]
-    for k in range(0, n, _PANEL):
-        e = min(k + _PANEL, n)
+    Left-looking and blocked by _PANEL columns (Golub and Van Loan,
+    Matrix Computations, 4th ed., section 4.2), in one walk over the
+    panels: each panel takes out the product of the factored panels to its
+    left, factors its diagonal block, solves for the block below it and
+    then for its own share of y, so no temporary is larger than _PANEL
+    columns of A. A matrix that is not positive definite raises
+    np.linalg.LinAlgError."""
+    for k in range(0, y.size, _PANEL):
+        e = min(k + _PANEL, y.size)
+        A[k:, k:e] -= A[k:, :k] @ A[k:e, :k].T
         A[k:e, k:e] = np.linalg.cholesky(A[k:e, k:e])
         A[e:, k:e] = np.linalg.solve(A[k:e, k:e], A[e:, k:e].T).T
-        for i in range(e, n, _PANEL):
-            j = min(i + _PANEL, n)
-            A[i:j, e:j] -= A[i:j, k:e] @ A[e:j, k:e].T
-    return A
-
-
-def _forward_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y with L y = b for a _cholesky_in_place result L, by panels: solve
-    the diagonal block (zero above its diagonal), then take its share out
-    of the entries below."""
-    y = np.array(b, dtype=float)
-    n = y.size
-    for k in range(0, n, _PANEL):
-        e = min(k + _PANEL, n)
-        y[k:e] = np.linalg.solve(L[k:e, k:e], y[k:e])
-        y[e:] -= L[e:, k:e] @ y[k:e]
+        y[k:e] = np.linalg.solve(A[k:e, k:e], y[k:e] - A[k:e, :k] @ y[:k])
     return y
 
 
@@ -154,12 +141,13 @@ def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     xi = D X with D the first-difference matrix, so C = n D G D^T with G
     the knot Gram matrix, and s = cumsum(dm) = D^-1 dm turns the form into
     (1/2) s^T (n G)^-1 s: KL is invariant under the invertible map cumsum.
-    n G is factored in place, n G = L L^T, and the result is (1/2) |y|^2
-    with L y = s, so the oracle holds one n x n matrix and panel-sized
-    temporaries. The factor and the solve run under serial_blas, so the
-    value does not depend on the BLAS thread count. A factor that fails (G
-    not positive definite in floating point) raises SingularCovariance. An
-    n above MAX_DENSE_KL_N raises ValueError before any array is built."""
+    n G is factored in place, n G = L L^T, and y with L y = s is solved in
+    the same walk over its column panels; the result is (1/2) |y|^2, so
+    the oracle holds one n x n matrix and panel-sized temporaries. The
+    walk runs under serial_blas, so the value does not depend on the BLAS
+    thread count. A factor that fails (G not positive definite in floating
+    point) raises SingularCovariance. An n above MAX_DENSE_KL_N raises
+    ValueError before any array is built."""
     check_dense_kl_n(n)
     unpinned_design_clock(kernel, n)
     s = np.cumsum(_gaps(f, n))
@@ -167,7 +155,7 @@ def kl_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:
     G *= n
     with serial_blas():
         try:
-            y = _forward_solve(_cholesky_in_place(G), s)
+            y = _factor_and_solve(G, s)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance(
                 f"design covariance for kernel {kernel.name!r} is not positive definite at n={n}"

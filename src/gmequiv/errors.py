@@ -2,8 +2,8 @@
 
 Every error raised deliberately by this package derives from GmequivError, so
 callers can catch one base class at the CLI boundary and map it to an exit
-code. Parsing errors carry enough structure (byte offset, expectation set) to
-reproduce a caret diagnostic without reading the text again.
+code. Parsing errors carry enough structure (character offset, expectation
+set) to reproduce a caret diagnostic without reading the text again.
 """
 
 from __future__ import annotations
@@ -19,19 +19,26 @@ class ExpressionSyntaxError(GmequivError):
     Attributes
     ----------
     offset : int
-        0-based byte offset into the source string where parsing failed.
+        0-based character offset into the source string where parsing
+        failed.
     expected : str
         Human-readable description of what the parser expected there.
+
+    The message shows the line of the source that holds the offset, with a
+    caret under the offset; the caret's prefix keeps that line's tabs, so
+    a terminal puts it under the fault whatever its tab width.
     """
 
     def __init__(self, source: str, offset: int, expected: str):
         self.source = source
         self.offset = offset
         self.expected = expected
-        caret = " " * offset + "^"
+        start = source.rfind("\n", 0, offset) + 1
+        line = source[start:].split("\n", 1)[0]
+        caret = "".join(c if c == "\t" else " " for c in source[start:offset]) + "^"
         super().__init__(
             f"syntax error at offset {offset}: expected {expected}\n"
-            f"  {source}\n  {caret}"
+            f"  {line}\n  {caret}"
         )
 
 

@@ -395,9 +395,10 @@ def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
     """Random class member with K frequencies, deterministic in the seed.
 
     Magnitudes decay like (1+|k|)^(-s - 1/2 - 0.1) where s is beta (or
-    alpha), phases are uniform, and the result is rescaled to sit at 95% of
-    the class radius (for a Hoelder class, at 95% of a certified upper
-    bound, so at or inside 95% of the radius).
+    alpha), phases are uniform, and the result is rescaled: for a Sobolev
+    class to squared norm 0.95 L^2, so its norm is sqrt(0.95) L, about
+    0.975 L; for a Hoelder class to 95% of a certified upper bound, so at
+    or inside 95% of the radius.
     """
     smooth = spec.beta if spec.kind == "sobolev" else spec.alpha
     gen = rng.stream(seed, "ellipsoid", spec.kind, smooth, spec.L, K)

@@ -33,15 +33,15 @@ the block size, and every sum runs left to right along its own path, so
 every path value is independent of BLOCK_ELEMENTS and of the route.
 
 endpoint_blocks streams only the endpoints, one block of paths at a time,
-so its memory is one block, its Fortran-ordered copy and one block of sums
-whatever npaths is. Each endpoint is its row's sum times v(1), written to
-a contiguous buffer: np.add.reduce adds the columns of the copy, left to
-right as np.cumsum does when the block has two or more rows; a one-row
-block, which np.add.reduce would sum pairwise, takes np.cumsum. So every
-endpoint is bit for bit the last column of sample_paths, independent of
-BLOCK_ELEMENTS. A statistic merged over the blocks, such as the
-counterexample's streamed variance, depends on the block partition only in
-its last bits.
+so its memory is one block, its Fortran-ordered copy and the block sums
+its caller keeps, whatever npaths is. Each endpoint is its row's sum times
+v(1), yielded as a fresh array: np.add.reduce adds the columns of the
+copy, left to right as np.cumsum does when the block has two or more
+rows; a one-row block, which np.add.reduce would sum pairwise, takes
+np.cumsum. So every endpoint is bit for bit the last column of
+sample_paths, independent of BLOCK_ELEMENTS. A statistic merged over the
+blocks, such as the counterexample's streamed variance, depends on the
+block partition only in its last bits.
 """
 
 from __future__ import annotations
@@ -157,10 +157,9 @@ def endpoint_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
     for bit, as consecutive blocks of endpoints.
 
     Same checks, which run before this returns, and same stream as
-    sample_paths, but memory is one block, its Fortran-ordered copy and one
-    block of sums whatever npaths is. A yielded array may be overwritten by
-    the next block; the caller reduces it, in place if it likes, before
-    asking for the next.
+    sample_paths, but memory is one block, its Fortran-ordered copy and the
+    block sums the caller keeps, whatever npaths is. Each yielded array is
+    fresh: the caller may keep it or reduce it in place.
     """
     size, lo, v, blocks = _path_blocks(kernel, grid, npaths, seed, label)
 
@@ -170,16 +169,12 @@ def endpoint_blocks(kernel: GaussMarkovKernel, grid, npaths: int, seed: int,
             for first in range(0, npaths, rows):
                 yield np.zeros(min(rows, npaths - first))
             return
-        buffer = np.empty(0)
         for _, block in blocks:
-            if buffer.size < block.shape[0]:  # the first block is the largest
-                buffer = np.empty(block.shape[0])
-            out = buffer[: block.shape[0]]
             if block.shape[0] == 1:
-                out[:] = np.cumsum(block, axis=1)[:, -1]
+                row_sums = np.cumsum(block, axis=1, out=block)[:, -1].copy()
             else:
-                np.add.reduce(np.asfortranarray(block), axis=1, out=out)
-            out *= v[-1]
-            yield out
+                row_sums = np.add.reduce(np.asfortranarray(block), axis=1)
+            row_sums *= v[-1]
+            yield row_sums
 
     return sums()

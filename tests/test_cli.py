@@ -14,11 +14,15 @@ from pathlib import Path
 import pytest
 
 import gmequiv
-from gmequiv.cli import main
+from gmequiv.cli import STATISTIC_CHOICES, main
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 # 2e200 cos(2 pi x): its squares and sums of squares leave the float range
 HUGE_FN = '{"coeffs": [[1, 1e200, 0]]}'
+
+
+class _Reached(Exception):
+    """Raised by a spied statistic: its command passed every check."""
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +192,8 @@ class TestExitCodes:
         "decompose --n 4096,0",
         "counterexample --n 64,1",
         "counterexample --n 4,1048576",
+        "transform --n 4,16777215",
+        "rates --stat transformation --preset bm --n 4,16777215",
     ])
     def test_no_extreme_command_line_raises(self, capsys, line):
         """Values and sizes past what the package computes end in a result
@@ -212,6 +218,42 @@ class TestExitCodes:
             assert err == ""
         else:
             assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, spied, edge", [
+        (("kl",), "kl_chain", 999),
+        (("decompose",), "band_split_decomposition", 999),
+        (("transform",), "transformation_discrepancy", 998),
+        (("counterexample", "--paths", "2"), "indistinguishability_check", 49),
+        *[(("rates", "--stat", stat), stat, 998 if stat == "transformation" else 999)
+          for stat in STATISTIC_CHOICES],
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+    def test_an_n_list_past_the_grid_limit_runs_no_n(self, capsys, monkeypatch, argv, spied,
+                                                     edge):
+        """With MAX_GRID_POINTS at 1000, a list whose largest n is the edge
+        reaches the statistic, and one more refuses the whole list before
+        n = 4 runs: the check covers every grid the statistic builds (the
+        transform's design_knots(n + 1) has n + 2 points, the counterexample's
+        default path grid 20 n + 1)."""
+        from gmequiv import counterexample, diagnostics, samples
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise _Reached
+
+        monkeypatch.setattr(samples, "MAX_GRID_POINTS", 1000)
+        if argv[0] == "rates":
+            monkeypatch.setitem(diagnostics.STATISTICS, spied, spy)
+        else:
+            module = counterexample if argv[0] == "counterexample" else diagnostics
+            monkeypatch.setattr(module, spied, spy)
+        code, out, err = run_cli(capsys, *argv, "--n", f"4,{edge + 1}")
+        assert (code, out, calls) == (1, "", [])
+        assert "at most MAX_GRID_POINTS = 1000 points, got 1001" in err
+        with pytest.raises(_Reached):
+            main([*argv, "--n", f"4,{edge}"])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("stat, shown", [
         ("discretization", ("  n=8      max=inf (excluded)", "  n=16     max=inf (excluded)")),

@@ -174,7 +174,7 @@ class TestStreamedPremise:
         """F(1) + e / sqrt(n) over the premise's endpoints, as one array."""
         stream = endpoint_blocks(preset("bm"), path_grid(n, n + 1), mc_paths, seed,
                                  label="endpoint-mc")
-        endpoints = np.concatenate([block.copy() for block in stream])
+        endpoints = np.concatenate(list(stream))
         return build_fn(n, 1.0, 1.0).antiderivative(1.0) + endpoints / math.sqrt(n)
 
     @pytest.mark.parametrize("mc_paths", [50_000, 2], ids=["four-blocks", "two-paths"])

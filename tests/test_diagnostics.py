@@ -168,10 +168,15 @@ class TestKlRoutes:
     @pytest.mark.parametrize("n", [1, diagnostics._PANEL - 1, diagnostics._PANEL,
                                    diagnostics._PANEL + 1, 3 * diagnostics._PANEL + 5])
     def test_in_place_factor_is_the_cholesky_factor(self, n):
+        """The lower triangle becomes L, and the running sums s, solved in
+        place, become y with L y = s."""
         A = n * gram(preset("slepian"), design_knots(n))
         expected = np.linalg.cholesky(A)
-        factor = np.tril(diagnostics._cholesky_in_place(A))
-        np.testing.assert_allclose(factor, expected, rtol=0.0, atol=1e-12)
+        s = np.cumsum(np.asarray(COS(design_knots(n))) - COS.cell_averages(n))
+        y = s.copy()
+        assert diagnostics._factor_and_solve(A, y) is y
+        np.testing.assert_allclose(np.tril(A), expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.tril(A) @ y, s, rtol=0.0, atol=1e-12)
 
     def test_indefinite_matrix_raises_the_mapped_error(self, monkeypatch):
         """A panel past the first that is not positive definite stops the
@@ -180,7 +185,7 @@ class TestKlRoutes:
         indefinite = np.eye(n)
         indefinite[n - 2, n - 2] = -1.0
         with pytest.raises(np.linalg.LinAlgError):
-            diagnostics._cholesky_in_place(indefinite.copy())
+            diagnostics._factor_and_solve(indefinite.copy(), np.ones(n))
         monkeypatch.setattr(diagnostics, "gram", lambda kernel, ts: indefinite.copy())
         with pytest.raises(SingularCovariance, match="not positive definite"):
             kl_dense(preset("bm"), COS, n)

@@ -216,6 +216,22 @@ class TestErrors:
         assert "1 + * 2" in message
         assert "^" in message
 
+    def test_caret_keeps_the_tabs_before_the_fault(self):
+        """The caret's prefix copies the line's tabs, so a terminal of any
+        tab width draws it under the '$'."""
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_kernel_expression("1 +\t$")
+        assert str(exc.value).endswith("\n  1 +\t$\n     \t^")
+        for width in (4, 8):
+            source, caret = str(exc.value).split("\n")[1:]
+            assert caret.expandtabs(width).index("^") == source.expandtabs(width).index("$")
+
+    def test_caret_sits_under_the_line_that_holds_the_fault(self):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_kernel_expression("t\n+ $")
+        assert exc.value.offset == 4
+        assert str(exc.value).split("\n")[1:] == ["  + $", "    ^"]
+
     def test_unknown_function(self):
         with pytest.raises(UnknownIdentifier) as exc:
             parse_kernel_expression("foo(t)")
