@@ -14,10 +14,11 @@ is evaluated by one real inverse FFT of length m of the coefficients
 folded k mod m, of which only the Hermitian half spectrum (entries
 0..m//2) is built, in O(K + m log m). That covers the grid points j/m of
 the design knots, the path grids and the transform's j/(n+1) (frac = 0),
-and the Gauss nodes the quadrature places on equal panels, whose columns
-share m and j0, each with its own frac. Every point is evaluated at its
-progression, which lies within 8 eps of it. The route is decided once
-per array: any other array takes the dense O(points * K) sum as a whole.
+and the Gauss nodes that rkhs._residual_integral places on equal panels,
+whose columns share m and j0, each with its own frac. Every point is
+evaluated at its progression, which lies within 8 eps of it. The route is
+decided once per array: any other array takes the dense O(points * K) sum
+as a whole.
 The two routes agree to the last bits.
 
 The antiderivative from 0 is closed-form,

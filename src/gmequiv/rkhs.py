@@ -23,14 +23,16 @@ The finite-design operations live here too: the least-squares distance
 D_n from g to the span of the design representers, and Kriging
 interpolation. Since g(q(w)) q'(w) = (F_f/v)'(w), the q'-weighted mass of g
 over a design cell is the increment of F_f/v across it, in closed form;
-only the nonnegative residual integral needs quadrature, one call over
-[0, 1] with the knots as panel edges. The Markov structure reduces Kriging
-to a two-knot rule: in the (q, y/v) plane the conditional expectation is
-linear interpolation anchored at the origin. Each has a dense oracle
-alongside: weighted least squares on a fixed midpoint grid for D_n, a
-covariance solve for Kriging. Their factors, solves and products run under
-kernels.serial_blas, on the calling thread, so their bits do not depend on
-the BLAS thread count.
+only the nonnegative residual integral needs quadrature. The one integral
+in the package is _residual_integral, composite 16-point Gauss-Legendre
+over equal cells with the knots as panel edges: ||F_f||_H^2 is its value
+against alpha = 0 on one cell, D_n its value against the cell means. The
+Markov structure reduces Kriging to a two-knot rule: in the (q, y/v) plane
+the conditional expectation is linear interpolation anchored at the
+origin. Each has a dense oracle alongside: weighted least squares on a
+fixed midpoint grid for D_n, a covariance solve for Kriging. Their
+factors, solves and products run under kernels.serial_blas, on the
+calling thread, so their bits do not depend on the BLAS thread count.
 
 Every function here is deterministic in its arguments; the layer draws
 nothing. Path draws, the one that path_from_discrete adds to its Kriging
@@ -39,8 +41,12 @@ among them, live in experiments.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
+from . import samples
 from .errors import KernelDegenerate, QuadratureFailure, SingularCovariance
 from .fourier import FourierFunction
 from .kernels import (
@@ -52,10 +58,23 @@ from .kernels import (
     serial_blas,
     unpinned_design_clock,
 )
-from .quadrature import adaptive_integral
 from .samples import design_knots, path_grid
 
 DENSE_GRID_SIZE = 10_000
+REL_TOL = 1e-9
+ABS_TOL = 1e-13
+# Integrands analytic within a cell settle within a level or two. The cap
+# bounds the work spent on one that does not: 2^8 panels per cell, 4096
+# nodes, so 2^24 = MAX_GRID_POINTS nodes at the last level of a 4096-cell
+# design; a larger design stops at the last level that fits.
+MAX_DOUBLINGS = 8
+
+
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 16-point Gauss-Legendre on [-1, 1], built on
+    first use, so numpy.polynomial loads only when something is integrated."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 def decoupled_drift(kernel: GaussMarkovKernel, f: FourierFunction, w
@@ -75,35 +94,61 @@ def _preimage(kernel: GaussMarkovKernel, f: FourierFunction, w) -> tuple[np.ndar
         return drift / q_prime, q_prime
 
 
-def _clock_integral(kernel: GaussMarkovKernel, integrand, breakpoints=()) -> float:
-    """adaptive_integral of integrand over [0, 1]. A QuadratureFailure is
-    raised again, with the same achieved tolerance, naming the kernel: an
-    integral against q' that does not settle may mean that g is not square
-    integrable, so that F_f lies outside the kernel's RKHS."""
-    try:
-        return adaptive_integral(integrand, 0.0, 1.0, breakpoints=breakpoints)
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(
-            f"{exc.message} on kernel {kernel.name!r}; F_f may lie outside "
-            "the kernel's RKHS", exc.achieved) from exc
+def _residual_integral(kernel: GaussMarkovKernel, f: FourierFunction, alpha: np.ndarray) -> float:
+    """integral_0^1 (g(q(w)) - alpha_{j(w)})^2 q'(w) dw over the alpha.size
+    equal cells of path_grid(alpha.size, alpha.size + 1), with j(w) the cell
+    holding w, by composite 16-point Gauss-Legendre.
+
+    The cell edges are the first panel edges, so a g smooth within each
+    cell is integrated at spectral accuracy. Every panel is halved, all at
+    once in one vectorized evaluation, until two successive totals agree to
+    REL_TOL or to the absolute floor ABS_TOL; no unconverged value is ever
+    returned. QuadratureFailure, carrying the last achieved relative
+    tolerance, names the kernel when the totals have not settled after
+    MAX_DOUBLINGS halvings, or when the next level's nodes would exceed
+    samples.MAX_GRID_POINTS (read at each call). An integral against q' that
+    does not settle may mean that g is not square integrable, so that F_f
+    lies outside the kernel's RKHS.
+    """
+    nodes, weights = _gauss_rule()
+    edges = path_grid(alpha.size, alpha.size + 1)
+    value, change = 0.0, math.inf
+    for level in range(MAX_DOUBLINGS + 1):
+        if level:
+            edges = np.insert(edges, slice(1, None), 0.5 * (edges[1:] + edges[:-1]))
+        if 16 * (edges.size - 1) > samples.MAX_GRID_POINTS:
+            break
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        # nodes shape (panels, 16), evaluated in one vectorized call; on equal
+        # panels each column is an arithmetic progression with one period and
+        # one start, so FourierFunction evaluates the whole array by one FFT
+        g, q_prime = _preimage(kernel, f, mid[:, None] + half[:, None] * nodes[None, :])
+        residual = (g - np.repeat(alpha, 2 ** level)[:, None]) ** 2 * q_prime
+        new = float(np.sum(half * (residual @ weights)))
+        del g, q_prime, residual  # not held while the next level is evaluated
+        if level:
+            change = abs(new - value)
+            if change <= ABS_TOL or change <= REL_TOL * abs(new):
+                return new
+        value = new
+    raise QuadratureFailure(
+        f"Gauss-Legendre quadrature on [0, 1] missed relative tolerance {REL_TOL:g} on "
+        f"kernel {kernel.name!r}; F_f may lie outside the kernel's RKHS",
+        change / max(abs(value), 1e-300))
 
 
 def rkhs_norm(kernel: GaussMarkovKernel, f: FourierFunction) -> float:
-    """||F_f||_H = sqrt(integral_0^T g^2), via the clock substitution.
+    """||F_f||_H = sqrt(integral_0^T g^2), via the clock substitution: the
+    residual integral against alpha = 0 on one cell.
 
     Raises DegenerateCell when the clock is not increasing on the
     VALIDATION_GRID, where q' < 0 would make the integrand meaningless,
     and QuadratureFailure naming the kernel when the integral does not
-    settle (_clock_integral).
+    settle (_residual_integral).
     """
     design_clock(kernel, VALIDATION_GRID - 1)
-
-    def integrand(w):
-        g, q_prime = _preimage(kernel, f, w)
-        return g ** 2 * q_prime
-
-    value = _clock_integral(kernel, integrand)
-    return float(np.sqrt(max(value, 0.0)))
+    return float(np.sqrt(max(_residual_integral(kernel, f, np.zeros(1)), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +166,16 @@ def projection_distance(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -
         alpha_j = Delta_j(F_f / v) / Delta_j q,
         D_n = integral_0^1 (g(q(w)) - alpha_{j(w)})^2 q'(w) dw,
 
-    with j(w) the cell holding w. D_n is one quadrature call with the
-    knots as panel edges; the integrand is nonnegative and the
+    with j(w) the cell holding w. D_n is one _residual_integral call with
+    the knots as panel edges; the integrand is nonnegative and the
     Gauss-Legendre weights are positive, so there is no cancellation. A
     degenerate clock cell raises DegenerateCell, a pinned endpoint
     KernelDegenerate (unpinned_design_clock), and an integral that does not
-    settle QuadratureFailure naming the kernel (_clock_integral).
+    settle QuadratureFailure naming the kernel (_residual_integral).
     """
     v, q = unpinned_design_clock(kernel, n, KernelDegenerate, "the design span is not closed in L2")
-    knots = path_grid(n, n + 1)
-    alpha = np.diff(np.asarray(f.antiderivative(knots)) / v) / np.diff(q)
-
-    def residual(w):
-        g, q_prime = _preimage(kernel, f, w)
-        return (g - alpha[np.searchsorted(knots, w, side="right") - 1]) ** 2 * q_prime
-
-    return _clock_integral(kernel, residual, breakpoints=knots)
+    alpha = np.diff(np.asarray(f.antiderivative(path_grid(n, n + 1))) / v) / np.diff(q)
+    return _residual_integral(kernel, f, alpha)
 
 
 def projection_distance_dense(kernel: GaussMarkovKernel, f: FourierFunction, n: int) -> float:

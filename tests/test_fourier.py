@@ -19,8 +19,7 @@ from gmequiv.fourier import (
     sample_ellipsoid,
     scale_into_hoelder_ball,
 )
-from gmequiv.quadrature import _gauss_rule
-from gmequiv.rkhs import projection_distance
+from gmequiv.rkhs import _gauss_rule, projection_distance
 from gmequiv.samples import block_rows, design_knots, path_grid
 
 
@@ -151,7 +150,7 @@ def _direct_sums(fn: FourierFunction, t: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _gauss_nodes(n: int) -> np.ndarray:
     """The (2n, 16) node array of one halving on the design knots of n,
-    built as quadrature._gauss_panels builds it."""
+    built as rkhs._residual_integral builds it."""
     nodes, _ = _gauss_rule()
     edges = np.empty(2 * n + 1)
     edges[0::2] = path_grid(n, n + 1)

@@ -52,7 +52,7 @@ EXPORTS = {
 
 # what each command line loads besides gmequiv and gmequiv.cli
 # the RKHS layer draws nothing, so it loads no sampling
-_RKHS = {"errors", "fourier", "kernels", "quadrature", "rkhs", "rng", "samples"}
+_RKHS = {"errors", "fourier", "kernels", "rkhs", "rng", "samples"}
 _NUMERICAL = _RKHS | {"sampling"}
 # diagnostics without the RKHS layer, which only two statistics read
 _DIAGNOSTICS = {"diagnostics", "errors", "fourier", "kernels", "rng", "samples"}
@@ -113,8 +113,7 @@ def test_every_benchmark_command_is_covered():
 
 
 def test_validate_loads_no_numerical_layer(loaded):
-    layers = {"fourier", "rkhs", "sampling", "quadrature", "diagnostics", "experiments",
-              "counterexample"}
+    layers = {"fourier", "rkhs", "sampling", "diagnostics", "experiments", "counterexample"}
     assert loaded["validate"].isdisjoint(layers)
 
 

@@ -1,7 +1,7 @@
 """Peak memory of the dense oracles, the path draws, the counterexample's
 Monte Carlo premise, the Parseval check, the dense Fourier sum, the grid
-evaluations and the command line's row output, in units of the arrays each
-one builds.
+evaluations, the RKHS residual integral and the command line's row output,
+in units of the arrays each one builds.
 
 tracemalloc sees numpy's data buffers, so a routine that holds k full-size
 temporaries at once peaks at about k units. Each routine is called once
@@ -17,10 +17,11 @@ from gmequiv.cli import main
 from gmequiv import samples
 from gmequiv.counterexample import indistinguishability_check
 from gmequiv.diagnostics import MAX_DENSE_KL_N, MAX_FAMILY_N, band_split_decomposition, kl_dense
+from gmequiv.errors import QuadratureFailure
 from gmequiv.experiments import path_from_discrete, simulate_e1, simulate_e2
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import gram, make_kernel, preset
-from gmequiv.rkhs import kriging_interpolate, kriging_interpolate_dense
+from gmequiv.rkhs import kriging_interpolate, kriging_interpolate_dense, projection_distance
 from gmequiv.samples import BLOCK_ELEMENTS, path_grid
 from gmequiv.sampling import endpoint_blocks, sample_paths
 
@@ -173,6 +174,22 @@ def test_rebuilt_path_holds_one_draw_beside_one_kriging():
     sample = simulate_e1(kernel, FourierFunction.harmonic(1), n, 0, variant="cell_averaged")
     assert _peak(lambda: path_from_discrete(kernel, sample, 1)) <= 6.5 * grid.nbytes
 
+
+def test_unsettled_residual_integral_stops_at_the_node_cap(monkeypatch):
+    """On u = t^5, v = 1 the running integral of cos lies outside the RKHS
+    and the residual integral never settles. A level is evaluated only if
+    its nodes fit in MAX_GRID_POINTS, here 2^14: the peak is 9.9 doubles per
+    node of the last level that fits, not of the 65,536 nodes of level
+    MAX_DOUBLINGS on 16 cells (4.9 MiB, 3.3 times the bound)."""
+    cap = 1 << 14
+    monkeypatch.setattr(samples, "MAX_GRID_POINTS", cap)
+    quintic = make_kernel("quintic", "t^5", "1")
+
+    def unsettled():
+        with pytest.raises(QuadratureFailure, match="kernel 'quintic'"):
+            projection_distance(quintic, FourierFunction.harmonic(1), 16)
+
+    assert _peak(unsettled) <= 12 * 8 * cap
 
 
 @pytest.mark.parametrize("fmt, units", [("csv", 6), ("json", 16)])

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from gmequiv.diagnostics import kl_sequential
+from gmequiv import samples
+from gmequiv.diagnostics import fixed_family, kl_sequential, rate_sweep
 from gmequiv.errors import DegenerateCell, KernelDegenerate, QuadratureFailure, SingularCovariance
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import GaussMarkovKernel, make_kernel, preset, validate_assumption
-from gmequiv.quadrature import adaptive_integral
 from gmequiv.rkhs import (
+    MAX_DOUBLINGS,
     _preimage,
     kriging_interpolate,
     kriging_interpolate_dense,
@@ -31,6 +33,13 @@ def _hump():
     return make_kernel("hump", "t*(1-t)", "1", validate=False)
 
 
+def _integral(integrand, b: float, points=None) -> float:
+    """scipy's adaptive quad of a scalar integrand over [0, b], to the
+    relative tolerance 1e-9 and the absolute floor 1e-13."""
+    return quad(lambda w: float(integrand(w)), 0.0, b, points=points,
+                epsabs=1e-13, epsrel=1e-9)[0]
+
+
 def _reproduce_F(k, g_of_time, ts) -> np.ndarray:
     """F(t) = v(t) * integral_0^{q(t)} g, pulled back to the time axis:
     v(t) * integral_0^t g(q(w)) q'(w) dw, one quadrature call per t, with
@@ -39,7 +48,7 @@ def _reproduce_F(k, g_of_time, ts) -> np.ndarray:
     def integrand(w):
         return np.asarray(g_of_time(w)) * k.clock_rate(w)[4]
 
-    integrals = [adaptive_integral(integrand, 0.0, float(t)) if t > 0 else 0.0 for t in ts]
+    integrals = [_integral(integrand, float(t)) if t > 0 else 0.0 for t in ts]
     return np.asarray(k.v(ts)) * np.array(integrals)
 
 
@@ -91,12 +100,12 @@ class TestNorm:
             x = np.asarray(x, dtype=float)
             return np.where(x < split, 3.0, 0.5)
 
-        # the jump sits at w = 0.5, a panel edge at every quadrature level
+        # the jump sits at w = 0.5, given to quad as a breakpoint
         def integrand(w):
             _, _, q, _, q_prime = k.clock_rate(w)
             return g(q) ** 2 * q_prime
 
-        norm_sq = adaptive_integral(integrand, 0.0, 1.0)
+        norm_sq = _integral(integrand, 1.0, points=[0.5])
         expected_sq = 9.0 * split + 0.25 * (k.horizon - split)
         assert math.isclose(norm_sq, expected_sq, rel_tol=1e-8)
 
@@ -108,6 +117,12 @@ class TestNorm:
             np.testing.assert_allclose(_reproduce_F(k, lambda w: 1, ts),
                                        np.asarray(k.u(ts)),
                                        rtol=1e-9, err_msg=name)
+
+    def test_bridge_norm_of_cos(self):
+        """The bridge's RKHS holds the F with F(0) = F(1) = 0, normed by
+        ||F'||_2. The running integral of cos vanishes at 1, so the pinned
+        endpoint leaves ||F_f||_H = ||cos||_2 = sqrt(1/2)."""
+        assert math.isclose(rkhs_norm(preset("bridge"), COS), math.sqrt(0.5), rel_tol=1e-15)
 
     def test_non_monotone_clock_raises_degenerate_cell(self):
         with pytest.raises(DegenerateCell):
@@ -141,6 +156,12 @@ class TestProjectionDistance:
         values = [projection_distance(preset("bm"), COS, n) for n in (4, 8, 16, 32)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_constant_on_bm_lies_in_the_span(self):
+        """Under bm the pre-image of a constant f is that constant, a step
+        function on every design: the residual is zero at every node, and
+        the totals settle on the absolute floor."""
+        assert projection_distance(preset("bm"), FourierFunction.harmonic(0, 1.0), 8) == 0.0
+
     def test_bridge_rejected(self):
         with pytest.raises(KernelDegenerate):
             projection_distance(preset("bridge"), COS, 4)
@@ -154,6 +175,57 @@ class TestProjectionDistance:
             projection_distance(kernel, COS, 4)
         with pytest.raises(error):
             projection_distance_dense(kernel, COS, 4)
+
+
+class TestPythagoras:
+    """||F_f||_H^2 = S_n + D_n: the squared norm of the projection onto the
+    design span, S_n = sum_j (Delta_j(F_f / v))^2 / Delta_j q, computed here
+    from the clock at the knots, plus the squared distance to the span."""
+
+    FNS = (COS, sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=24, seed=4))
+
+    @pytest.mark.parametrize("kernel, rel_tol", [
+        (preset("bm"), 1e-14),
+        (preset("ou", 1.0), 1e-14),
+        (preset("ou", 5.0), 1e-14),
+        (preset("slepian"), 1e-14),
+        # finite-difference v' and q' put g off the knot increments by ~1e-11
+        (make_kernel("lab", "t", "2 - t"), 1e-10),
+        (make_kernel("ou-expr", "exp(t) - exp(-t)", "exp(-t)"), 1e-10),
+    ], ids=["bm", "ou1", "ou5", "slepian", "lab", "ou-expr"])
+    @pytest.mark.parametrize("n", [1, 8, 64, 512])
+    def test_norm_splits_into_span_and_residual(self, kernel, rel_tol, n):
+        knots = path_grid(n, n + 1)
+        _, v, q = kernel.clock(knots)
+        for f in self.FNS:
+            span = np.sum(np.diff(np.asarray(f.antiderivative(knots)) / v) ** 2 / np.diff(q))
+            assert math.isclose(rkhs_norm(kernel, f) ** 2, span + projection_distance(kernel, f, n),
+                                rel_tol=rel_tol), f.name
+
+
+class TestNodeCap:
+    """A level of the residual integral is evaluated only if its nodes fit
+    in samples.MAX_GRID_POINTS, read at each call."""
+
+    def test_default_cap_admits_every_level_up_to_4096_cells(self):
+        assert 4096 * 16 << MAX_DOUBLINGS == samples.MAX_GRID_POINTS
+
+    def test_settling_integral_is_refused_when_no_halving_fits(self, monkeypatch):
+        """bm with cos settles, but with room for level 0 alone no second
+        total is ever compared: no tolerance was achieved."""
+        monkeypatch.setattr(samples, "MAX_GRID_POINTS", 16 * 8)
+        with pytest.raises(QuadratureFailure, match="kernel 'bm'") as caught:
+            projection_distance(preset("bm"), COS, 8)
+        assert caught.value.achieved == math.inf
+
+    def test_rate_sweep_names_the_stopped_member(self, monkeypatch):
+        monkeypatch.setattr(samples, "MAX_GRID_POINTS", 1 << 12)
+        family = fixed_family("cos", [COS])
+        report = rate_sweep("projection", make_kernel("quintic", "t^5", "1"), family,
+                            n_grid=(8, 16))
+        assert report.failures == (("QuadratureFailure",),) * 2
+        for line in report.lines()[1:3]:
+            assert line.endswith("[failed: QuadratureFailure]"), line
 
 
 class TestKriging:
