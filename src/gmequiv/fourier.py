@@ -12,7 +12,9 @@ kernels.read_spec, the rule kernel specs share.
 An arithmetic progression of points t = (j0 + frac + r)/m, r = 0, 1, ...,
 is evaluated by one real inverse FFT of length m of the coefficients
 folded k mod m, of which only the Hermitian half spectrum (entries
-0..m//2) is built, in O(K + m log m). That covers the grid points j/m of
+0..m//2) is built: the coefficients that fall there, and only they, take
+their phase and are added in k order by one np.add.at, with no loop over
+periods, in O(K + m log m). That covers the grid points j/m of
 the design knots, the path grids and the transform's j/(n+1) (frac = 0),
 and the Gauss nodes that rkhs._residual_integral places on equal panels,
 whose columns share m and j0, each with its own frac. Every point is
@@ -198,7 +200,7 @@ class FourierFunction:
 
     def integral(self) -> float:
         """Integral over [0,1]; equals theta_0."""
-        return float(self.theta[self.K].real)
+        return self.coeff(0).real
 
     def sobolev_norm(self, beta: float) -> float:
         """sqrt(sum_k (1+|k|)^(2 beta) |theta_k|^2), the Sobolev ellipsoid norm.
@@ -240,11 +242,9 @@ class FourierFunction:
     # -- JSON surface ------------------------------------------------------
 
     def to_spec(self) -> dict:
-        entries = []
-        for k in range(-self.K, self.K + 1):
-            value = self.coeff(k)
-            if value != 0:
-                entries.append([k, value.real, value.imag])
+        index = np.flatnonzero(self.theta)
+        ks, values = (index - self.K).tolist(), self.theta[index]
+        entries = [[k, re, im] for k, re, im in zip(ks, values.real.tolist(), values.imag.tolist())]
         return {"name": self.name, "coeffs": entries}
 
     def to_json(self) -> str:
@@ -294,28 +294,30 @@ def _fft_columns(ks: np.ndarray, weights: np.ndarray, m: int, j0: int,
 
     The phase exp(-2 pi i k (j0 + r) / m) depends on k only mod m, so the
     weights, times exp(-2 pi i k frac / m) when some frac != 0, are folded
-    k mod m into one buffer row per column (one row in all when every frac
-    is 0), in k order. The phase keeps the weights Hermitian, so the folded
-    spectrum is too, and only its entries 0..m//2 are kept. Conjugated in
-    place, that half spectrum goes through one real inverse FFT along the
-    rows, which evaluates all m residues as real values (np.fft.hfft,
-    without the conjugated copy hfft makes). Point r reads entry
-    (j0 + r) mod m, the same rotation for every column, copied out through
-    two slices; beyond m points the values repeat with period m.
+    k mod m into one spectrum row per column (one row in all when every
+    frac is 0). The phase keeps the weights Hermitian, so the folded
+    spectrum is too, and only its entries 0..m//2 are built: the
+    coefficients whose residue falls there are selected once, only they
+    take the phase, and each row is one np.add.at, which adds into every
+    entry in ascending k order. No loop runs over periods of the
+    coefficients, so the fold is O(K) and the call O(K + m log m).
+    Conjugated in place, that half spectrum goes through one real inverse
+    FFT along the rows, which evaluates all m residues as real values
+    (np.fft.hfft, without the conjugated copy hfft makes). Point r reads
+    entry (j0 + r) mod m, the same rotation for every column, copied out
+    through two slices; beyond m points the values repeat with period m.
     """
     phase = frac * (-2j * np.pi / m) if np.any(frac) else None
-    half = m // 2 + 1
-    spectrum = np.zeros((1 if phase is None else frac.size, half), dtype=complex)
-    position = int(ks[0]) % m
-    for lo in range(0, ks.size, m):
-        chunk = weights[None, lo : lo + m]
-        if phase is not None:
-            chunk = chunk * np.exp(np.multiply.outer(phase, ks[lo : lo + m]))
-        head = min(m - position, chunk.shape[1])
-        kept = max(0, min(head, half - position))
-        spectrum[:, position : position + kept] += chunk[:, :kept]
-        kept = min(chunk.shape[1] - head, half)
-        spectrum[:, :kept] += chunk[:, head : head + kept]
+    residues = ks % m
+    kept = residues <= m // 2
+    ks, weights, residues = ks[kept], weights[kept], residues[kept]
+    spectrum = np.zeros((1 if phase is None else frac.size, m // 2 + 1), dtype=complex)
+    for row, shift in zip(spectrum, [None] if phase is None else phase):
+        # np.multiply, not `*`: on a temporary of 256 KiB or more `*` computes
+        # exp * weights in place, and numpy's complex product is not
+        # commutative to the last bit
+        terms = weights if shift is None else np.multiply(weights, np.exp(shift * ks))
+        np.add.at(row, residues, terms)
     np.conjugate(spectrum, out=spectrum)
     values = np.fft.irfft(spectrum, n=m, axis=1, norm="forward").T
     out = np.empty((size, frac.size))
@@ -447,8 +449,9 @@ def function_from_spec(spec: Mapping | str) -> FourierFunction:
     missing file (the empty path included) raises OSError naming it. A
     JSON value that is not an object raises ValueError, and so does each
     key at fault: any key but 'name' and 'coeffs', a name that is not
-    text, and a missing or malformed 'coeffs', including a k that is not
-    an integer, a |k| above MAX_FREQUENCY and a part that is not finite.
+    text or holds a line break (any break str.splitlines splits on), and a
+    missing or malformed 'coeffs', including a k that is not an integer, a
+    |k| above MAX_FREQUENCY and a part that is not finite.
     """
     from .kernels import read_spec  # here, so that only reading a spec loads kernels
 
@@ -456,8 +459,11 @@ def function_from_spec(spec: Mapping | str) -> FourierFunction:
     unread = ", ".join(repr(key) for key in spec if key not in ("name", "coeffs"))
     if unread:
         raise ValueError(f"function spec does not read {unread}; it reads 'name' and 'coeffs'")
-    if not isinstance(spec.get("name", ""), str):
-        raise ValueError(f"function spec key 'name' needs text, got {spec['name']!r}")
+    name = spec.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"function spec key 'name' needs text, got {name!r}")
+    if "".join(name.splitlines()) != name:
+        raise ValueError(f"function spec key 'name' must be one line, got {name!r}")
     coeffs = {}
     try:
         for k, re_part, im_part in spec["coeffs"]:
@@ -465,7 +471,7 @@ def function_from_spec(spec: Mapping | str) -> FourierFunction:
             if not (index.is_integer() and cmath.isfinite(value)):
                 raise ValueError(f"{[k, re_part, im_part]!r} needs an integral k and finite parts")
             coeffs[int(index)] = value
-        return FourierFunction.from_coeffs(coeffs, name=spec.get("name"))
+        return FourierFunction.from_coeffs(coeffs, name=name)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"function spec key 'coeffs' needs [k, re, im] number triples ({exc!r})") from exc

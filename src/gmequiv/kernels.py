@@ -558,9 +558,10 @@ def kernel_from_spec(spec: Mapping | str, validate: bool = True) -> GaussMarkovK
 
     A preset spec reads only 'preset' and 'params', and an expression spec
     {"name": "lab", "u": "t", "v": "2 - t"} only its three keys, the name
-    defaulting to 'custom'. Any other key, a name that is not text, a
-    missing or non-text u or v, and params other than a real number L
-    raise AssumptionViolation naming the key. validate is make_kernel's
+    defaulting to 'custom'. Any other key, a name that is not text or
+    holds a line break (any break str.splitlines splits on), a missing or
+    non-text u or v, and params other than a real number L raise
+    AssumptionViolation naming the key. validate is make_kernel's
     flag; presets need no check.
     """
     spec = read_spec(spec, "kernel", _preset_text)
@@ -580,4 +581,6 @@ def kernel_from_spec(spec: Mapping | str, validate: bool = True) -> GaussMarkovK
     if bad:
         raise AssumptionViolation("kernel spec needs either a 'preset' key or 'u' and 'v' "
                                   f"expression keys, each key text; missing or not text: {bad}")
+    if "".join(spec["name"].splitlines()) != spec["name"]:
+        raise AssumptionViolation(f"kernel spec key 'name' must be one line, got {spec['name']!r}")
     return make_kernel(spec["name"], spec["u"], spec["v"], validate=validate)

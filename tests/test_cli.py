@@ -301,6 +301,10 @@ class TestExitCodes:
         ("--kernel", '{"u": "t", "v": "1", "L": 1}', "does not read 'L'"),
         ("--kernel", '{"name": null, "u": "t", "v": "1"}', "not text: 'name'"),
         ("--kernel", '{"name": "x", "u": "t", "v": 2}', "not text: 'v'"),
+        ("--kernel", '{"name": "a\\nb", "u": "t", "v": "1"}', "'name' must be one line"),
+        ("--kernel", '{"name": "a\\u2028b", "u": "t", "v": "1"}', "'name' must be one line"),
+        ("--fn", '{"name": "a\\r\\nb", "coeffs": [[1, 1.0, 0.0]]}', "'name' must be one line"),
+        ("--fn", '{"name": "a\\u0085", "coeffs": [[1, 1.0, 0.0]]}', "'name' must be one line"),
         ("--kernel", "[1]", "kernel spec must be a JSON object, got [1]"),
         ("--kernel", '"bm"', "kernel spec must be a JSON object, got 'bm'"),
         ("--kernel", "1", "kernel spec must be a JSON object, got 1"),

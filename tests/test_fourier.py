@@ -291,6 +291,36 @@ class TestGridRoute:
                                    rtol=0, atol=tol)
         assert dense_calls == [t.size, t.size]
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 64])
+    def test_fold_keeps_the_bits_of_an_ascending_loop(self, m):
+        """_fft_columns bit for bit against a plain loop that adds each
+        coefficient whose residue k mod m lies in 0..m//2, times its phase
+        when some frac != 0, into its spectrum entry in ascending k order,
+        followed by the same inverse FFT and the rotation (j0 + r) mod m.
+        Signed zeros among the weights included."""
+        for K in sorted({max(m // 2 - 1, 0), m, 3 * m + 1, 100 * m}):
+            weights = _hermitian_function(K + m, K).theta.copy()
+            weights[K // 3 :: 7] = complex(-0.0, 0.0)
+            weights[-1 - K // 3 :: -7] = complex(-0.0, -0.0)
+            ks = np.arange(-K, K + 1)
+            for frac in (np.zeros(2), np.array([0.0, 0.25, 0.7])):
+                terms = weights[None, :]
+                if np.any(frac):
+                    phases = np.exp(np.multiply.outer(frac * (-2j * np.pi / m), ks))
+                    terms = np.multiply(terms, phases)
+                spectrum = np.zeros((terms.shape[0], m // 2 + 1), dtype=complex)
+                for i, k in enumerate(ks.tolist()):
+                    if k % m <= m // 2:
+                        for c in range(terms.shape[0]):
+                            spectrum[c, k % m] += terms[c, i]
+                values = np.fft.irfft(np.conj(spectrum), n=m, axis=1, norm="forward").T
+                for j0 in (-2 * m - 1, 0, 13):
+                    for size in {max(m - 1, 1), m, 3 * m + 2}:
+                        expected = np.broadcast_to(values[(j0 + np.arange(size)) % m],
+                                                   (size, frac.size))
+                        got = fourier._fft_columns(ks, weights, m, j0, frac, size)
+                        assert np.array_equal(got, expected), f"m={m} K={K} j0={j0} L={size}"
+
     @pytest.mark.parametrize("kernel", ["bm", "ou", "slepian"])
     @pytest.mark.parametrize("n", [16, 64])
     def test_projection_distance_never_goes_dense(self, kernel, n, dense_calls):
