@@ -306,14 +306,9 @@ def _cmd_transform(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     from . import counterexample as cx
-    from .fourier import check_frequency
 
     ns = _parse_n_arg(args.n)
-    # the whole list, before the first n runs: the spike's n and frequency
-    # and the default path grid that each n's draws take
-    cx.check_spike_n(min(ns))
-    check_frequency(max(ns))
-    check_grid_points(DEFAULT_GRID_DENSITY * max(ns) + 1)
+    cx.check_ns(ns)
     reports = [
         cx.indistinguishability_check(n, beta=args.beta, L=args.L, seed=args.seed,
                                       mc_paths=args.paths)

@@ -23,28 +23,47 @@ Note the spike must be written with the Fourier coefficients above: the
 superficially similar c (1 - cos(2 pi n x)/2) does not vanish at the knots
 (its value there is c/2), because (e_n + e_{-n})/2 IS cos(2 pi n x) and the
 factor placement matters.
+
+An IndistinguishabilityReport keeps as fields only the values that vary
+from run to run: n, beta, L, seed, the premises, the integral gap, the
+spike's Sobolev norm squared, the four mc_* values of the Monte Carlo
+premise and delta_lower_bound. Its to_dict is those fields, with a
+delta_lower_bound of None once a premise the bound rests on failed, plus
+five keys that are no field: pinned_kernel and unpinned_kernel
+(PINNED_KERNEL and UNPINNED_KERNEL), the verdict that follows from the
+premises, and the CONCLUSION paragraph, the same on every report.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import experiments, sampling
 from .errors import GridMissingEndpoints
-from .fourier import FourierFunction
+from .fourier import FourierFunction, check_frequency
 from .kernels import covariance, preset
-from .samples import PathSample, path_grid
+from .samples import DEFAULT_GRID_DENSITY, PathSample, check_grid_points, path_grid
 
 RECOVERY_TOL = 1e-10
 GRID_TOL = 1e-12
 # The one premise the 1/4 bound does not rest on: it shows only that the
 # unpinned kernel cannot decide the pair the same way.
 MC_PREMISE = "unpinned_statistic_stays_noisy"
+# the presets the endpoint increment is drawn under, pinned and not
+PINNED_KERNEL, UNPINNED_KERNEL = "bridge", "bm"
+CONCLUSION = (
+    "The discrete point-evaluation laws under the two truths are identical, "
+    "so every discrete decision rule has total error probability 1 across "
+    "the pair, hence worst-case error at least 1/2 and averaged deficiency "
+    "at least 1/4. The continuous experiment decides the pair exactly when "
+    "the noise is pinned at the endpoint, so no asymptotic equivalence can "
+    "hold for this kernel pair without endpoint regularity."
+)
 
 
 def check_spike_n(n: int) -> None:
@@ -54,6 +73,16 @@ def check_spike_n(n: int) -> None:
             "n must be at least 2: a one-point design leaves no room between "
             "the constant term and the spike frequency"
         )
+
+
+def check_ns(ns) -> None:
+    """Check a whole list of design sizes before the first runs, with
+    ValueError: the smallest against the spike's n >= 2 (check_spike_n),
+    the largest against the spike frequency's MAX_FREQUENCY and against
+    the DEFAULT_GRID_DENSITY * n + 1 point path grid its pinned draws take."""
+    check_spike_n(min(ns))
+    check_frequency(max(ns))
+    check_grid_points(DEFAULT_GRID_DENSITY * max(ns) + 1)
 
 
 def build_fn(n: int, beta: float, L: float) -> FourierFunction:
@@ -104,11 +133,12 @@ class DecisionProblem:
         return f.integral()
 
     def loss(self, f: FourierFunction, action: float) -> float:
-        return 0.0 if abs(action - self.target(f)) <= self.tolerance else 1.0
+        return float(self.misses(f, np.array([action])))
 
     def misses(self, f: FourierFunction, actions: np.ndarray) -> int:
-        """How many actions lose by the rule of loss, a NaN action
-        included: the plug-in risk times len(actions)."""
+        """How many actions miss the target by more than the tolerance, a
+        NaN action included: the plug-in risk times len(actions). loss is
+        its count on one action."""
         return int(np.count_nonzero(~(np.abs(actions - self.target(f)) <= self.tolerance)))
 
 
@@ -121,12 +151,15 @@ class Premise:
 
 @dataclass(frozen=True)
 class IndistinguishabilityReport:
+    """What one check found at one n. Its fields are the values that vary
+    from report to report; to_dict adds the keys that do not (the kernel
+    names, the conclusion) or that follow from the premises (the verdict,
+    and a delta_lower_bound of None once a premise it rests on failed)."""
+
     n: int
     beta: float
     L: float
     seed: int
-    pinned_kernel_id: str
-    unpinned_kernel_id: str
     premises: tuple
     integral_gap: float
     sobolev_norm_sq: float
@@ -135,7 +168,6 @@ class IndistinguishabilityReport:
     mc_variance_target: float
     mc_variance_band: float
     delta_lower_bound: float = 0.25
-    conclusion: str = field(default="")
 
     @property
     def passed(self) -> bool:
@@ -147,27 +179,13 @@ class IndistinguishabilityReport:
         return [p.name for p in self.premises if not p.passed and p.name != MC_PREMISE]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "beta": self.beta,
-            "L": self.L,
-            "seed": self.seed,
-            "pinned_kernel": self.pinned_kernel_id,
-            "unpinned_kernel": self.unpinned_kernel_id,
-            "premises": [
-                {"name": p.name, "passed": p.passed, "witness": p.witness}
-                for p in self.premises
-            ],
-            "integral_gap": self.integral_gap,
-            "sobolev_norm_sq": self.sobolev_norm_sq,
-            "mc_paths": self.mc_paths,
-            "mc_variance": self.mc_variance,
-            "mc_variance_target": self.mc_variance_target,
-            "mc_variance_band": self.mc_variance_band,
-            "delta_lower_bound": None if self.failed_bound_premises else self.delta_lower_bound,
-            "verdict": "premises verified" if self.passed else "premise FAILED",
-            "conclusion": self.conclusion,
-        }
+        out = asdict(self)
+        if self.failed_bound_premises:
+            out["delta_lower_bound"] = None
+        out.update(pinned_kernel=PINNED_KERNEL, unpinned_kernel=UNPINNED_KERNEL,
+                   verdict="premises verified" if self.passed else "premise FAILED",
+                   conclusion=CONCLUSION)
+        return out
 
     def lines(self) -> list[str]:
         out = [
@@ -233,7 +251,7 @@ def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
     """
     if mc_paths < 2:
         raise ValueError(f"the Monte Carlo variance needs at least 2 paths, got {mc_paths}")
-    pinned, unpinned = preset("bridge"), preset("bm")
+    pinned, unpinned = preset(PINNED_KERNEL), preset(UNPINNED_KERNEL)
     spike = build_fn(n, beta, L)
     zero = FourierFunction.zero()
     problem = DecisionProblem()
@@ -290,18 +308,8 @@ def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
         f"(3-sigma band {band:.2e}); plugin risk {misses / mc_paths:.3f}",
     ))
 
-    conclusion = (
-        "The discrete point-evaluation laws under the two truths are identical, "
-        "so every discrete decision rule has total error probability 1 across "
-        "the pair, hence worst-case error at least 1/2 and averaged deficiency "
-        "at least 1/4. The continuous experiment decides the pair exactly when "
-        "the noise is pinned at the endpoint, so no asymptotic equivalence can "
-        "hold for this kernel pair without endpoint regularity."
-    )
     return IndistinguishabilityReport(
         n=n, beta=beta, L=L, seed=seed,
-        pinned_kernel_id=pinned.name,
-        unpinned_kernel_id=unpinned.name,
         premises=tuple(premises),
         integral_gap=gap,
         sobolev_norm_sq=norm_sq,
@@ -309,5 +317,4 @@ def indistinguishability_check(n: int, beta: float = 1.0, L: float = 1.0,
         mc_variance=mc_var,
         mc_variance_target=target_var,
         mc_variance_band=band,
-        conclusion=conclusion,
     )

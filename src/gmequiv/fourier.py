@@ -450,8 +450,11 @@ def function_from_spec(spec: Mapping | str) -> FourierFunction:
     JSON value that is not an object raises ValueError, and so does each
     key at fault: any key but 'name' and 'coeffs', a name that is not
     text or holds a line break (any break str.splitlines splits on), and a
-    missing or malformed 'coeffs', including a k that is not an integer, a
-    |k| above MAX_FREQUENCY and a part that is not finite.
+    missing or malformed 'coeffs', including a k, re or im that is not a
+    number (text and booleans are not; an integral float such as 1e0 is an
+    integer k), a k that is not an integer or is given twice, a |k| above
+    MAX_FREQUENCY and a part that is not finite or, as an integer, lies
+    past the float range.
     """
     from .kernels import read_spec  # here, so that only reading a spec loads kernels
 
@@ -467,11 +470,16 @@ def function_from_spec(spec: Mapping | str) -> FourierFunction:
     coeffs = {}
     try:
         for k, re_part, im_part in spec["coeffs"]:
+            triple = [k, re_part, im_part]
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in triple):
+                raise ValueError(f"{triple!r} needs numbers, not text or booleans")
             index, value = float(k), complex(float(re_part), float(im_part))
             if not (index.is_integer() and cmath.isfinite(value)):
-                raise ValueError(f"{[k, re_part, im_part]!r} needs an integral k and finite parts")
+                raise ValueError(f"{triple!r} needs an integral k and finite parts")
+            if int(index) in coeffs:
+                raise ValueError(f"{triple!r} gives k = {int(index)} a second time")
             coeffs[int(index)] = value
         return FourierFunction.from_coeffs(coeffs, name=name)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(
             f"function spec key 'coeffs' needs [k, re, im] number triples ({exc!r})") from exc

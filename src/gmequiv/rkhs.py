@@ -66,7 +66,9 @@ ABS_TOL = 1e-13
 # Integrands analytic within a cell settle within a level or two. The cap
 # bounds the work spent on one that does not: 2^8 panels per cell, 4096
 # nodes, so 2^24 = MAX_GRID_POINTS nodes at the last level of a 4096-cell
-# design; a larger design stops at the last level that fits.
+# design; a larger design stops at the last level that fits. A function
+# whose top frequency K exceeds the cell count gets 2^8 panels per period
+# instead (_residual_integral), under the same node limit.
 MAX_DOUBLINGS = 8
 
 
@@ -105,15 +107,18 @@ def _residual_integral(kernel: GaussMarkovKernel, f: FourierFunction, alpha: np.
     REL_TOL or to the absolute floor ABS_TOL; no unconverged value is ever
     returned. QuadratureFailure, carrying the last achieved relative
     tolerance, names the kernel when the totals have not settled after
-    MAX_DOUBLINGS halvings, or when the next level's nodes would exceed
-    samples.MAX_GRID_POINTS (read at each call). An integral against q' that
+    MAX_DOUBLINGS halvings, MAX_DOUBLINGS + ceil(log2(f.K / cells)) when
+    f.K exceeds the cell count (2^8 panels per period of the top frequency,
+    as many as a cell gets otherwise), or when the next level's nodes would
+    exceed samples.MAX_GRID_POINTS (read at each call). An integral against q' that
     does not settle may mean that g is not square integrable, so that F_f
     lies outside the kernel's RKHS.
     """
     nodes, weights = _gauss_rule()
     edges = path_grid(alpha.size, alpha.size + 1)
     value, change = 0.0, math.inf
-    for level in range(MAX_DOUBLINGS + 1):
+    extra = math.ceil(math.log2(f.K / alpha.size)) if f.K > alpha.size else 0
+    for level in range(MAX_DOUBLINGS + extra + 1):
         if level:
             edges = np.insert(edges, slice(1, None), 0.5 * (edges[1:] + edges[:-1]))
         if 16 * (edges.size - 1) > samples.MAX_GRID_POINTS:

@@ -293,6 +293,12 @@ class TestExitCodes:
         ("--fn", '{"coeffs": [[1, "nan", 0]]}', "'coeffs'"),
         ("--fn", '{"coeffs": [[1e19, 1, 0]]}', "'coeffs'"),
         ("--fn", '{"coeffs": [[1048577, 1, 0]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[true, 1, 0]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[1, 1, false]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [["2", "0.5", "0"]]}', "'coeffs'"),
+        ("--fn", '{"coeffs": [[1, 1, 0], [1, 2, 0]]}', "'coeffs'"),
+        pytest.param("--fn", '{"coeffs": [[1' + "0" * 400 + ', 1, 0]]}', "'coeffs'",
+                     id="--fn-k-past-the-float-range"),
         ("--kernel", '{"u": "t"}', "'v'"),
         ("--kernel", '{"preset": "ou", "params": {"Q": 1}}', "'Q'"),
         ("--kernel", '{"preset": "ou", "params": {"L": "1"}}', "'params'"),

@@ -1,5 +1,6 @@
 """Tests for the two-point decision problem and its verification report."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -117,6 +118,47 @@ class TestDecisionProblem:
         assert problem.misses(spike, np.array([target, np.nan, target + 0.02])) == 2
 
 
+def _failing(report, name):
+    """report with every premise but name passing and name failing."""
+    return replace(report, premises=tuple(
+        replace(p, passed=p.name != name) for p in report.premises))
+
+
+def _written_out(report) -> dict:
+    """The report's JSON object key by key, kernel names and conclusion
+    written out: the oracle for to_dict."""
+    failed = [p.name for p in report.premises if not p.passed and p.name != MC_PREMISE]
+    return {
+        "n": report.n,
+        "beta": report.beta,
+        "L": report.L,
+        "seed": report.seed,
+        "pinned_kernel": "bridge",
+        "unpinned_kernel": "bm",
+        "premises": [
+            {"name": p.name, "passed": p.passed, "witness": p.witness}
+            for p in report.premises
+        ],
+        "integral_gap": report.integral_gap,
+        "sobolev_norm_sq": report.sobolev_norm_sq,
+        "mc_paths": report.mc_paths,
+        "mc_variance": report.mc_variance,
+        "mc_variance_target": report.mc_variance_target,
+        "mc_variance_band": report.mc_variance_band,
+        "delta_lower_bound": None if failed else 0.25,
+        "verdict": "premises verified" if all(p.passed for p in report.premises)
+        else "premise FAILED",
+        "conclusion": (
+            "The discrete point-evaluation laws under the two truths are identical, "
+            "so every discrete decision rule has total error probability 1 across "
+            "the pair, hence worst-case error at least 1/2 and averaged deficiency "
+            "at least 1/4. The continuous experiment decides the pair exactly when "
+            "the noise is pinned at the endpoint, so no asymptotic equivalence can "
+            "hold for this kernel pair without endpoint regularity."
+        ),
+    }
+
+
 class TestIndistinguishabilityCheck:
     def test_all_premises_hold(self):
         report = indistinguishability_check(8, mc_paths=20_000)
@@ -142,18 +184,23 @@ class TestIndistinguishabilityCheck:
         text = "\n".join(report.lines())
         assert "deficiency lower bound 0.25" in text
 
+    def test_json_text_is_pinned(self):
+        """The JSON text of a passing report and of one failing each kind
+        of premise, against the report written out key by key."""
+        report = indistinguishability_check(4, mc_paths=5_000)
+        assert report.passed
+        for case in (report, _failing(report, MC_PREMISE),
+                     _failing(report, "pinned_path_recovers_integral")):
+            got = json.dumps(case.to_dict(), sort_keys=True, indent=2)
+            assert got == json.dumps(_written_out(case), sort_keys=True, indent=2)
+
     def test_bound_rests_on_every_premise_but_the_monte_carlo(self):
         report = indistinguishability_check(4, mc_paths=2_000)
-
-        def failing(name):
-            return replace(report, premises=tuple(
-                replace(p, passed=p.name != name) for p in report.premises))
-
-        noisy = failing(MC_PREMISE)
+        noisy = _failing(report, MC_PREMISE)
         assert not noisy.passed and noisy.failed_bound_premises == []
         assert noisy.lines()[-1] == "  => deficiency lower bound 0.25"
         assert noisy.to_dict()["delta_lower_bound"] == 0.25
-        recovery = failing("pinned_path_recovers_integral")
+        recovery = _failing(report, "pinned_path_recovers_integral")
         assert recovery.failed_bound_premises == ["pinned_path_recovers_integral"]
         assert recovery.lines()[-1] == (
             "  => no deficiency bound: premise failed: pinned_path_recovers_integral")

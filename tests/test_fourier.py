@@ -478,6 +478,8 @@ class TestJsonSurface:
         fn = function_from_spec('{"coeffs": [[0, 0.5, 0], [2, 0.25, -0.1]]}')
         assert fn.integral() == 0.5
         assert fn.coeff(-2) == 0.25 + 0.1j
+        # an integral float is an integer k
+        assert function_from_spec('{"coeffs": [[2e0, 0.25, -0.1]]}').coeff(-2) == 0.25 + 0.1j
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "fn.json"

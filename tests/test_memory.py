@@ -175,19 +175,22 @@ def test_rebuilt_path_holds_one_draw_beside_one_kriging():
     assert _peak(lambda: path_from_discrete(kernel, sample, 1)) <= 6.5 * grid.nbytes
 
 
-def test_unsettled_residual_integral_stops_at_the_node_cap(monkeypatch):
-    """On u = t^5, v = 1 the running integral of cos lies outside the RKHS
-    and the residual integral never settles. A level is evaluated only if
-    its nodes fit in MAX_GRID_POINTS, here 2^14: the peak is 9.9 doubles per
-    node of the last level that fits, not of the 65,536 nodes of level
-    MAX_DOUBLINGS on 16 cells (4.9 MiB, 3.3 times the bound)."""
+@pytest.mark.parametrize("k, n", [(1, 16), (64, 1)])
+def test_unsettled_residual_integral_stops_at_the_node_cap(monkeypatch, k, n):
+    """On u = t^5, v = 1 the running integral of a harmonic lies outside
+    the RKHS and the residual integral never settles. A level is evaluated
+    only if its nodes fit in MAX_GRID_POINTS, here 2^14: the peak is 9.9
+    doubles per node of the last level that fits, not of the 65,536 nodes
+    of level MAX_DOUBLINGS on 16 cells (4.9 MiB, 3.3 times the bound), nor
+    of the 2^18 nodes of the MAX_DOUBLINGS + 6 halvings that k = 64 is
+    allowed on one cell, 2^8 panels per period."""
     cap = 1 << 14
     monkeypatch.setattr(samples, "MAX_GRID_POINTS", cap)
     quintic = make_kernel("quintic", "t^5", "1")
 
     def unsettled():
         with pytest.raises(QuadratureFailure, match="kernel 'quintic'"):
-            projection_distance(quintic, FourierFunction.harmonic(1), 16)
+            projection_distance(quintic, FourierFunction.harmonic(k), n)
 
     assert _peak(unsettled) <= 12 * 8 * cap
 

@@ -1,6 +1,8 @@
 """Seeded property tests: the derived clock, the two KL routes, the two
-Fourier-sum routes, Hermitian completion, Kriging through the knots and the
-discrete -> path -> discrete round trip, each on generated inputs."""
+Fourier-sum routes, Hermitian completion, Kriging through the knots, the
+discrete -> path -> discrete round trip and, on kernels drawn valid by
+construction, the KL routes, the RKHS Pythagoras identity and the kernel
+bracket of the discretization statistic, each on generated inputs."""
 
 import math
 
@@ -8,15 +10,15 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmequiv import diagnostics, fourier
 from gmequiv.diagnostics import kl_dense, kl_sequential
 from gmequiv.experiments import path_from_discrete, reconstruct_discrete_from_path
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
-from gmequiv.kernels import make_kernel, preset, validate_assumption
-from gmequiv.rkhs import kriging_interpolate
+from gmequiv.kernels import design_clock, make_kernel, preset, validate_assumption
+from gmequiv.rkhs import kriging_interpolate, projection_distance, rkhs_norm
 from gmequiv.samples import DiscreteSample, knot_stride, path_grid
 from gmequiv.sampling import sample_paths
 
@@ -191,3 +193,52 @@ def test_every_reading_is_gauge_invariant(log_c, kernel, n, seed):
     for got, want in zip(arrays, ref_arrays):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
     assert verdicts == ref_verdicts
+
+
+@st.composite
+def valid_kernels(draw):
+    """u = q v and v as expression text: the clock q = t + a t^2 + b t^3
+    with a, b >= 0 has q(0) = 0 and q' > 0, and v = exp(c sin(w t) + d t)
+    is positive, so every drawn kernel is valid by construction."""
+    a, b = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+    c, d, w = draw(st.floats(-0.8, 0.8)), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 6.0))
+    v = f"exp({c!r}*sin({w!r}*t) + {d!r}*t)"
+    return make_kernel("drawn", f"(t + {a!r}*t^2 + {b!r}*t^3)*{v}", v)
+
+
+DRAWN = dict(kernel=valid_kernels(), beta=st.floats(0.6, 2.0), seed=st.integers(0, 10**6),
+             n=st.integers(1, 24))
+
+
+@settings(max_examples=25)
+@given(**DRAWN)
+def test_kl_routes_agree_on_drawn_kernels(kernel, beta, seed, n):
+    f = sample_ellipsoid(ClassSpec.sobolev(beta, 1.0), K=2 * n, seed=seed)
+    seq, dense = kl_sequential(kernel, f, n), kl_dense(kernel, f, n)
+    assert math.isclose(seq, dense, rel_tol=1e-9, abs_tol=1e-15), (seq, dense)
+
+
+@settings(max_examples=25)
+@given(**DRAWN)
+def test_norm_splits_into_span_and_residual_on_drawn_kernels(kernel, beta, seed, n):
+    """||F_f||_H^2 = S_n + D_n, S_n = sum_j (Delta_j(F_f / v))^2 / Delta_j q,
+    to the expression-kernel tolerance of the fixed-kernel test."""
+    f = sample_ellipsoid(ClassSpec.sobolev(beta, 1.0), K=2 * n, seed=seed)
+    knots = path_grid(n, n + 1)
+    _, v, q = kernel.clock(knots)
+    span = np.sum(np.diff(np.asarray(f.antiderivative(knots)) / v) ** 2 / np.diff(q))
+    assert math.isclose(rkhs_norm(kernel, f) ** 2, span + projection_distance(kernel, f, n),
+                        rel_tol=1e-10)
+
+
+@settings(max_examples=25)
+@given(**DRAWN)
+def test_discretization_ratio_to_bm_lies_in_the_kernel_bracket(kernel, beta, seed, n):
+    """The statistic weighs bm's squared gaps by w_i = 1/(n v_i^2 dq_i), so
+    its ratio to bm's is a weighted mean of the w_i."""
+    f = sample_ellipsoid(ClassSpec.sobolev(beta, 1.0), K=2 * n, seed=seed)
+    v, q = design_clock(kernel, n)
+    w = 1.0 / (n * v[1:] ** 2 * np.diff(q))
+    ratio = (diagnostics.discretization_statistic(kernel, f, n)
+             / diagnostics.discretization_statistic(preset("bm"), f, n))
+    assert w.min() * (1.0 - 1e-12) <= ratio <= w.max() * (1.0 + 1e-12), (ratio, w.min(), w.max())

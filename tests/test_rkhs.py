@@ -177,10 +177,17 @@ class TestProjectionDistance:
             projection_distance_dense(kernel, COS, 4)
 
 
+def _span(kernel, f, n) -> float:
+    """S_n = sum_j (Delta_j(F_f / v))^2 / Delta_j q, the squared norm of
+    the projection of F_f onto the design span, from the clock at the knots."""
+    knots = path_grid(n, n + 1)
+    _, v, q = kernel.clock(knots)
+    return float(np.sum(np.diff(np.asarray(f.antiderivative(knots)) / v) ** 2 / np.diff(q)))
+
+
 class TestPythagoras:
     """||F_f||_H^2 = S_n + D_n: the squared norm of the projection onto the
-    design span, S_n = sum_j (Delta_j(F_f / v))^2 / Delta_j q, computed here
-    from the clock at the knots, plus the squared distance to the span."""
+    design span (_span) plus the squared distance to the span."""
 
     FNS = (COS, sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=24, seed=4))
 
@@ -195,12 +202,35 @@ class TestPythagoras:
     ], ids=["bm", "ou1", "ou5", "slepian", "lab", "ou-expr"])
     @pytest.mark.parametrize("n", [1, 8, 64, 512])
     def test_norm_splits_into_span_and_residual(self, kernel, rel_tol, n):
-        knots = path_grid(n, n + 1)
-        _, v, q = kernel.clock(knots)
         for f in self.FNS:
-            span = np.sum(np.diff(np.asarray(f.antiderivative(knots)) / v) ** 2 / np.diff(q))
-            assert math.isclose(rkhs_norm(kernel, f) ** 2, span + projection_distance(kernel, f, n),
+            assert math.isclose(rkhs_norm(kernel, f) ** 2,
+                                _span(kernel, f, n) + projection_distance(kernel, f, n),
                                 rel_tol=rel_tol), f.name
+
+
+class TestTopFrequencyBudget:
+    """A function whose top frequency K exceeds the cell count gets 2^8
+    panels per period of that frequency, as a cell gets otherwise: with
+    2^8 per cell, one cell held about 4 nodes per period of harmonic(1024),
+    and its integral failed as if F_f lay outside the RKHS."""
+
+    HIGH = tuple(FourierFunction.harmonic(k) for k in (384, 512, 1024))
+
+    def test_norm_of_a_high_harmonic(self):
+        for f in self.HIGH:
+            assert math.isclose(rkhs_norm(preset("bm"), f) ** 2, 0.5, rel_tol=1e-12), f.K
+
+    def test_one_cell_leaves_the_whole_norm(self):
+        """On bm F_f(1) = 0 spans nothing on one cell: S_1 = 0 and D_1 is
+        ||F_f||_H^2 = ||f||_2^2."""
+        assert math.isclose(projection_distance(preset("bm"), self.HIGH[-1], 1), 0.5,
+                            rel_tol=1e-12)
+
+    def test_norm_splits_on_two_cells(self):
+        kernel, f = preset("slepian"), self.HIGH[-1]
+        assert math.isclose(rkhs_norm(kernel, f) ** 2,
+                            _span(kernel, f, 2) + projection_distance(kernel, f, 2),
+                            rel_tol=1e-14)
 
 
 class TestNodeCap:
