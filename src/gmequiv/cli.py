@@ -63,12 +63,16 @@ DEFAULT_RATE_TARGETS = {
 # does not import diagnostics; a test keeps the two equal
 STATISTIC_CHOICES = ("band_terms", "discretization", "kl", "projection", "transformation")
 
-# the flags each rates family reads, with their defaults; a flag that the
-# chosen family would ignore is a usage error
-FAMILY_FLAGS = {
-    "single-freq": {"k": 1},
-    "sobolev": {"beta": 1.0, "L": 1.0, "seed": 0},
-    "random": {"beta": 1.0, "L": 1.0, "seed": 0},
+# per command, its choice flag and the flags each choice reads, with their
+# defaults; a flag that the chosen value would ignore is a usage error
+CHOICE_FLAGS = {
+    "rates": ("family", {"single-freq": {"k": 1},
+                         "sobolev": {"beta": 1.0, "L": 1.0, "seed": 0},
+                         "random": {"beta": 1.0, "L": 1.0, "seed": 0}}),
+    "simulate": ("exp", {"e1": {"fn": None}, "e1prime": {"fn": None},
+                         "e2": {"fn": None, "grid_density": DEFAULT_GRID_DENSITY},
+                         "kriging-path": {"fn": None, "grid_density": DEFAULT_GRID_DENSITY},
+                         "increments": {}}),
 }
 
 
@@ -176,7 +180,6 @@ def _cmd_simulate(args) -> int:
 
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
-    grid_size = args.grid_density * args.n + 1
     meta = {
         "command": "simulate", "experiment": args.exp, "kernel": kernel.name,
         "fn": fn.name, "n": args.n, "seed": args.seed,
@@ -189,11 +192,12 @@ def _cmd_simulate(args) -> int:
         rows = ((i, i / args.n, v) for i, v in enumerate(map(float, sample.values), 1))
     elif args.exp in ("e2", "kriging-path"):
         run = experiments.simulate_e2 if args.exp == "e2" else experiments.kriging_path_experiment
-        sample = run(kernel, fn, args.n, args.seed, grid_size=grid_size)
+        sample = run(kernel, fn, args.n, args.seed, grid_size=args.grid_density * args.n + 1)
         meta["grid_size"] = sample.grid.size
         columns = ("t", "value")
         rows = zip(map(float, sample.grid), map(float, sample.values))
-    else:  # increments
+    else:  # increments, which draws no signal
+        del meta["fn"]
         xi = experiments.simulate_increments(kernel, args.n, args.seed)
         columns = ("i", "value")
         rows = enumerate(map(float, xi), 1)
@@ -355,18 +359,18 @@ def build_parser() -> _Parser:
                            help=f"output format (default {formats[0]})")
 
     p = sub.add_parser("simulate", help="draw one experiment sample")
-    p.add_argument("--exp", choices=("e1", "e1prime", "e2", "kriging-path", "increments"),
-                   default="e2")
+    p.add_argument("--exp", choices=tuple(CHOICE_FLAGS["simulate"][1]), default="e2")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid-density", type=int, default=DEFAULT_GRID_DENSITY,
-                   help=f"path grid has density*n+1 points (default {DEFAULT_GRID_DENSITY})")
+    p.add_argument("--grid-density", type=int,
+                   help=f"e2 and kriging-path: path grid has density*n+1 points "
+                        f"(default {DEFAULT_GRID_DENSITY})")
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("rates", help="rate sweep with a slope gate")
     p.add_argument("--stat", choices=STATISTIC_CHOICES, required=True)
-    p.add_argument("--family", choices=tuple(FAMILY_FLAGS), default="single-freq")
+    p.add_argument("--family", choices=tuple(CHOICE_FLAGS["rates"][1]), default="single-freq")
     p.add_argument("--k", type=int, help="frequency for single-freq family (default 1)")
     p.add_argument("--beta", type=float, help="sobolev and random families (default 1)")
     p.add_argument("--L", type=float, help="sobolev and random families (default 1)")
@@ -415,15 +419,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_family_flags(args, parser: _Parser) -> None:
-    """Refuse a rates flag that the chosen family would ignore, and fill in
-    the defaults of the flags it reads."""
-    reads = FAMILY_FLAGS[args.family]
-    every_flag = dict.fromkeys(dest for flags in FAMILY_FLAGS.values() for dest in flags)
-    ignored = [f"--{dest}" for dest in every_flag
+def _check_choice_flags(args, parser: _Parser) -> None:
+    """Refuse a flag that the chosen --family of rates or --exp of simulate
+    would ignore (CHOICE_FLAGS), and fill in the defaults of the flags it
+    reads."""
+    choice, table = CHOICE_FLAGS[args.command]
+    reads = table[getattr(args, choice)]
+    every_flag = dict.fromkeys(dest for flags in table.values() for dest in flags)
+    ignored = [f"--{dest.replace('_', '-')}" for dest in every_flag
                if dest not in reads and getattr(args, dest) is not None]
     if ignored:
-        parser.error(f"rates --family {args.family} does not read {', '.join(ignored)}")
+        parser.error(f"{args.command} --{choice} {getattr(args, choice)} "
+                     f"does not read {', '.join(ignored)}")
     for dest, default in reads.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -433,8 +440,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "rates":
-            _check_family_flags(args, parser)
+        if args.command in CHOICE_FLAGS:
+            _check_choice_flags(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -25,14 +25,15 @@ interpolation. Since g(q(w)) q'(w) = (F_f/v)'(w), the q'-weighted mass of g
 over a design cell is the increment of F_f/v across it, in closed form;
 only the nonnegative residual integral needs quadrature. The one integral
 in the package is _residual_integral, composite 16-point Gauss-Legendre
-over equal cells with the knots as panel edges: ||F_f||_H^2 is its value
-against alpha = 0 on one cell, D_n its value against the cell means. The
-Markov structure reduces Kriging to a two-knot rule: in the (q, y/v) plane
-the conditional expectation is linear interpolation anchored at the
-origin. Each has a dense oracle alongside: weighted least squares on a
-fixed midpoint grid for D_n, a covariance solve for Kriging. Their
-factors, solves and products run under kernels.serial_blas, on the
-calling thread, so their bits do not depend on the BLAS thread count.
+on equal panels, level L holding cells * 2^L of them with the knots among
+their edges: ||F_f||_H^2 is its value against alpha = 0 on one cell, D_n
+its value against the cell means. The Markov structure reduces Kriging to
+a two-knot rule: in the (q, y/v) plane the conditional expectation is
+linear interpolation anchored at the origin. Each has a dense oracle
+alongside: weighted least squares on a fixed midpoint grid for D_n, a
+covariance solve for Kriging. Their factors, solves and products run
+under kernels.serial_blas, on the calling thread, so their bits do not
+depend on the BLAS thread count.
 
 Every function here is deterministic in its arguments; the layer draws
 nothing. Path draws, the one that path_from_discrete adds to its Kriging
@@ -74,9 +75,11 @@ MAX_DOUBLINGS = 8
 
 @functools.cache
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 16-point Gauss-Legendre on [-1, 1], built on
-    first use, so numpy.polynomial loads only when something is integrated."""
-    return np.polynomial.legendre.leggauss(16)
+    """Nodes u_s = (x_s + 1) / 2 and weights w_s / 2 of 16-point
+    Gauss-Legendre mapped from [-1, 1] to [0, 1], built on first use, so
+    numpy.polynomial loads only when something is integrated."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    return (nodes + 1) / 2, weights / 2
 
 
 def decoupled_drift(kernel: GaussMarkovKernel, f: FourierFunction, w
@@ -101,36 +104,35 @@ def _residual_integral(kernel: GaussMarkovKernel, f: FourierFunction, alpha: np.
     equal cells of path_grid(alpha.size, alpha.size + 1), with j(w) the cell
     holding w, by composite 16-point Gauss-Legendre.
 
-    The cell edges are the first panel edges, so a g smooth within each
-    cell is integrated at spectral accuracy. Every panel is halved, all at
-    once in one vectorized evaluation, until two successive totals agree to
-    REL_TOL or to the absolute floor ABS_TOL; no unconverged value is ever
-    returned. QuadratureFailure, carrying the last achieved relative
-    tolerance, names the kernel when the totals have not settled after
-    MAX_DOUBLINGS halvings, MAX_DOUBLINGS + ceil(log2(f.K / cells)) when
-    f.K exceeds the cell count (2^8 panels per period of the top frequency,
-    as many as a cell gets otherwise), or when the next level's nodes would
-    exceed samples.MAX_GRID_POINTS (read at each call). An integral against q' that
-    does not settle may mean that g is not square integrable, so that F_f
-    lies outside the kernel's RKHS.
+    Level L is a function of its panel count P = cells * 2^L alone: its
+    nodes are (r + u_s) / P for panel r and the Gauss nodes u_s mapped to
+    [0, 1] (_gauss_rule), its total sum_r sum_s w_s residual / P. The cell
+    edges are panel edges at every level, so a g smooth within each cell is
+    integrated at spectral accuracy. Each level halves every panel of the
+    last and is evaluated in one vectorized call, until two successive
+    totals agree to REL_TOL or to the absolute floor ABS_TOL; no unconverged
+    value is ever returned. QuadratureFailure, carrying the last achieved
+    relative tolerance, names the kernel when the totals have not settled
+    after MAX_DOUBLINGS halvings, MAX_DOUBLINGS + ceil(log2(f.K / cells))
+    when f.K exceeds the cell count (2^8 panels per period of the top
+    frequency, as many as a cell gets otherwise), or when the next level's
+    nodes would exceed samples.MAX_GRID_POINTS (read at each call). An
+    integral against q' that does not settle may mean that g is not square
+    integrable, so that F_f lies outside the kernel's RKHS.
     """
-    nodes, weights = _gauss_rule()
-    edges = path_grid(alpha.size, alpha.size + 1)
+    u, w = _gauss_rule()
     value, change = 0.0, math.inf
     extra = math.ceil(math.log2(f.K / alpha.size)) if f.K > alpha.size else 0
     for level in range(MAX_DOUBLINGS + extra + 1):
-        if level:
-            edges = np.insert(edges, slice(1, None), 0.5 * (edges[1:] + edges[:-1]))
-        if 16 * (edges.size - 1) > samples.MAX_GRID_POINTS:
+        panels = alpha.size * 2 ** level
+        if 16 * panels > samples.MAX_GRID_POINTS:
             break
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        # nodes shape (panels, 16), evaluated in one vectorized call; on equal
-        # panels each column is an arithmetic progression with one period and
-        # one start, so FourierFunction evaluates the whole array by one FFT
-        g, q_prime = _preimage(kernel, f, mid[:, None] + half[:, None] * nodes[None, :])
+        # nodes shape (panels, 16), evaluated in one vectorized call; column s
+        # is the exact progression (r + u_s) / panels, so FourierFunction
+        # evaluates the whole array by one FFT
+        g, q_prime = _preimage(kernel, f, (np.arange(panels)[:, None] + u) / panels)
         residual = (g - np.repeat(alpha, 2 ** level)[:, None]) ** 2 * q_prime
-        new = float(np.sum(half * (residual @ weights)))
+        new = float(np.sum(residual @ w)) / panels
         del g, q_prime, residual  # not held while the next level is evaluated
         if level:
             change = abs(new - value)

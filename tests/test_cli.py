@@ -15,6 +15,8 @@ import pytest
 
 import gmequiv
 from gmequiv.cli import STATISTIC_CHOICES, main
+from gmequiv.fourier import FourierFunction
+from gmequiv.samples import DEFAULT_GRID_DENSITY
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 # 2e200 cos(2 pi x): its squares and sums of squares leave the float range
@@ -349,6 +351,34 @@ class TestExitCodes:
         assert explicit[0] == 0
         single = ("rates", "--stat", "kl", "--preset", "bm", "--n", "8..16")
         assert run_cli(capsys, *single, "--k", "1") == run_cli(capsys, *single)
+
+    @pytest.mark.parametrize("exp, flags, named", [
+        ("e1", ("--grid-density", "7"), "--grid-density"),
+        ("e1prime", ("--grid-density", "10"), "--grid-density"),
+        ("increments", ("--grid-density", "7"), "--grid-density"),
+        ("increments", ("--fn", '{"coeffs": [[2, 5.0, 0.0]]}'), "--fn"),
+        ("increments", ("--grid-density", "7", "--fn", '{"coeffs": [[1, 1, 0]]}'),
+         "--fn, --grid-density"),
+    ])
+    def test_simulate_refuses_a_flag_its_experiment_ignores(self, capsys, exp, flags, named):
+        code, out, err = run_cli(capsys, "simulate", "--exp", exp, "--n", "3", *flags)
+        assert (code, out) == (64, "")
+        assert f"simulate --exp {exp} does not read {named}" in err
+
+    def test_simulate_flags_the_experiment_reads_keep_their_defaults(self, capsys):
+        """Passed at their defaults, the flags each experiment reads give
+        the bytes they give left out, and the meta names the function only
+        where the experiment draws one."""
+        cos = FourierFunction.harmonic(1).to_json()
+        density = ("--grid-density", str(DEFAULT_GRID_DENSITY))
+        for exp, flags in (("e1", ("--fn", cos)), ("e1prime", ("--fn", cos)),
+                           ("e2", ("--fn", cos, *density)),
+                           ("kriging-path", ("--fn", cos, *density)), ("increments", ())):
+            argv = ("simulate", "--exp", exp, "--n", "3", "--preset", "ou(1)")
+            explicit = run_cli(capsys, *argv, *flags)
+            assert explicit == run_cli(capsys, *argv), exp
+            assert explicit[0] == 0, exp
+            assert ("# fn=cos1\n" in explicit[1]) == ("--fn" in flags), exp
 
     @pytest.mark.parametrize("command", ["simulate", "rates", "kriging", "kl", "transform",
                                          "validate"])

@@ -150,14 +150,10 @@ def _direct_sums(fn: FourierFunction, t: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _gauss_nodes(n: int) -> np.ndarray:
     """The (2n, 16) node array of one halving on the design knots of n,
-    built as rkhs._residual_integral builds it."""
+    built as rkhs._residual_integral builds it: row r holds (r + u_s) / 2n
+    for the [0, 1] Gauss nodes u_s."""
     nodes, _ = _gauss_rule()
-    edges = np.empty(2 * n + 1)
-    edges[0::2] = path_grid(n, n + 1)
-    edges[1::2] = 0.5 * (edges[2::2] + edges[:-1:2])
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    return mid[:, None] + half[:, None] * nodes[None, :]
+    return (np.arange(2 * n)[:, None] + nodes) / (2 * n)
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """Seeded property tests: the derived clock, the two KL routes, the two
 Fourier-sum routes, Hermitian completion, Kriging through the knots, the
 discrete -> path -> discrete round trip and, on kernels drawn valid by
-construction, the KL routes, the RKHS Pythagoras identity and the kernel
-bracket of the discretization statistic, each on generated inputs."""
+construction, the KL routes, the RKHS Pythagoras identity, the kernel
+bracket of the discretization statistic, Kriging and the projection
+distance against their dense oracles and gauge invariance, each on
+generated inputs."""
 
 import math
 
@@ -18,7 +20,13 @@ from gmequiv.diagnostics import kl_dense, kl_sequential
 from gmequiv.experiments import path_from_discrete, reconstruct_discrete_from_path
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import design_clock, make_kernel, preset, validate_assumption
-from gmequiv.rkhs import kriging_interpolate, projection_distance, rkhs_norm
+from gmequiv.rkhs import (
+    kriging_interpolate,
+    kriging_interpolate_dense,
+    projection_distance,
+    projection_distance_dense,
+    rkhs_norm,
+)
 from gmequiv.samples import DiscreteSample, knot_stride, path_grid
 from gmequiv.sampling import sample_paths
 
@@ -196,14 +204,19 @@ def test_every_reading_is_gauge_invariant(log_c, kernel, n, seed):
 
 
 @st.composite
-def valid_kernels(draw):
+def valid_factor_pairs(draw):
     """u = q v and v as expression text: the clock q = t + a t^2 + b t^3
     with a, b >= 0 has q(0) = 0 and q' > 0, and v = exp(c sin(w t) + d t)
-    is positive, so every drawn kernel is valid by construction."""
+    is positive, so every drawn pair is valid by construction."""
     a, b = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
     c, d, w = draw(st.floats(-0.8, 0.8)), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 6.0))
     v = f"exp({c!r}*sin({w!r}*t) + {d!r}*t)"
-    return make_kernel("drawn", f"(t + {a!r}*t^2 + {b!r}*t^3)*{v}", v)
+    return f"(t + {a!r}*t^2 + {b!r}*t^3)*{v}", v
+
+
+def valid_kernels():
+    """The kernels of valid_factor_pairs; v(1) > 0, so Kriging accepts them."""
+    return valid_factor_pairs().map(lambda pair: make_kernel("drawn", *pair))
 
 
 DRAWN = dict(kernel=valid_kernels(), beta=st.floats(0.6, 2.0), seed=st.integers(0, 10**6),
@@ -242,3 +255,44 @@ def test_discretization_ratio_to_bm_lies_in_the_kernel_bracket(kernel, beta, see
     ratio = (diagnostics.discretization_statistic(kernel, f, n)
              / diagnostics.discretization_statistic(preset("bm"), f, n))
     assert w.min() * (1.0 - 1e-12) <= ratio <= w.max() * (1.0 + 1e-12), (ratio, w.min(), w.max())
+
+
+@settings(max_examples=25)
+@given(kernel=valid_kernels(), n=st.integers(1, 64), seed=st.integers(0, 10**6))
+def test_kriging_matches_the_dense_solve_on_drawn_kernels(kernel, n, seed):
+    """Standard-normal knot data on the density-20 path grid, to the 1e-8
+    absolute bound of acceptance criterion 3."""
+    y = np.random.default_rng(seed).standard_normal(n)
+    grid = path_grid(n, 20 * n + 1)
+    fast = kriging_interpolate(kernel, y, grid)
+    np.testing.assert_allclose(fast, kriging_interpolate_dense(kernel, y, grid),
+                               rtol=0.0, atol=1e-8)
+
+
+@settings(max_examples=25)
+@given(kernel=valid_kernels(), n=st.sampled_from((4, 8, 16)), beta=st.floats(0.6, 2.0),
+       seed=st.integers(0, 10**6))
+def test_projection_distance_matches_the_dense_oracle_on_drawn_kernels(kernel, n, beta, seed):
+    """cos and a K = 2n Sobolev member, to the 1e-6 of the preset test. The
+    n divide the oracle's DENSE_GRID_SIZE midpoints evenly among the cells."""
+    for f in (FourierFunction.harmonic(1), sample_ellipsoid(ClassSpec.sobolev(beta, 1.0),
+                                                           K=2 * n, seed=seed)):
+        fast = projection_distance(kernel, f, n)
+        assert abs(fast - projection_distance_dense(kernel, f, n)) < 1e-6, (f.name, fast)
+
+
+@settings(max_examples=25)
+@given(log_c=st.floats(-8.0, 8.0), pair=valid_factor_pairs(), n=st.integers(2, 16),
+       seed=st.integers(0, 10**6))
+def test_every_reading_is_gauge_invariant_on_drawn_kernels(log_c, pair, n, seed):
+    """The gauge test of the written-out kernels, on (c u, v / c) for a
+    drawn factor pair (u, v)."""
+    u, v = pair
+    f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=2 * n, seed=seed)
+    gauged = ("drawn", f"{{c}}*({u})", f"({v})/{{c}}")
+    values, arrays, verdicts = _gauge_readings(*gauged, 10.0 ** log_c, f, n)
+    ref_values, ref_arrays, ref_verdicts = _gauge_readings(*gauged, 1.0, f, n)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-9, atol=0.0)
+    for got, want in zip(arrays, ref_arrays):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
+    assert verdicts == ref_verdicts

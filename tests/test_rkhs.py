@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gmequiv import samples
+from gmequiv import rkhs, samples
 from gmequiv.diagnostics import fixed_family, kl_sequential, rate_sweep
 from gmequiv.errors import DegenerateCell, KernelDegenerate, QuadratureFailure, SingularCovariance
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
 from gmequiv.kernels import GaussMarkovKernel, make_kernel, preset, validate_assumption
 from gmequiv.rkhs import (
     MAX_DOUBLINGS,
+    _gauss_rule,
     _preimage,
     kriging_interpolate,
     kriging_interpolate_dense,
@@ -256,6 +257,39 @@ class TestNodeCap:
         assert report.failures == (("QuadratureFailure",),) * 2
         for line in report.lines()[1:3]:
             assert line.endswith("[failed: QuadratureFailure]"), line
+
+
+class TestLevelNodes:
+    """Level L of the residual integral is a function of its panel count
+    P = cells 2^L alone: its nodes are (arange(P)[:, None] + u) / P, with u
+    the 16 Gauss-Legendre nodes mapped to [0, 1], so every column is an
+    exact arithmetic progression."""
+
+    def test_rule_is_mapped_once_to_the_unit_interval(self):
+        x, w = np.polynomial.legendre.leggauss(16)
+        u, weights = _gauss_rule()
+        assert np.array_equal(u, (x + 1) / 2) and np.array_equal(weights, w / 2)
+
+    def test_each_level_evaluates_its_panel_progression(self, monkeypatch):
+        """At three cells the nodes built from halved edges missed these by
+        one ulp."""
+        levels = []
+
+        def spy(kernel, f, w):
+            levels.append(np.array(w))
+            return _preimage(kernel, f, w)
+
+        monkeypatch.setattr(rkhs, "_preimage", spy)
+        u = (np.polynomial.legendre.leggauss(16)[0] + 1) / 2
+        for integral, cells in ((lambda: projection_distance(preset("bm"), COS, 3), 3),
+                                (lambda: rkhs_norm(preset("ou", 1.0), COS), 1)):
+            levels.clear()
+            integral()
+            assert len(levels) >= 2
+            for level, nodes in enumerate(levels):
+                panels = cells << level
+                assert np.array_equal(nodes, (np.arange(panels)[:, None] + u) / panels), \
+                    (cells, level)
 
 
 class TestKriging:
