@@ -211,6 +211,8 @@ def _cmd_rates(args) -> int:
 
     kernel = _kernel_from_args(args)
     ns = _design_ns(args.n, transform=args.stat == "transformation")
+    if args.stat == "band_terms":
+        diagnostics.check_parseval_n(max(ns))  # the whole list, before the first n runs
     if args.family == "single-freq":
         family = diagnostics.single_frequency_family(k=args.k)
     else:
@@ -282,8 +284,10 @@ def _cmd_decompose(args) -> int:
     from . import diagnostics
 
     fn = _fn_from_args(args)
+    ns = _design_ns(args.n)
+    diagnostics.check_parseval_n(max(ns))  # the whole list, before the first n runs
     rows = []
-    for n in _design_ns(args.n):
+    for n in ns:
         dec = diagnostics.band_split_decomposition(fn, n)
         rows.append((n, repr(dec.a_sum), repr(dec.b_sum), repr(dec.c_sum),
                      repr(dec.total_gap_sq), repr(dec.parseval_residual), dec.bound_holds))
@@ -366,7 +370,7 @@ def build_parser() -> _Parser:
                         f"(default {DEFAULT_GRID_DENSITY})")
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
-    p.set_defaults(run=_cmd_simulate)
+    p.set_defaults(run=_cmd_simulate, parser=p)
 
     p = sub.add_parser("rates", help="rate sweep with a slope gate")
     p.add_argument("--stat", choices=STATISTIC_CHOICES, required=True)
@@ -379,7 +383,7 @@ def build_parser() -> _Parser:
     p.add_argument("--margin", type=float)
     p.add_argument("--seed", type=int, help="seed of the sobolev and random families (default 0)")
     add_common(p, fn_flag=False, formats=None)
-    p.set_defaults(run=_cmd_rates)
+    p.set_defaults(run=_cmd_rates, parser=p)
 
     p = sub.add_parser("kriging", help="interpolation curve and oracle comparison")
     p.add_argument("--n", type=int, required=True)
@@ -419,18 +423,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_choice_flags(args, parser: _Parser) -> None:
+def _check_choice_flags(args) -> None:
     """Refuse a flag that the chosen --family of rates or --exp of simulate
-    would ignore (CHOICE_FLAGS), and fill in the defaults of the flags it
-    reads."""
+    would ignore (CHOICE_FLAGS), through the command's own parser, so the
+    usage line names that command's flags, and fill in the defaults of the
+    flags it reads."""
     choice, table = CHOICE_FLAGS[args.command]
     reads = table[getattr(args, choice)]
     every_flag = dict.fromkeys(dest for flags in table.values() for dest in flags)
     ignored = [f"--{dest.replace('_', '-')}" for dest in every_flag
                if dest not in reads and getattr(args, dest) is not None]
     if ignored:
-        parser.error(f"{args.command} --{choice} {getattr(args, choice)} "
-                     f"does not read {', '.join(ignored)}")
+        args.parser.error(f"{args.command} --{choice} {getattr(args, choice)} "
+                          f"does not read {', '.join(ignored)}")
     for dest, default in reads.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -441,7 +446,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command in CHOICE_FLAGS:
-            _check_choice_flags(args, parser)
+            _check_choice_flags(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -27,8 +27,9 @@ The band decomposition splits f at cutoff K = n into a low band and a tail
 and measures three grid sums: A (low-band discretization gaps), B (tail
 point values), C (tail cell averages); d_i = A_i + B_i - C_i, so sum d_i^2
 <= 3 (A_sum + B_sum + C_sum). The low-band gaps are also pushed through a
-direct O(n^2) discrete Fourier transform to check Parseval's identity,
-which pins down the aliasing bookkeeping.
+direct O(n^2) discrete Fourier transform, the dense exponential sum of
+fourier._dense_sum at the points j/n (never the FFT route), to check
+Parseval's identity, which pins down the aliasing bookkeeping.
 
 The transformation discrepancy compares the decoupled one-step moments
 
@@ -53,11 +54,12 @@ from .fourier import (
     MAX_FREQUENCY,
     ClassSpec,
     FourierFunction,
+    _dense_sum,
     sample_ellipsoid,
     scale_into_hoelder_ball,
 )
 from .kernels import GaussMarkovKernel, design_clock, gram, serial_blas, unpinned_design_clock
-from .samples import block_rows, design_knots
+from .samples import design_knots
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512)
 EXTREMAL_RANDOM_MEMBERS = 2  # seeded ellipsoid members of class_extremal_family
@@ -68,6 +70,9 @@ MAX_FAMILY_N = MAX_FREQUENCY // 2
 # largest n kl_dense accepts: it holds one n x n matrix of doubles and
 # panel-sized temporaries, about 128 MiB at this n
 MAX_DENSE_KL_N = 4096
+# largest n band_split_decomposition accepts: its direct DFT is O(n^2) in
+# time, 0.4 to 1.2 s at this n on 2 cores
+MAX_PARSEVAL_N = 4096
 _PANEL = 128  # columns per panel of kl_dense's blocked factor and solve
 
 
@@ -205,43 +210,37 @@ class BandDecomposition:
         return self.total_gap_sq <= 3.0 * self.bound_total + 1e-12 < math.inf
 
 
-def _split_at(f: FourierFunction, cutoff: int) -> tuple[FourierFunction, FourierFunction]:
-    """The band |k| <= cutoff of f and the rest, each on as few frequencies
-    as it needs (the rest is the zero function on K = 0 when f has none).
-    A cutoff below 0 splits as 0 does: the design of n < 1 knots refuses it
-    with its own message."""
-    low = max(0, min(cutoff, f.K))
-    tail = f.theta.copy()
-    tail[f.K - low : f.K + low + 1] = 0.0
-    tail_K = f.K if f.K > cutoff else 0
-    return (FourierFunction(low, f.theta[f.K - low : f.K + low + 1], f"{f.name}-low{cutoff}"),
-            FourierFunction(tail_K, tail[f.K - tail_K : f.K + tail_K + 1],
-                            f"{f.name}-tail{cutoff}"))
+def check_parseval_n(n: int) -> None:
+    """Refuse an n above MAX_PARSEVAL_N with ValueError, naming the limit."""
+    if n > MAX_PARSEVAL_N:
+        raise ValueError(f"band_split_decomposition takes n up to "
+                         f"MAX_PARSEVAL_N = {MAX_PARSEVAL_N}, got n = {n}")
 
 
 def band_split_decomposition(f: FourierFunction, n: int) -> BandDecomposition:
     """Split f at cutoff n and measure the three grid sums plus Parseval.
 
+    The low band is f on |k| <= min(n, K), the tail is f with those
+    coefficients set to zero. The DFT of the low-band gaps is the dense
+    sum at the points j/n, O(n^2) on purpose and blocked in memory. An n
+    above MAX_PARSEVAL_N raises ValueError before any array is built; an
+    n below 1 is refused by the design knots.
+
     The sums are of squares, so a function with values past about 1e154
     overflows them: they read inf and the Parseval residual nan, with
     numpy's overflow warnings held back, and bound_holds reads False.
     """
+    check_parseval_n(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        low, tail = _split_at(f, n)
+        d = _gaps(f, n)
+        K = min(n, f.K)
+        low = FourierFunction(K, f.theta[f.K - K : f.K + K + 1], f"{f.name}-low{n}")
+        tail = FourierFunction(f.K, np.where(np.abs(f.ks) > n, f.theta, 0), f"{f.name}-tail{n}")
         A = _gaps(low, n)
         B = np.asarray(tail(design_knots(n)))
         C = tail.cell_averages(n)
-        d = _gaps(f, n)
-        # direct DFT of the low-band gaps, O(n^2) on purpose (no FFT), with the
-        # phase matrix built block_rows(n) rows at a time, so memory is one block
         j = np.arange(1, n + 1)
-        gaps = A.astype(complex)
-        F = np.empty(n, dtype=complex)
-        rows = block_rows(n)
-        for lo in range(0, n, rows):
-            phases = np.exp(-2j * np.pi * np.outer(j[lo : lo + rows], j) / n)
-            F[lo : lo + rows] = phases @ gaps
-        F /= n
+        F = _dense_sum(j / n, j, A.astype(complex)) / n
         parseval = abs(float(np.sum(A * A) / n) - float(np.sum(np.abs(F) ** 2)))
         return BandDecomposition(
             n=n,

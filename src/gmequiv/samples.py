@@ -11,8 +11,8 @@ from .errors import GridMismatch
 VARIANTS = ("original", "cell_averaged")
 DEFAULT_GRID_DENSITY = 20
 # Elements per block of every blocked loop: the sampler's normals, the
-# pinned endpoint's zeros, the dense Fourier sum's phases and the Parseval
-# DFT's phase rows. 512 KiB of float64, 1 MiB of complex.
+# pinned endpoint's zeros and the dense Fourier sum's phases, the Parseval
+# DFT's included. 512 KiB of float64, 1 MiB of complex.
 BLOCK_ELEMENTS = 1 << 16
 # Largest design or path grid: one float64 array of it takes 128 MiB, 51
 # times the 327,681 points of a default path grid at n = 16384. Larger sizes

@@ -126,6 +126,9 @@ class TestExitCodes:
           "--n", "8,16"), "k = 1048577 is above MAX_FREQUENCY = 1048576"),
         (("kl", "--preset", "slepian", "--n", "2..65536"),
          "n up to MAX_DENSE_KL_N = 4096, got n = 65536"),
+        (("decompose", "--n", "16,4097"), "n up to MAX_PARSEVAL_N = 4096, got n = 4097"),
+        (("rates", "--stat", "band_terms", "--n", "16..8192"),
+         "n up to MAX_PARSEVAL_N = 4096, got n = 8192"),
         (("rates", "--stat", "discretization", "--family", "sobolev", "--n", "16..1048576"),
          "n up to MAX_FAMILY_N = 524288, got n = 1048576"),
         (("rates", "--stat", "kl", "--family", "random", "--n", "524289"),
@@ -180,6 +183,8 @@ class TestExitCodes:
         f"decompose --n 4 --fn '{HUGE_FN}'",
         "validate --grid 1000000000",
         "kl --n 8192",
+        "decompose --n 4096,4097",
+        "rates --stat band_terms --preset bm --n 4096,8192",
         "rates --stat discretization --preset bm --family sobolev --n 1048576",
         "counterexample --paths 1",
         "kl --n ,",
@@ -342,6 +347,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "rates", "--stat", "kl", "--preset", "bm",
                                  "--n", "8..16", "--family", family, *flags)
         assert (code, out) == (64, "")
+        assert err.startswith("usage: gmequiv rates [-h]")
         assert f"rates --family {family} does not read {named}" in err
 
     def test_rates_flags_the_family_reads_keep_their_defaults(self, capsys):
@@ -363,6 +369,7 @@ class TestExitCodes:
     def test_simulate_refuses_a_flag_its_experiment_ignores(self, capsys, exp, flags, named):
         code, out, err = run_cli(capsys, "simulate", "--exp", exp, "--n", "3", *flags)
         assert (code, out) == (64, "")
+        assert err.startswith("usage: gmequiv simulate [-h]")
         assert f"simulate --exp {exp} does not read {named}" in err
 
     def test_simulate_flags_the_experiment_reads_keep_their_defaults(self, capsys):

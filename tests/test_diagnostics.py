@@ -398,6 +398,28 @@ class TestBandDecomposition:
         assert block_rows(300) == 300
         assert band_split_decomposition(f, 300) == blocked
 
+    @pytest.mark.parametrize("n", [1, 7, 300, 1024])
+    def test_dft_values_match_numpy_fft(self, monkeypatch, n):
+        """The residual holds for any unitary transform, so the DFT's values
+        are checked against numpy's FFT of the low-band gaps: F_j =
+        e^{-2 pi i j/n} fft(A)[j mod n] / n for the 1-based j = 1..n."""
+        dense_sum, captured = diagnostics._dense_sum, []
+
+        def spy(*args):
+            captured.append(dense_sum(*args))
+            return captured[-1]
+
+        monkeypatch.setattr(diagnostics, "_dense_sum", spy)
+        f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=2 * n, seed=n)
+        band_split_decomposition(f, n)
+        (F,) = captured
+        F = F / n
+        low = FourierFunction.from_coeffs({k: f.coeff(k) for k in range(-n, n + 1)})
+        A = np.asarray(low(design_knots(n))) - low.cell_averages(n)
+        j = np.arange(1, n + 1)
+        expected = np.exp(-2j * np.pi * j / n) * np.fft.fft(A)[j % n] / n
+        assert np.max(np.abs(F - expected)) <= 1e-12 * np.max(np.abs(A))
+
     def test_statistic_is_bound_total(self):
         f = sample_ellipsoid(ClassSpec.sobolev(1.0, 1.0), K=24, seed=2)
         dec = band_split_decomposition(f, 8)

@@ -117,10 +117,10 @@ def test_counterexample_memory_does_not_grow_with_the_paths():
 
 
 def test_parseval_dft_holds_row_blocks_not_the_phase_matrix():
-    """The direct DFT builds its phase matrix block_rows(n) rows at a time:
-    the integer products, their complex phases and the exponential, 3
-    complex blocks of BLOCK_ELEMENTS entries whatever n is, never the n x n
-    matrix (16 MiB here). At n = 4096 the blocks are as large, beside
+    """The direct DFT, the dense Fourier sum at the points j/n, builds its
+    phase matrix block_rows(n) rows at a time: the products j k / n, their
+    complex phases and the exponential, 3 complex blocks of BLOCK_ELEMENTS
+    entries whatever n is, never the n x n matrix (16 MiB here). At n = 4096 the blocks are as large, beside
     about 0.4 MiB of length-n arrays, not the 48 MiB of 256-row blocks."""
     cos = FourierFunction.harmonic(1)
     assert _peak(lambda: band_split_decomposition(cos, 1024)) <= 3.25 * 16 * BLOCK_ELEMENTS
