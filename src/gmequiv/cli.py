@@ -145,7 +145,10 @@ def _output(args):
 def _emit(columns: tuple[str, ...], rows, meta: dict, args) -> None:
     """Write meta and the rows, tuples of values in `columns` order, as CSV
     or as the text of json.dumps({"meta": meta, "rows": [one dict per row]},
-    sort_keys=True, indent=2). Rows are read, converted and written
+    sort_keys=True, indent=2). Values are Python numbers, bools and
+    strings, and this is the one place they become text: CSV writes str(x),
+    which is repr(x) for a float, and JSON writes numbers as numbers, a
+    non-finite float as NaN or Infinity. Rows are read, converted and written
     block_rows(len(columns)) at a time, so a lazy iterable of rows never
     exists whole as Python objects or text."""
     rows, size = iter(rows), block_rows(len(columns))
@@ -248,10 +251,10 @@ def _cmd_kriging(args) -> int:
         "command": "kriging", "kernel": kernel.name, "fn": fn.name,
         "n": n, "grid_size": grid.size,
     }
-    meta["max_knot_deviation"] = repr(float(np.max(np.abs(fast[stride::stride] - y))))
+    meta["max_knot_deviation"] = float(np.max(np.abs(fast[stride::stride] - y)))
     if n <= 64:
         dense = rkhs.kriging_interpolate_dense(kernel, y, grid)
-        meta["max_oracle_deviation"] = repr(float(np.max(np.abs(fast - dense))))
+        meta["max_oracle_deviation"] = float(np.max(np.abs(fast - dense)))
         columns = ("t", "interpolant", "oracle")
         rows = zip(map(float, grid), map(float, fast), map(float, dense))
     else:
@@ -273,7 +276,7 @@ def _cmd_kl(args) -> int:
         chain = diagnostics.kl_chain(kernel, fn, n)
         dense = diagnostics.kl_dense(kernel, fn, n)
         seq = diagnostics.kl_sequential(kernel, fn, n)
-        rows.append((n, repr(chain), repr(dense), repr(seq), repr(chain - dense), repr(seq - dense)))
+        rows.append((n, chain, dense, seq, chain - dense, seq - dense))
     meta = {"command": "kl", "kernel": kernel.name, "fn": fn.name}
     columns = ("n", "chain", "dense", "sequential", "chain_minus_dense", "sequential_minus_dense")
     _emit(columns, rows, meta, args)
@@ -289,8 +292,8 @@ def _cmd_decompose(args) -> int:
     rows = []
     for n in ns:
         dec = diagnostics.band_split_decomposition(fn, n)
-        rows.append((n, repr(dec.a_sum), repr(dec.b_sum), repr(dec.c_sum),
-                     repr(dec.total_gap_sq), repr(dec.parseval_residual), dec.bound_holds))
+        rows.append((n, dec.a_sum, dec.b_sum, dec.c_sum, dec.total_gap_sq,
+                     dec.parseval_residual, dec.bound_holds))
     meta = {"command": "decompose", "fn": fn.name, "cutoff": "n"}
     columns = ("n", "a_sum", "b_sum", "c_sum", "total_gap_sq", "parseval_residual", "bound_holds")
     _emit(columns, rows, meta, args)
@@ -302,7 +305,7 @@ def _cmd_transform(args) -> int:
 
     kernel = _kernel_from_args(args)
     fn = _fn_from_args(args)
-    rows = [(n, repr(diagnostics.transformation_discrepancy(kernel, fn, n)))
+    rows = [(n, diagnostics.transformation_discrepancy(kernel, fn, n))
             for n in _design_ns(args.n, transform=True)]
     meta = {
         "command": "transform", "kernel": kernel.name, "fn": fn.name,
@@ -434,7 +437,7 @@ def _check_choice_flags(args) -> None:
     ignored = [f"--{dest.replace('_', '-')}" for dest in every_flag
                if dest not in reads and getattr(args, dest) is not None]
     if ignored:
-        args.parser.error(f"{args.command} --{choice} {getattr(args, choice)} "
+        args.parser.error(f"--{choice} {getattr(args, choice)} "
                           f"does not read {', '.join(ignored)}")
     for dest, default in reads.items():
         if getattr(args, dest) is None:

@@ -5,18 +5,22 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gmequiv
+from gmequiv import diagnostics, rkhs
 from gmequiv.cli import STATISTIC_CHOICES, main
 from gmequiv.fourier import FourierFunction
-from gmequiv.samples import DEFAULT_GRID_DENSITY
+from gmequiv.kernels import kernel_from_spec, preset
+from gmequiv.samples import DEFAULT_GRID_DENSITY, design_knots, knot_stride, path_grid
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 # 2e200 cos(2 pi x): its squares and sums of squares leave the float range
@@ -41,6 +45,29 @@ def run_fresh(argv, cwd=None, **env):
     base["PYTHONPATH"] = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, *argv], cwd=cwd, env={**base, **env},
                           capture_output=True, check=True)
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _library_row(argv, n: int) -> dict:
+    """The row that the table command argv prints at n, as the library
+    computes it, for the default function cos(2 pi x)."""
+    f = FourierFunction.harmonic(1)
+    if argv[0] == "decompose":
+        dec = diagnostics.band_split_decomposition(f, n)
+        return {"n": n, "a_sum": dec.a_sum, "b_sum": dec.b_sum, "c_sum": dec.c_sum,
+                "total_gap_sq": dec.total_gap_sq, "parseval_residual": dec.parseval_residual,
+                "bound_holds": dec.bound_holds}
+    kernel = kernel_from_spec(argv[2])
+    if argv[0] == "transform":
+        return {"n": n, "statistic": diagnostics.transformation_discrepancy(kernel, f, n)}
+    chain = diagnostics.kl_chain(kernel, f, n)
+    dense = diagnostics.kl_dense(kernel, f, n)
+    sequential = diagnostics.kl_sequential(kernel, f, n)
+    return {"n": n, "chain": chain, "dense": dense, "sequential": sequential,
+            "chain_minus_dense": chain - dense, "sequential_minus_dense": sequential - dense}
 
 
 class TestExitCodes:
@@ -348,7 +375,8 @@ class TestExitCodes:
                                  "--n", "8..16", "--family", family, *flags)
         assert (code, out) == (64, "")
         assert err.startswith("usage: gmequiv rates [-h]")
-        assert f"rates --family {family} does not read {named}" in err
+        assert err.splitlines()[-1] == (f"gmequiv rates: error: --family {family} "
+                                        f"does not read {named}")
 
     def test_rates_flags_the_family_reads_keep_their_defaults(self, capsys):
         argv = ("rates", "--stat", "kl", "--preset", "bm", "--n", "8..16", "--family", "sobolev")
@@ -370,7 +398,8 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "simulate", "--exp", exp, "--n", "3", *flags)
         assert (code, out) == (64, "")
         assert err.startswith("usage: gmequiv simulate [-h]")
-        assert f"simulate --exp {exp} does not read {named}" in err
+        assert err.splitlines()[-1] == (f"gmequiv simulate: error: --exp {exp} "
+                                        f"does not read {named}")
 
     def test_simulate_flags_the_experiment_reads_keep_their_defaults(self, capsys):
         """Passed at their defaults, the flags each experiment reads give
@@ -472,6 +501,55 @@ class TestOutputs:
         # constant v: the chain formula and the dense quadratic form agree
         for row in payload["rows"]:
             assert abs(float(row["chain_minus_dense"])) <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ("kl", "--preset", "slepian", "--n", "2..8"),
+        ("decompose", "--n", "4..16"),
+        ("transform", "--preset", "ou(1)", "--n", "8,16"),
+    ])
+    def test_table_values_are_the_library_numbers(self, capsys, argv):
+        """A JSON row holds numbers, never text; each is float() of its CSV
+        cell, and the value the library returns, bit for bit."""
+        code, csv_out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, *cells = [line.split(",") for line in csv_out.splitlines()
+                          if not line.startswith("# ")]
+        code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(json_out)["rows"]
+        assert len(rows) == len(cells)
+        for row, cell in zip(rows, cells):
+            assert sorted(row) == sorted(header)
+            expected = _library_row(argv, row["n"])
+            for column, text in zip(header, cell):
+                value = row[column]
+                assert type(value) in (int, float, bool), (column, value)
+                if type(value) is bool:
+                    assert text == str(value)
+                else:
+                    assert _bits(value) == _bits(float(text)), (column, text)
+                assert _bits(value) == _bits(expected[column]), column
+
+    def test_kriging_deviations_are_numbers(self, capsys):
+        code, csv_out, _ = run_cli(capsys, "kriging", "--n", "8")
+        assert code == 0
+        code, json_out, _ = run_cli(capsys, "kriging", "--n", "8", "--format", "json")
+        assert code == 0
+        meta = json.loads(json_out)["meta"]
+        csv_meta = dict(line[2:].split("=", 1) for line in csv_out.splitlines()
+                        if line.startswith("# "))
+        n, bm = 8, preset("bm")
+        grid = path_grid(n, DEFAULT_GRID_DENSITY * n + 1)
+        y = np.asarray(FourierFunction.harmonic(1).antiderivative(design_knots(n)))
+        fast = rkhs.kriging_interpolate(bm, y, grid)
+        dense = rkhs.kriging_interpolate_dense(bm, y, grid)
+        stride = knot_stride(n, grid.size)
+        expected = {"max_knot_deviation": np.max(np.abs(fast[stride::stride] - y)),
+                    "max_oracle_deviation": np.max(np.abs(fast - dense))}
+        for key, library in expected.items():
+            assert type(meta[key]) is float, key
+            assert _bits(meta[key]) == _bits(float(csv_meta[key])), key
+            assert _bits(meta[key]) == _bits(library), key
 
     def test_out_flag_writes_a_file(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"

@@ -448,6 +448,61 @@ class TestTransformationDiscrepancy:
             transformation_discrepancy(preset("bridge"), COS, 8)
 
 
+def _delta_sq(f: FourierFunction, n: int) -> float:
+    """Delta^2 = n D_n + 2 KL on bm at design size n."""
+    bm = preset("bm")
+    return n * projection_distance(bm, f, n) + 2 * kl_sequential(bm, f, n)
+
+
+class TestHoelderBracketOnBm:
+    """On bm, Delta^2 = n ||f||^2 - sum_j m_j^2 + sum_i d_i^2, with m_j the
+    mean of f on cell j and d_i = f(i/n) - m_i. Over the Hoelder ball of
+    exponent alpha and constant L = 1, a cell's variance is at most
+    h^(2 alpha) / ((2 alpha + 1)(2 alpha + 2)) and |d_i| at most
+    n^-alpha / (alpha + 1), which bounds Delta^2 from above; the triangle
+    wave -dist(x, knots), which vanishes at every knot, attains 1 / (12 n)
+    at alpha = 1."""
+
+    ODD_TERMS = 400  # the triangle wave's series keeps the odd m below this
+
+    @staticmethod
+    def _upper(alpha: float, n: int) -> float:
+        return n ** (1 - 2 * alpha) * (1 / ((2 * alpha + 1) * (2 * alpha + 2))
+                                       + 1 / (alpha + 1) ** 2)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    def test_extremal_family_stays_under_the_upper_bound(self, alpha):
+        family = class_extremal_family(ClassSpec.hoelder(alpha, 1.0))
+        ns = (16, 64, 256)
+        maxima = [max(_delta_sq(f, n) for f in family.members(n)) for n in ns]
+        for n, value in zip(ns, maxima):
+            assert 0 < value <= self._upper(alpha, n), n
+        assert abs(_fitted_slope(ns, maxima) - (1 - 2 * alpha)) <= 0.1
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_triangle_wave_attains_the_lower_bound(self, n):
+        """f* = -dist(x, knots) = -1/(4n) + sum over odd m of
+        2/(pi^2 m^2 n) cos(2 pi m n x), here cut after the odd m below
+        ODD_TERMS. The cut-off tail e has zero mean on every cell and the
+        same value tau at every knot, so Delta^2(e) = n ||e||^2 + n tau^2,
+        and since sqrt(Delta^2) is a seminorm, sqrt(Delta^2) of the cut
+        series lies within sqrt(Delta^2(e)) of sqrt(1/(12n)). Each tail
+        sum over odd m >= M of m^-p is at most int_{M-2}^inf x^-p dx / 2."""
+        edge = self.ODD_TERMS - 1  # M - 2, M = ODD_TERMS + 1 the first odd m cut off
+        amplitude = 2 / (math.pi**2 * n)
+        tau = amplitude / (2 * edge)
+        tail_sq = amplitude**2 / 2 / (6 * edge**3)  # ||e||^2: half the squared amplitudes
+        tolerance = math.sqrt(n * tau**2 + n * tail_sq)
+        coeffs = {0: -1 / (4 * n)}
+        coeffs.update({m * n: amplitude / (2 * m**2) for m in range(1, self.ODD_TERMS, 2)})
+        f = FourierFunction.from_coeffs(coeffs)
+        assert abs(math.sqrt(_delta_sq(f, n)) - math.sqrt(1 / (12 * n))) <= tolerance
+        # every gap is 1/(4n) minus the tail at the knots, so the statistic
+        # sits just below f*'s n (1/(4n))^2
+        statistic = discretization_statistic(preset("bm"), f, n)
+        assert n * (1 / (4 * n) - tau) ** 2 <= statistic < 1 / (16 * n)
+
+
 class TestRateSweep:
     def test_registry_contents(self):
         assert set(STATISTICS) == {
