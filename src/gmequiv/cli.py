@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -142,15 +143,20 @@ def _output(args):
     print(f"wrote {args.out}")
 
 
+def _strict(value):
+    """value, or None for a non-finite float, which strict JSON cannot hold."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(columns: tuple[str, ...], rows, meta: dict, args) -> None:
     """Write meta and the rows, tuples of values in `columns` order, as CSV
     or as the text of json.dumps({"meta": meta, "rows": [one dict per row]},
     sort_keys=True, indent=2). Values are Python numbers, bools and
     strings, and this is the one place they become text: CSV writes str(x),
-    which is repr(x) for a float, and JSON writes numbers as numbers, a
-    non-finite float as NaN or Infinity. Rows are read, converted and written
-    block_rows(len(columns)) at a time, so a lazy iterable of rows never
-    exists whole as Python objects or text."""
+    which is repr(x) for a float, and JSON writes numbers as numbers and a
+    non-finite float as null, so a strict (RFC 8259) parser reads it. Rows
+    are read, converted and written block_rows(len(columns)) at a time, so
+    a lazy iterable of rows never exists whole as Python objects or text."""
     rows, size = iter(rows), block_rows(len(columns))
     # lists of the next `size` rows, up to the first empty one
     blocks = iter(lambda: list(itertools.islice(rows, size)), [])
@@ -158,11 +164,12 @@ def _emit(columns: tuple[str, ...], rows, meta: dict, args) -> None:
         if args.format == "json":
             # the text of each block, one level deeper, where the head's
             # empty list stands: '"rows": [' ends the head without its ']\n}'
-            encoder = json.JSONEncoder(sort_keys=True, indent=2)
+            encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+            meta = {key: _strict(value) for key, value in meta.items()}
             out.write(encoder.encode({"meta": meta, "rows": []})[:-3])
             separator = ""
             for block in blocks:
-                text = encoder.encode([dict(zip(columns, row)) for row in block])
+                text = encoder.encode([dict(zip(columns, map(_strict, row))) for row in block])
                 out.write(separator + text[1:-2].replace("\n", "\n  "))
                 separator = ","
             out.write("\n  ]\n}\n" if separator else "]\n}\n")

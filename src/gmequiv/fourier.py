@@ -205,28 +205,29 @@ class FourierFunction:
     def sobolev_norm(self, beta: float) -> float:
         """sqrt(sum_k (1+|k|)^(2 beta) |theta_k|^2), the Sobolev ellipsoid norm.
 
-        A zero theta_k takes weight 1. Where a weight or the sum overflows,
-        the sum is taken again with each term formed as ((1+|k|)^beta
-        |theta_k|)^2, in units of the largest, so any norm below the largest
-        float is returned. One that is not raises ValueError naming beta and
-        a k: the least |k| whose weighted term overflows, else the |k| of
-        the largest term.
+        A zero theta_k takes weight 1. The sum takes one route: each term
+        (1+|k|)^beta |theta_k| is divided by the largest before it is
+        squared, so no square overflows or underflows on the way, and any
+        norm from the smallest to the largest float whose terms each fit a
+        float is returned. A term or a norm above the largest float raises
+        ValueError naming beta and a k: the least |k| whose weighted term
+        overflows, else the |k| of the largest term.
         """
         return self._sobolev_sum(beta, squared=False)
 
     def sobolev_norm_sq(self, beta: float) -> float:
-        """The square of sobolev_norm, summed the same way: any square
-        below the largest float is returned, and one that is not raises."""
+        """The square of sobolev_norm, summed the same way and multiplied
+        back by the largest term twice: any square below the largest float
+        is returned, and one that is not raises."""
         return self._sobolev_sum(beta, squared=True)
 
     def _sobolev_sum(self, beta: float, squared: bool) -> float:
         base = 1.0 + np.abs(self.ks) * (self.theta != 0)
         with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(base ** (2.0 * beta) * np.abs(self.theta) ** 2))
-            if math.isfinite(total):
-                return total if squared else math.sqrt(total)
             terms = base**beta * np.abs(self.theta)
             top = float(np.max(terms))
+            if top == 0.0:
+                return 0.0
             total = float(np.sum(np.square(terms / top)))
         value = top * top * total if squared else top * math.sqrt(total)
         if not math.isfinite(value):
@@ -399,9 +400,10 @@ def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
 
     Magnitudes decay like (1+|k|)^(-s - 1/2 - 0.1) where s is beta (or
     alpha), phases are uniform, and the result is rescaled: for a Sobolev
-    class to squared norm 0.95 L^2, so its norm is sqrt(0.95) L, about
-    0.975 L; for a Hoelder class to 95% of a certified upper bound, so at
-    or inside 95% of the radius.
+    class by sqrt(0.95) L / sobolev_norm, to norm sqrt(0.95) L, about
+    0.975 L, with no square formed, so a radius whose square underflows
+    still draws a nonzero member; for a Hoelder class to 95% of a
+    certified upper bound, so at or inside 95% of the radius.
     """
     smooth = spec.beta if spec.kind == "sobolev" else spec.alpha
     gen = rng.stream(seed, "ellipsoid", spec.kind, smooth, spec.L, K)
@@ -413,9 +415,7 @@ def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
     theta = np.concatenate([np.conj(positive[::-1]), [complex(theta0, 0.0)], positive])
     fn = FourierFunction(K, theta, f"ellipsoid-{spec.kind}-{seed}")
     if spec.kind == "sobolev":
-        current = fn.sobolev_norm_sq(spec.beta)
-        target = 0.95 * spec.L**2
-        return fn.scaled(math.sqrt(target / current), name=fn.name)
+        return fn.scaled(math.sqrt(0.95) * spec.L / fn.sobolev_norm(spec.beta), name=fn.name)
     return scale_into_hoelder_ball(fn, spec)
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line, run in-process for speed."""
 
+import argparse
 import ast
 import json
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import gmequiv
-from gmequiv import diagnostics, rkhs
+from gmequiv import cli, diagnostics, rkhs
 from gmequiv.cli import STATISTIC_CHOICES, main
 from gmequiv.fourier import FourierFunction
 from gmequiv.kernels import kernel_from_spec, preset
@@ -550,6 +551,33 @@ class TestOutputs:
             assert type(meta[key]) is float, key
             assert _bits(meta[key]) == _bits(float(csv_meta[key])), key
             assert _bits(meta[key]) == _bits(library), key
+
+    def test_json_writes_non_finite_values_as_null(self, capsys):
+        """A 1e300 coefficient makes a_sum and total_gap_sq inf and the
+        Parseval residual nan: CSV keeps them, strict JSON writes null."""
+        argv = ("decompose", "--n", "4", "--fn", '{"coeffs": [[1, 1e300, 0]]}')
+        code, csv_out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert csv_out.splitlines()[-1] == "4,inf,0.0,0.0,inf,nan,False"
+        code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        (row,) = json.loads(json_out, parse_constant=refuse)["rows"]
+        assert row["a_sum"] is row["total_gap_sq"] is row["parseval_residual"] is None
+        assert (row["n"], row["b_sum"], row["c_sum"], row["bound_holds"]) == (4, 0.0, 0.0, False)
+
+    def test_json_meta_writes_non_finite_values_as_null(self, capsys):
+        meta = {"finite": 0.5, "inf": float("inf"), "minus_inf": -float("inf"),
+                "nan": float("nan"), "text": "nan"}
+        args = argparse.Namespace(format="json", out=None)
+        cli._emit(("x",), [(float("-inf"),)], meta, args)
+        document = json.loads(capsys.readouterr().out, parse_constant=float)
+        assert document == {"meta": {"finite": 0.5, "inf": None, "minus_inf": None,
+                                     "nan": None, "text": "nan"},
+                            "rows": [{"x": None}]}
 
     def test_out_flag_writes_a_file(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"

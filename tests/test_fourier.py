@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gmequiv import counterexample, fourier
+from gmequiv.diagnostics import class_extremal_family
 from gmequiv.errors import HermitianViolation
 from gmequiv.kernels import preset
 from gmequiv.fourier import (
@@ -454,6 +455,30 @@ class TestAlgebra:
         """theta_600 = 0 adds nothing, though (1 + 600)^120 overflows."""
         fn = FourierFunction.from_coeffs({0: 0.5, 1: 0.25, 600: 0.0})
         assert fn.sobolev_norm_sq(60.0) == 0.25 + 2.0 * 2.0**120 * 0.0625
+
+    @pytest.mark.parametrize("k, amplitude, beta, expected", [
+        (1, 1e-170, 1.0, math.sqrt(2.0) * 1e-170),
+        (3, 1e-160, 2.0, 1.1313708498984761e-159),
+    ])
+    def test_norm_whose_squares_underflow(self, k, amplitude, beta, expected):
+        """amplitude cos(2 pi k x) has a norm far above the smallest float,
+        but its squared terms are not: about 1e-340, below every float, for
+        k = 1, and subnormal, with few bits left, for k = 3. Summed plainly
+        they gave 0.0 and a norm off by 5.6e-6 relative."""
+        norm = FourierFunction.harmonic(k, amplitude).sobolev_norm(beta)
+        assert math.isclose(norm, expected, rel_tol=1e-14)
+
+    def test_tiny_class_radius_draws_nonzero_members(self):
+        """At L = 1e-170, 0.95 L^2 is 0.0, so the scale comes from
+        sqrt(0.95) L and the norm, and never from their squares."""
+        spec = ClassSpec.sobolev(1.0, 1e-170)
+        fn = sample_ellipsoid(spec, K=8, seed=0)
+        assert np.any(fn.theta != 0)
+        assert math.isclose(fn.sobolev_norm(1.0), math.sqrt(0.95) * 1e-170, rel_tol=1e-14)
+        drawn = [m for m in class_extremal_family(spec).members(8)
+                 if m.name.startswith("ellipsoid")]
+        assert len(drawn) == 2
+        assert all(np.any(m.theta != 0) for m in drawn)
 
     def test_content_id_tracks_coefficients(self):
         a = FourierFunction.harmonic(1)

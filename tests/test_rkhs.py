@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from gmequiv import rkhs, samples
+from gmequiv.counterexample import build_fn
 from gmequiv.diagnostics import fixed_family, kl_sequential, rate_sweep
 from gmequiv.errors import DegenerateCell, KernelDegenerate, QuadratureFailure, SingularCovariance
 from gmequiv.fourier import ClassSpec, FourierFunction, sample_ellipsoid
@@ -395,3 +396,55 @@ class TestBmToBridgeLaw:
             expected = (_delta_sq(preset("bm"), f, n)
                         + a / (1.0 - a) * n * _riemann_error(f, n) ** 2)
             assert math.isclose(_delta_sq(kernel, f, n), expected, rel_tol=1e-9)
+
+
+class TestPathLevelOracle:
+    """The Markov sum S_m = n sum (Delta((F_f - K R)/v))^2 / Delta q on the
+    grid j/m is the path experiment's squared Mahalanobis distance between
+    the mean F_f and the Kriged running sums K R, seen at those m + 1
+    points only. It rises to Delta^2 = n D_n + 2 KL as the grid refines,
+    with an O(1/m^2) gap: an O(m) check of both statistics that shares
+    neither's integrand."""
+
+    F = FourierFunction.from_coeffs({1: 0.5, 3: 0.2 + 0.1j})
+    N = 8
+
+    def _markov_sum(self, kernel, m: int) -> float:
+        running = np.cumsum(self.F(design_knots(self.N))) / self.N
+        t = np.arange(m + 1) / m
+        _, v, q = kernel.clock(t)
+        residual = (np.asarray(self.F.antiderivative(t)) - kriging_interpolate(kernel, running, t)) / v
+        return self.N * float(np.sum(np.diff(residual) ** 2 / np.diff(q)))
+
+    @pytest.mark.parametrize("kernel, limit", [
+        (preset("bm"), 1.9173008),
+        (preset("ou", 1.0), 1.0067600),
+        (preset("slepian"), 0.9586504),
+    ], ids=["bm", "ou(1)", "slepian"])
+    def test_markov_sum_rises_to_delta_sq(self, kernel, limit):
+        delta_sq = _delta_sq(kernel, self.F, self.N)
+        assert math.isclose(delta_sq, limit, abs_tol=5e-8)
+        coarse, fine = self._markov_sum(kernel, 160), self._markov_sum(kernel, 320)
+        assert coarse < fine < delta_sq
+        # halving the grid step quarters the gap
+        assert abs((delta_sq - coarse) / (delta_sq - fine) - 4.0) < 0.01
+
+
+class TestSpikeLowerBoundOnBm:
+    """The counterexample's spike c (1 - cos(2 pi n x)) vanishes at every
+    knot, so its discrete experiment cannot tell it from 0, while its path
+    experiment's TV from 0 is tau_n = erf(sqrt(n) ||F||_H / (2 sqrt 2)).
+    On bm its RKHS norm is L n^-beta exactly, and tau_n / 2 bounds the
+    deficiency from below."""
+
+    @pytest.mark.parametrize("beta, halves", [
+        (0.75, (0.0987, 0.0702, 0.0497)),
+        (1.0, (0.0497, 0.0249, 0.0125)),
+    ])
+    def test_rkhs_norm_and_tv_half(self, beta, halves):
+        for n, half in zip((16, 64, 256), halves):
+            norm = rkhs_norm(preset("bm"), build_fn(n, beta, 1.0))
+            assert math.isclose(norm, n ** -beta, rel_tol=1e-15), n
+            tau = math.erf(math.sqrt(n) * norm / (2.0 * math.sqrt(2.0)))
+            # the halves are tau_n / 2 to three significant figures
+            assert abs(tau / 2.0 - half) <= 5e-5, n
