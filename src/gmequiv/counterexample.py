@@ -121,13 +121,10 @@ def endpoint_increment(path: PathSample) -> float:
     return float(path.values[-1] - path.values[0])
 
 
-@dataclass(frozen=True)
 class DecisionProblem:
     """Report integral(f) from one sample, scoring an action a under the
-    truth f by the 0-1 loss 1{ |a - integral(f)| > tolerance }. The
+    truth f by the 0-1 loss 1{ |a - integral(f)| > RECOVERY_TOL }. The
     counterexample asks it of two truths, the zero function and the spike."""
-
-    tolerance: float = RECOVERY_TOL
 
     def target(self, f: FourierFunction) -> float:
         return f.integral()
@@ -136,10 +133,10 @@ class DecisionProblem:
         return float(self.misses(f, np.array([action])))
 
     def misses(self, f: FourierFunction, actions: np.ndarray) -> int:
-        """How many actions miss the target by more than the tolerance, a
+        """How many actions miss the target by more than RECOVERY_TOL, a
         NaN action included: the plug-in risk times len(actions). loss is
         its count on one action."""
-        return int(np.count_nonzero(~(np.abs(actions - self.target(f)) <= self.tolerance)))
+        return int(np.count_nonzero(~(np.abs(actions - self.target(f)) <= RECOVERY_TOL)))
 
 
 @dataclass(frozen=True)

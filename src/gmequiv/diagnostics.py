@@ -234,8 +234,8 @@ def band_split_decomposition(f: FourierFunction, n: int) -> BandDecomposition:
     with np.errstate(over="ignore", invalid="ignore"):
         d = _gaps(f, n)
         K = min(n, f.K)
-        low = FourierFunction(K, f.theta[f.K - K : f.K + K + 1], f"{f.name}-low{n}")
-        tail = FourierFunction(f.K, np.where(np.abs(f.ks) > n, f.theta, 0), f"{f.name}-tail{n}")
+        low = FourierFunction(f.theta[f.K - K : f.K + K + 1], f"{f.name}-low{n}")
+        tail = FourierFunction(np.where(np.abs(f.ks) > n, f.theta, 0), f"{f.name}-tail{n}")
         A = _gaps(low, n)
         B = np.asarray(tail(design_knots(n)))
         C = tail.cell_averages(n)

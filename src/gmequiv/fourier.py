@@ -41,7 +41,7 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -71,22 +71,22 @@ def check_frequency(k: int) -> None:
 class FourierFunction:
     """Finite Fourier sum with Hermitian coefficients.
 
-    theta[i] is the coefficient of e_{i-K}, so the array runs k = -K..K.
-    An empty name becomes 'fourier-' and the first 8 hex digits of
-    content_id().
+    theta[i] is the coefficient of e_{i-K}, so the array runs k = -K..K
+    and K is read from its length; a theta that is not one-dimensional of
+    odd length raises HermitianViolation. An empty name becomes 'fourier-'
+    and the first 8 hex digits of content_id().
     """
 
-    K: int
     theta: np.ndarray
     name: str
+    K: int = field(init=False)
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=complex)
-        if theta.shape != (2 * self.K + 1,):
-            raise HermitianViolation(
-                f"coefficient array must have length 2K+1 = {2 * self.K + 1}, "
-                f"got {theta.shape}"
-            )
+        if theta.ndim != 1 or theta.size % 2 == 0:
+            raise HermitianViolation("coefficient array must be one-dimensional of odd "
+                                     f"length 2K+1, got shape {theta.shape}")
+        object.__setattr__(self, "K", theta.size // 2)
         mirrored = np.conj(theta[::-1])
         if not np.allclose(theta, mirrored, rtol=0.0, atol=_IMAG_TOL):
             worst = int(np.argmax(np.abs(theta - mirrored))) - self.K
@@ -115,7 +115,7 @@ class FourierFunction:
         theta = np.zeros(2 * K + 1, dtype=complex)
         theta[K - ks] = np.conj(values)
         theta[K + ks] = values
-        return FourierFunction(K, theta, name or "")
+        return FourierFunction(theta, name or "")
 
     @staticmethod
     def zero() -> "FourierFunction":
@@ -238,7 +238,7 @@ class FourierFunction:
         return value
 
     def scaled(self, factor: float, name: str | None = None) -> "FourierFunction":
-        return FourierFunction(self.K, self.theta * factor, name or self.name)
+        return FourierFunction(self.theta * factor, name or self.name)
 
     # -- JSON surface ------------------------------------------------------
 
@@ -403,8 +403,10 @@ def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
     class by sqrt(0.95) L / sobolev_norm, to norm sqrt(0.95) L, about
     0.975 L, with no square formed, so a radius whose square underflows
     still draws a nonzero member; for a Hoelder class to 95% of a
-    certified upper bound, so at or inside 95% of the radius.
+    certified upper bound, so at or inside 95% of the radius. A K above
+    MAX_FREQUENCY raises ValueError before any array is built.
     """
+    check_frequency(K)
     smooth = spec.beta if spec.kind == "sobolev" else spec.alpha
     gen = rng.stream(seed, "ellipsoid", spec.kind, smooth, spec.L, K)
     decay = (1.0 + np.arange(1, K + 1)) ** (-smooth - 0.5 - _ELLIPSOID_DECAY_MARGIN)
@@ -413,7 +415,7 @@ def sample_ellipsoid(spec: ClassSpec, K: int, seed: int) -> FourierFunction:
     theta0 = gen.uniform(-1.0, 1.0)
     positive = magnitudes * np.exp(1j * phases)
     theta = np.concatenate([np.conj(positive[::-1]), [complex(theta0, 0.0)], positive])
-    fn = FourierFunction(K, theta, f"ellipsoid-{spec.kind}-{seed}")
+    fn = FourierFunction(theta, f"ellipsoid-{spec.kind}-{seed}")
     if spec.kind == "sobolev":
         return fn.scaled(math.sqrt(0.95) * spec.L / fn.sobolev_norm(spec.beta), name=fn.name)
     return scale_into_hoelder_ball(fn, spec)

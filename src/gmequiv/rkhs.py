@@ -226,10 +226,17 @@ def kriging_interpolate(kernel: GaussMarkovKernel, y, t):
 
 
 def kriging_interpolate_dense(kernel: GaussMarkovKernel, y, t):
-    """Oracle: k(t)^T C^{-1} y with the dense design covariance C."""
+    """Oracle: k(t)^T C^{-1} y with the dense design covariance C.
+
+    The solves run in units of the data, y divided by the largest power of
+    two at or below max|y|, and the result is multiplied back. Scaling by
+    a power of two is exact, so finite cases keep their bits, and data near
+    the largest float do not overflow the solves.
+    """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    knots = design_knots(n)
+    knots = design_knots(y.size)
+    top = float(np.max(np.abs(y)))
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
     with serial_blas():
         try:
             lower = np.linalg.cholesky(gram(kernel, knots))
@@ -237,9 +244,9 @@ def kriging_interpolate_dense(kernel: GaussMarkovKernel, y, t):
             raise SingularCovariance(
                 f"design covariance for kernel {kernel.name!r} is singular"
             ) from exc
-        alpha = np.linalg.solve(lower.T, np.linalg.solve(lower, y))
+        alpha = np.linalg.solve(lower.T, np.linalg.solve(lower, y / unit))
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         kvec = covariance(kernel, ts[:, None], knots[None, :])
-        out = np.asarray(kvec) @ alpha
+        out = np.asarray(kvec) @ alpha * unit
     return float(out[0]) if np.asarray(t).ndim == 0 else out
 

@@ -218,6 +218,7 @@ class TestExitCodes:
         "kl --n ,",
         "simulate --exp e2 --n 100000000000 --preset bm",
         "kriging --n 100000000000",
+        "kriging --n 4 --fn '{\"coeffs\": [[1, 1e308, 0]]}'",
         "transform --n 100000000000",
         "decompose --n 100000000000",
         "counterexample --n 100000000000",
@@ -551,6 +552,20 @@ class TestOutputs:
             assert type(meta[key]) is float, key
             assert _bits(meta[key]) == _bits(float(csv_meta[key])), key
             assert _bits(meta[key]) == _bits(library), key
+
+    def test_dense_oracle_solves_data_near_the_float_maximum(self, capsys):
+        """A 1e308 coefficient puts the knot values near the largest float:
+        the dense oracle solves in units of its data, so every oracle cell
+        is finite and it meets the O(n) Kriging to rounding."""
+        code, out, err = run_cli(capsys, "kriging", "--n", "4", "--fn",
+                                 '{"coeffs": [[1, 1e308, 0]]}')
+        assert (code, err) == (0, "")
+        meta = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+        interpolant = np.array([float(row[1]) for row in rows])
+        oracle = np.array([float(row[2]) for row in rows])
+        assert np.all(np.isfinite(oracle))
+        assert float(meta["max_oracle_deviation"]) <= 1e-12 * np.max(np.abs(interpolant))
 
     def test_json_writes_non_finite_values_as_null(self, capsys):
         """A 1e300 coefficient makes a_sum and total_gap_sq inf and the

@@ -9,6 +9,7 @@ import pytest
 
 from gmequiv.counterexample import (
     MC_PREMISE,
+    RECOVERY_TOL,
     DecisionProblem,
     _streamed_actions,
     build_fn,
@@ -100,22 +101,27 @@ class TestEndpointIncrement:
 
 
 class TestDecisionProblem:
+    """Actions at the RECOVERY_TOL = 1e-10 scale: 5e-11 off the target
+    meets it, 2e-10 off misses."""
+
     def test_loss_and_risk(self):
-        problem = DecisionProblem(tolerance=0.01)
+        problem = DecisionProblem()
         spike = build_fn(4, 1.0, 1.0)
         target = problem.target(spike)
         assert problem.loss(spike, target) == 0.0
-        assert problem.loss(spike, target + 0.02) == 1.0
-        actions = np.array([target, target + 0.02, target - 0.005])
+        assert problem.loss(spike, target + 5e-11) == 0.0
+        assert problem.loss(spike, target - 5e-11) == 0.0
+        assert problem.loss(spike, target + 2e-10) == 1.0
+        actions = np.array([target, target + 2e-10, target - 5e-11])
         assert problem.misses(spike, actions) == 1
 
     def test_nan_action_is_a_miss_for_both_rules(self):
-        problem = DecisionProblem(tolerance=0.01)
+        problem = DecisionProblem()
         spike = build_fn(4, 1.0, 1.0)
         target = problem.target(spike)
         assert problem.loss(spike, float("nan")) == 1.0
         assert problem.misses(spike, np.array([np.nan])) == 1
-        assert problem.misses(spike, np.array([target, np.nan, target + 0.02])) == 2
+        assert problem.misses(spike, np.array([target, np.nan, target + 2e-10])) == 2
 
 
 def _failing(report, name):
@@ -234,15 +240,18 @@ class TestStreamedPremise:
 
     @pytest.mark.parametrize("mc_paths", [50_000, 2], ids=["four-blocks", "two-paths"])
     def test_plugin_risk_is_the_exact_miss_count(self, mc_paths):
-        """A tolerance that some actions meet and others miss; the streamed
-        count over N is the plug-in risk of all actions, bit for bit."""
+        """Synthetic endpoints in the premise's blocks: the even ones scaled
+        by 1e-10, so their actions fall within about RECOVERY_TOL of the
+        target and some meet it while others miss. The streamed count
+        over N is the plug-in risk of all actions, bit for bit."""
         n, spike = 4, build_fn(4, 1.0, 1.0)
-        actions = self._actions(n, mc_paths, 5)
-        problem = DecisionProblem(tolerance=float(np.median(np.abs(actions - spike.integral()))))
-        risk = float(np.mean(np.abs(actions - spike.integral()) > problem.tolerance))
-        stream = endpoint_blocks(preset("bm"), path_grid(n, n + 1), mc_paths, 5,
-                                 label="endpoint-mc")
-        misses, variance = _streamed_actions(problem, spike, n, stream)
+        endpoints = np.random.default_rng(5).standard_normal(mc_paths)
+        endpoints[::2] *= 1e-10
+        actions = spike.antiderivative(1.0) + endpoints / math.sqrt(n)
+        risk = float(np.mean(np.abs(actions - spike.integral()) > RECOVERY_TOL))
+        rows = BLOCK_ELEMENTS // n
+        blocks = np.split(endpoints, range(rows, mc_paths, rows))
+        misses, variance = _streamed_actions(DecisionProblem(), spike, n, iter(blocks))
         assert 0 < misses < mc_paths
         assert misses / mc_paths == risk
         assert math.isclose(variance, float(np.var(actions, ddof=1)), rel_tol=1e-14)

@@ -347,6 +347,31 @@ class TestProjectionStatistic:
         assert math.isclose(projection_statistic(k, COS, 8), expected, rel_tol=1e-12)
 
 
+class TestConstantFunction:
+    """f = 1 at n = 8: a constant has no gaps between its knot values and
+    its cell means, so the KL part of Delta^2 = n D_n + 2 KL is exactly 0 on
+    every kernel. D_n is 0 only where the Kriging interpolant of F_f(t) = t
+    is t itself: it is linear in the (q, F/v) plane, and F/v is the clock q
+    on bm and slepian but not on ou(1)."""
+
+    F = FourierFunction.harmonic(0)
+    KERNELS = {"bm": preset("bm"), "ou(1)": preset("ou", 1.0), "slepian": preset("slepian")}
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_kl_part_is_exactly_zero(self, name):
+        kernel = self.KERNELS[name]
+        for statistic in (kl_sequential, kl_dense, discretization_statistic):
+            assert statistic(kernel, self.F, 8) == 0.0, statistic.__name__
+
+    @pytest.mark.parametrize("name", ["bm", "slepian"])
+    def test_projection_distance_is_exactly_zero_where_q_is_linear_in_the_clock(self, name):
+        assert projection_distance(self.KERNELS[name], self.F, 8) == 0.0
+
+    def test_projection_distance_on_ou(self):
+        assert math.isclose(projection_distance(self.KERNELS["ou(1)"], self.F, 8),
+                            2.1599843097150817e-4, rel_tol=1e-10)
+
+
 class TestBandDecomposition:
     def test_band_limited_function_has_no_tail(self):
         """Every frequency of f below the cutoff: the tail sums vanish and

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -97,11 +98,15 @@ class TestHermitianEnforcement:
     def test_raw_array_symmetry(self):
         bad = np.array([0.5j, 1.0, 0.5j])  # conj mirror would be -0.5j
         with pytest.raises(HermitianViolation):
-            FourierFunction(1, bad, "bad")
+            FourierFunction(bad, "bad")
 
-    def test_wrong_length(self):
-        with pytest.raises(HermitianViolation, match="length"):
-            FourierFunction(2, np.zeros(3, dtype=complex), "short")
+    @pytest.mark.parametrize("theta", [np.zeros(4, dtype=complex), np.zeros((3, 3), dtype=complex)],
+                             ids=["even-length", "2-d"])
+    def test_theta_that_fixes_no_K_is_refused(self, theta):
+        """K is read from theta's length 2K + 1, so a theta that is not
+        one-dimensional of odd length is refused, naming its shape."""
+        with pytest.raises(HermitianViolation, match=re.escape(f"got shape {theta.shape}")):
+            FourierFunction(theta, "bad")
 
     def test_mirror_completion(self):
         fn = FourierFunction.from_coeffs({2: 1.0 - 2.0j})
@@ -136,7 +141,7 @@ def _hermitian_function(seed: int, K: int) -> FourierFunction:
     gen = np.random.default_rng(seed)
     half = gen.normal(size=K) + 1j * gen.normal(size=K)
     theta = np.concatenate([np.conj(half[::-1]), [gen.normal()], half])
-    return FourierFunction(K, theta, f"hermitian{K}")
+    return FourierFunction(theta, f"hermitian{K}")
 
 
 def _direct_sums(fn: FourierFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -553,6 +558,23 @@ class TestClassSpec:
                 ClassSpec(kind=kind, alpha=0.5, L=L)
         assert ClassSpec(kind=kind, alpha=0.5, L=1e154).L == 1e154
         assert sample_ellipsoid(ClassSpec.sobolev(1.0, 1e154), K=4, seed=0).sobolev_norm(1.0) > 0
+
+    def test_frequency_above_the_limit_builds_no_array(self):
+        """sample_ellipsoid builds 2K + 1 coefficients, so a K above
+        MAX_FREQUENCY is refused, as every other coefficient builder refuses
+        it, before its random stream or any array is made."""
+        spec = ClassSpec.sobolev(1.0, 1.0)
+        sample_ellipsoid(spec, K=4, seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError, match="MAX_FREQUENCY"):
+                sample_ellipsoid(spec, K=fourier.MAX_FREQUENCY + 1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     def test_deterministic_in_seed(self):
         spec = ClassSpec.sobolev(1.0, 1.0)
         a = sample_ellipsoid(spec, K=16, seed=5)
